@@ -8,16 +8,15 @@ reports, line-oriented text for gate lists, flat CSV for sweeps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from . import encoders
 from .circuits import QaoaParams, build_circuit, cnot_count, depth, format_gate_list
+from .encoders import PROBLEMS, encode
 from .experiments import (
     ParetoPoint,
-    ProblemSetting,
-    PROBLEMS,
     builtin_settings,
     format_records_csv,
     pareto_front,
@@ -26,7 +25,7 @@ from .experiments import (
 )
 from .factoring import FactoringReport, default_z, factor_out, verify_equivalence
 from .graphs import parse_edge_list
-from .qubo import ParameterError, QuboMatrix, coupling_count, spectrum
+from .qubo import CapacityError, ParameterError, QuboMatrix, coupling_count, spectrum
 
 
 def _read_graph(path: str):
@@ -46,21 +45,8 @@ def _write(path: str | None, text: str) -> None:
 
 def _cmd_encode(args) -> int:
     g = _read_graph(args.graph)
-    a = args.penalty
-    if args.problem == "max_clique":
-        q = encoders.max_clique_qubo(g, a)
-    elif args.problem == "hamilton_cycles":
-        q = encoders.hamilton_cycle_qubo(g, a)
-    elif args.problem == "graph_coloring":
-        if args.k is None:
-            raise ParameterError("graph_coloring requires --k")
-        q = encoders.graph_coloring_qubo(g, args.k, a)
-    elif args.problem == "vertex_cover":
-        q = encoders.vertex_cover_qubo(g, a)
-    else:
-        if args.graph2 is None:
-            raise ParameterError("graph_isomorphism requires --graph2")
-        q = encoders.graph_isomorphism_qubo(g, _read_graph(args.graph2), a)
+    g2 = None if args.graph2 is None else _read_graph(args.graph2)
+    q = encode(args.problem, g, args.penalty, args.k, g2)
     _write(args.out, q.dumps() + "\n")
     return 0
 
@@ -84,15 +70,7 @@ def _cmd_verify(args) -> int:
     q_mod = _read_qubo(args.modified)
     report = FactoringReport.loads(Path(args.report).read_text())
     verdict = verify_equivalence(q, q_mod, report)
-    print(
-        json.dumps(
-            {
-                "valid_energies_preserved": verdict.valid_energies_preserved,
-                "invalid_energies_nondecreasing": verdict.invalid_energies_nondecreasing,
-                "minimum_preserved": verdict.minimum_preserved,
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(verdict)))
     return 0 if verdict.all_ok else 1
 
 
@@ -216,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, OSError, json.JSONDecodeError) as exc:
+    except (ParameterError, CapacityError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

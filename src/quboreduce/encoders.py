@@ -7,14 +7,23 @@ storage convention.
 
 Structured variables (vertex, position) or (vertex, color) are flattened
 row-major; the :class:`VariableLayout` helpers expose the index mapping.
+:func:`encode` dispatches on the problem names in :data:`PROBLEMS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, all_pairs, complement
+from .graphs import Graph, complement
 from .qubo import ParameterError, QuboMatrix
+
+PROBLEMS = (
+    "max_clique",
+    "hamilton_cycles",
+    "graph_coloring",
+    "vertex_cover",
+    "graph_isomorphism",
+)
 
 
 @dataclass(frozen=True)
@@ -43,10 +52,6 @@ class VariableLayout:
 def _check_penalty(a) -> None:
     if not a > 0:
         raise ParameterError(f"penalty weight must be positive, got {a}")
-
-
-def max_clique_layout(g: Graph) -> VariableLayout:
-    return VariableLayout("max_clique", g.v)
 
 
 def max_clique_qubo(g: Graph, a=3) -> QuboMatrix:
@@ -117,10 +122,6 @@ def graph_coloring_qubo(g: Graph, k: int, a=3) -> QuboMatrix:
     return q
 
 
-def vertex_cover_layout(g: Graph) -> VariableLayout:
-    return VariableLayout("vertex_cover", g.v)
-
-
 def vertex_cover_qubo(g: Graph, a=3) -> QuboMatrix:
     """Expansion of a*(1-x_u)(1-x_v) per edge plus +1 per selected vertex.
 
@@ -168,3 +169,27 @@ def graph_isomorphism_qubo(g1: Graph, g2: Graph, a=3) -> QuboMatrix:
             if violates:
                 q[m1, m2] = a
     return q
+
+
+def encode(problem: str, g: Graph, a, k: int | None = None, g2: Graph | None = None) -> QuboMatrix:
+    """QUBO of ``problem`` on ``g`` with penalty ``a``.  graph_coloring needs
+    the color count ``k``, graph_isomorphism the second graph ``g2``; other
+    problems ignore both."""
+    # Call the encoders by their module-global names, not through a table
+    # built at import, so that rebinding one of them (to wrap or trace it)
+    # also changes what this dispatch calls.
+    if problem == "max_clique":
+        return max_clique_qubo(g, a)
+    if problem == "hamilton_cycles":
+        return hamilton_cycle_qubo(g, a)
+    if problem == "graph_coloring":
+        if k is None:
+            raise ParameterError("graph_coloring requires a color count k")
+        return graph_coloring_qubo(g, k, a)
+    if problem == "vertex_cover":
+        return vertex_cover_qubo(g, a)
+    if problem == "graph_isomorphism":
+        if g2 is None:
+            raise ParameterError("graph_isomorphism requires a second graph g2")
+        return graph_isomorphism_qubo(g, g2, a)
+    raise ParameterError(f"unknown problem {problem!r}")

@@ -11,19 +11,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import encoders
 from .circuits import QaoaParams, build_circuit, cnot_count, depth
+from .encoders import PROBLEMS, encode
 from .factoring import default_z, factoring_trajectory
-from .graphs import Graph, permute_vertices, sample_graph, sample_permutation
+from .graphs import permute_vertices, sample_graph, sample_permutation
 from .qubo import ParameterError, QuboMatrix, coupling_count
-
-PROBLEMS = (
-    "max_clique",
-    "hamilton_cycles",
-    "graph_coloring",
-    "vertex_cover",
-    "graph_isomorphism",
-)
 
 # (v, e) per problem, three settings each; graph coloring uses K colors.
 _SETTINGS_TABLE = {
@@ -104,15 +96,7 @@ def builtin_settings(
 
 def build_problem_qubo(setting: ProblemSetting) -> QuboMatrix:
     g = sample_graph(setting.v, setting.e, setting.seed)
-    a = setting.penalty
-    if setting.problem == "max_clique":
-        return encoders.max_clique_qubo(g, a)
-    if setting.problem == "hamilton_cycles":
-        return encoders.hamilton_cycle_qubo(g, a)
-    if setting.problem == "graph_coloring":
-        return encoders.graph_coloring_qubo(g, setting.k, a)
-    if setting.problem == "vertex_cover":
-        return encoders.vertex_cover_qubo(g, a)
+    g2 = None
     if setting.problem == "graph_isomorphism":
         if setting.pair_mode == "permuted":
             g2 = permute_vertices(g, sample_permutation(g.v, setting.seed + 1))
@@ -120,8 +104,13 @@ def build_problem_qubo(setting: ProblemSetting) -> QuboMatrix:
             g2 = sample_graph(setting.v, setting.e, setting.seed + 1)
         else:
             raise ParameterError(f"unknown pair mode {setting.pair_mode!r}")
-        return encoders.graph_isomorphism_qubo(g, g2, a)
-    raise ParameterError(f"unknown problem {setting.problem!r}")
+    return encode(setting.problem, g, setting.penalty, setting.k, g2)
+
+
+def _circuit_metrics(q: QuboMatrix, p: int) -> tuple[int, int]:
+    # Its own function, so each circuit is freed before the next is built.
+    circuit = build_circuit(q, QaoaParams.constant(p))
+    return cnot_count(circuit), depth(circuit)
 
 
 def run_sweep(
@@ -130,25 +119,21 @@ def run_sweep(
     p_values: Sequence[int] = (1, 2, 3),
     z_mode: float | str = "proposition",
 ) -> list[SweepRecord]:
-    """One record per (ancilla budget, p).  Budgets beyond the available
-    structure repeat the saturated matrix's metrics."""
-    if max_ancillas < 0:
-        raise ParameterError(f"max_ancillas must be non-negative, got {max_ancillas}")
+    """One record per (ancilla budget, p).  Each distinct trajectory matrix
+    is measured once per p; budgets beyond the available structure repeat
+    the saturated matrix's metrics."""
     q = build_problem_qubo(setting)
-    if z_mode == "proposition":
-        z = default_z(q)
-    else:
-        z = z_mode
-        if not z > 0:
-            raise ParameterError(f"explicit z must be positive, got {z}")
+    z = default_z(q) if z_mode == "proposition" else z_mode
     trajectory, _report = factoring_trajectory(q, max_ancillas, z)
+    metrics = [
+        (m.n, coupling_count(m), [_circuit_metrics(m, p) for p in p_values])
+        for m in trajectory
+    ]
 
     records = []
     for budget in range(max_ancillas + 1):
-        q_mod = trajectory[min(budget, len(trajectory) - 1)]
-        couplings = coupling_count(q_mod)
-        for p in p_values:
-            circuit = build_circuit(q_mod, QaoaParams.constant(p))
+        qubits, couplings, per_p = metrics[min(budget, len(metrics) - 1)]
+        for p, (cnots, circuit_depth) in zip(p_values, per_p):
             records.append(
                 SweepRecord(
                     problem=setting.problem,
@@ -156,10 +141,10 @@ def run_sweep(
                     seed=setting.seed,
                     num_ancillas=budget,
                     p=p,
-                    qubits=q_mod.n,
+                    qubits=qubits,
                     couplings=couplings,
-                    cnots=cnot_count(circuit),
-                    depth=depth(circuit),
+                    cnots=cnots,
+                    depth=circuit_depth,
                 )
             )
     return records

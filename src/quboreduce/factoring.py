@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .qubo import (
     CapacityError,
     ENUMERATION_GUARD,
@@ -26,7 +24,6 @@ from .qubo import (
     QuboMatrix,
     all_energies,
     bits_from_index,
-    energy,
 )
 
 
@@ -91,21 +88,17 @@ class FactoringReport:
         return cls.from_json_dict(json.loads(text))
 
 
-def get_conflict_list(q: QuboMatrix, include_diagonal: bool = True) -> list[tuple[int, int]]:
+def get_conflict_list(q: QuboMatrix) -> list[tuple[int, int]]:
     """Coupled pairs (i, j) whose coupling exceeds the negative energy
     available to both rows: Q[i,j] > -Z[i] - Z[j].
 
-    Z[i] sums the negative coefficients of symmetric row i; the diagonal term
-    participates unless ``include_diagonal`` is false.
+    Z[i] sums the negative coefficients of symmetric row i, diagonal included.
     """
     z_row = [0] * q.n
     for (i, j), v in q.entries():
         if v < 0:
-            if i == j:
-                if include_diagonal:
-                    z_row[i] += v
-            else:
-                z_row[i] += v
+            z_row[i] += v
+            if i != j:
                 z_row[j] += v
     return sorted(
         (i, j)
@@ -176,30 +169,14 @@ def factor_step(q: QuboMatrix, z) -> tuple[QuboMatrix, FactoringStep] | None:
     return enhance(q, best.pair, best.syms, z), step
 
 
-def factor_out(q: QuboMatrix, num_ancillas: int, z) -> tuple[QuboMatrix, FactoringReport]:
+def factoring_trajectory(q: QuboMatrix, num_ancillas: int, z) -> tuple[list[QuboMatrix], FactoringReport]:
     """Repeatedly factor the largest shared structure until no eligible pair
-    remains or the ancilla budget is exhausted."""
+    remains or the ancilla budget is exhausted.  trajectory[k] is the matrix
+    after k ancillas."""
     if num_ancillas < 0:
         raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
     if not z > 0:
         raise ParameterError(f"penalty z must be positive, got {z}")
-    report = FactoringReport(q.n, q.n, z)
-    current = q
-    for _ in range(num_ancillas):
-        result = factor_step(current, z)
-        if result is None:
-            break
-        current, step = result
-        report.steps.append(step)
-        report.final_n = current.n
-    return current, report
-
-
-def factoring_trajectory(q: QuboMatrix, num_ancillas: int, z) -> tuple[list[QuboMatrix], FactoringReport]:
-    """Like :func:`factor_out` but returns every intermediate matrix,
-    trajectory[k] being the matrix after k ancillas."""
-    if num_ancillas < 0:
-        raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
     report = FactoringReport(q.n, q.n, z)
     trajectory = [q]
     for _ in range(num_ancillas):
@@ -211,6 +188,12 @@ def factoring_trajectory(q: QuboMatrix, num_ancillas: int, z) -> tuple[list[Qubo
         report.steps.append(step)
         report.final_n = nxt.n
     return trajectory, report
+
+
+def factor_out(q: QuboMatrix, num_ancillas: int, z) -> tuple[QuboMatrix, FactoringReport]:
+    """The last matrix of :func:`factoring_trajectory`, with its report."""
+    trajectory, report = factoring_trajectory(q, num_ancillas, z)
+    return trajectory[-1], report
 
 
 def is_conflicting(q: QuboMatrix, i: int, j: int, guard: int = ENUMERATION_GUARD) -> bool:

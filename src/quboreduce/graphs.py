@@ -99,10 +99,13 @@ def parse_edge_list(text: str) -> Graph:
     if not lines:
         raise ParameterError("empty edge-list input")
     try:
-        v, e = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
+        rows = [tuple(map(int, ln.split())) for ln in lines]
     except ValueError as exc:
         raise ParameterError(f"malformed edge list: {exc}") from exc
+    for ln, row in zip(lines, rows):
+        if len(row) != 2:
+            raise ParameterError(f"edge-list line {ln.strip()!r} has {len(row)} fields, expected 2")
+    (v, e), edges = rows[0], rows[1:]
     if len(edges) != e:
         raise ParameterError(f"header declares {e} edges, found {len(edges)}")
     for i, j in edges:

@@ -178,12 +178,19 @@ class QuboMatrix:
             raw = data["entries"]
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed QUBO JSON: {exc}") from exc
+        _check_json("qubit count n", n, int)
+        _check_json("offset", offset, (int, float))
+        if not isinstance(raw, list):
+            raise ParameterError("QUBO JSON entries must be a list")
         q = cls(n, offset=offset)
         seen = set()
         for item in raw:
-            if len(item) != 3:
+            if not isinstance(item, list) or len(item) != 3:
                 raise ParameterError(f"malformed entry {item!r}")
             i, j, v = item
+            _check_json("entry index", i, int)
+            _check_json("entry index", j, int)
+            _check_json("coefficient", v, (int, float))
             if i > j:
                 raise ParameterError(f"entry ({i}, {j}) violates i <= j")
             if (i, j) in seen:
@@ -195,6 +202,13 @@ class QuboMatrix:
     @classmethod
     def loads(cls, text: str) -> "QuboMatrix":
         return cls.from_json_dict(json.loads(text))
+
+
+def _check_json(what: str, value, kinds: type | tuple[type, ...]) -> None:
+    # JSON true/false load as bool, a subclass of int; neither is a number here.
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = "an integer" if kinds is int else "a number"
+        raise ParameterError(f"{what} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)

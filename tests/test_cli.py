@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from quboreduce import Graph, QuboMatrix
+from quboreduce import Graph, QuboMatrix, graph_isomorphism_qubo
 from quboreduce.cli import main
-from quboreduce.graphs import format_edge_list
-from quboreduce.qubo import coupling_count
+from quboreduce.graphs import format_edge_list, permute_vertices
+from quboreduce.qubo import ENUMERATION_GUARD
 
 from conftest import DEMO_EDGES
 
@@ -95,5 +95,82 @@ def test_sweep_and_pareto_commands(tmp_path):
 
 def test_missing_file_reports_error(capsys):
     rc = main(["spectrum", "--qubo", "/nonexistent/q.json"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_encode_graph_isomorphism_with_second_graph(tmp_path, demo_graph, demo_graph_file):
+    g2 = permute_vertices(demo_graph, [3, 0, 5, 1, 4, 2])
+    g2_file = tmp_path / "graph2.txt"
+    g2_file.write_text(format_edge_list(g2))
+    out = tmp_path / "q.json"
+    rc = main([
+        "encode", "--problem", "graph_isomorphism", "--graph", str(demo_graph_file),
+        "--graph2", str(g2_file), "--penalty", "4", "--out", str(out),
+    ])
+    assert rc == 0
+    assert QuboMatrix.loads(out.read_text()) == graph_isomorphism_qubo(demo_graph, g2, 4)
+
+
+def test_encode_rejects_edge_line_with_three_fields(tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_text("3 1\n0 1 2\n")
+    assert main(["encode", "--problem", "max_clique", "--graph", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_rejects_nonpositive_z(capsys):
+    rc = main([
+        "sweep", "--problem", "vertex_cover", "--setting-index", "0", "--seeds", "0",
+        "--max-ancillas", "2", "--p", "1", "--z", "-1",
+    ])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+_GOOD_QUBO = {"n": 2, "offset": 0, "entries": [[0, 0, -1], [0, 1, 2]]}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "circuit", "factor"])
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.5),
+    ("n", True),
+    ("n", "2"),
+    ("offset", "0"),
+    ("offset", False),
+    ("index", 0.0),
+    ("index", True),
+    ("coefficient", "2"),
+    ("coefficient", True),
+    ("coefficient", None),
+])
+def test_malformed_qubo_json_exits_2(tmp_path, capsys, command, field, value):
+    data = json.loads(json.dumps(_GOOD_QUBO))
+    if field == "index":
+        data["entries"][1][0] = value
+    elif field == "coefficient":
+        data["entries"][1][2] = value
+    else:
+        data[field] = value
+    q_path = tmp_path / "q.json"
+    q_path.write_text(json.dumps(data))
+    assert main([command, "--qubo", str(q_path), "--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_spectrum_above_guard_exits_2(tmp_path, capsys):
+    q_path = tmp_path / "q.json"
+    q_path.write_text(QuboMatrix(ENUMERATION_GUARD + 1).dumps())
+    assert main(["spectrum", "--qubo", str(q_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_above_guard_exits_2(tmp_path, capsys):
+    n = ENUMERATION_GUARD + 1
+    q_path = tmp_path / "q.json"
+    q_path.write_text(QuboMatrix(n).dumps())
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps({"base_n": n, "final_n": n, "z": 1, "steps": []}))
+    rc = main(["verify", "--qubo", str(q_path), "--modified", str(q_path), "--report", str(report_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err

@@ -17,10 +17,13 @@ from quboreduce import (
     vertex_cover_qubo,
 )
 from quboreduce.encoders import (
+    PROBLEMS,
+    encode,
     graph_coloring_layout,
     graph_isomorphism_layout,
     hamilton_cycle_layout,
 )
+from quboreduce.graphs import permute_vertices, sample_permutation
 from quboreduce.qubo import bits_from_index
 
 from conftest import DEMO_EDGES
@@ -288,3 +291,31 @@ class TestEmittedMatrixInvariants:
             for (i, j), v in q.entries():
                 assert v != 0
                 assert 0 <= i <= j < q.n
+
+
+class TestEncode:
+    G = sample_graph(6, 8, seed=4)
+    G2 = permute_vertices(G, sample_permutation(6, seed=5))
+    DIRECT = {
+        "max_clique": lambda g, a: max_clique_qubo(g, a),
+        "hamilton_cycles": lambda g, a: hamilton_cycle_qubo(g, a),
+        "graph_coloring": lambda g, a: graph_coloring_qubo(g, 3, a),
+        "vertex_cover": lambda g, a: vertex_cover_qubo(g, a),
+        "graph_isomorphism": lambda g, a: graph_isomorphism_qubo(g, TestEncode.G2, a),
+    }
+
+    def test_covers_every_problem(self):
+        assert set(self.DIRECT) == set(PROBLEMS)
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_matches_direct_encoder(self, problem):
+        assert encode(problem, self.G, 4, k=3, g2=self.G2) == self.DIRECT[problem](self.G, 4)
+
+    @pytest.mark.parametrize("problem, kwargs", [
+        ("graph_coloring", {"g2": G2}),
+        ("graph_isomorphism", {"k": 3}),
+        ("tsp", {"k": 3, "g2": G2}),
+    ])
+    def test_rejects_missing_argument_or_unknown_problem(self, problem, kwargs):
+        with pytest.raises(ParameterError):
+            encode(problem, self.G, 3, **kwargs)

@@ -10,11 +10,13 @@ from quboreduce import (
     pareto_front,
     run_sweep,
 )
+from quboreduce.circuits import QaoaParams, build_circuit, cnot_count, depth
 from quboreduce.experiments import (
     build_problem_qubo,
     format_records_csv,
     parse_records_csv,
 )
+from quboreduce.factoring import default_z, factoring_trajectory
 from quboreduce.qubo import coupling_count
 
 from conftest import DEMO_EDGES
@@ -106,6 +108,32 @@ class TestRunSweep:
         assert len(records) == 5
         assert len({(r.qubits, r.couplings, r.depth) for r in records}) == 1
         assert [r.num_ancillas for r in records] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("setting, budget", [
+        (demo_setting(v=8, e=10, seed=5), 3),
+        (ProblemSetting("hamilton_cycles", 4, 5, seed=0), 6),
+        (ProblemSetting("graph_isomorphism", 4, 4, seed=1), 8),
+    ])
+    def test_rows_match_circuit_of_trajectory_matrix(self, setting, budget):
+        # reference: build the circuit of every (budget, p) row afresh
+        q = build_problem_qubo(setting)
+        trajectory, _ = factoring_trajectory(q, budget, default_z(q))
+        last = len(trajectory) - 1
+        assert 0 < last < budget  # factors, then saturates before the budget
+        records = run_sweep(setting, budget, p_values=[1, 2, 3])
+        assert len(records) == 3 * (budget + 1)
+        for r in records:
+            q_mod = trajectory[min(r.num_ancillas, last)]
+            circuit = build_circuit(q_mod, QaoaParams.constant(r.p))
+            assert (r.qubits, r.couplings) == (q_mod.n, coupling_count(q_mod))
+            assert (r.cnots, r.depth) == (cnot_count(circuit), depth(circuit))
+
+    @pytest.mark.parametrize("z", [0, -1])
+    def test_rejects_nonpositive_z_when_nothing_factors(self, z):
+        setting = ProblemSetting("vertex_cover", 30, 131, seed=0)
+        assert {r.qubits for r in run_sweep(setting, 2, [1])} == {30}  # nothing factors
+        with pytest.raises(ParameterError):
+            run_sweep(setting, 2, [1], z_mode=z)
 
 
 class TestParetoFront:

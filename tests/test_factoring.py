@@ -46,11 +46,6 @@ class TestGetConflictList:
         q = QuboMatrix(2, {(0, 0): -1, (1, 1): -1, (0, 1): 1})
         assert get_conflict_list(q) == []  # 1 > 2 is false
 
-    def test_diagonal_exclusion_flag(self):
-        q = QuboMatrix(2, {(0, 0): -1, (1, 1): -1, (0, 1): 1})
-        # without diagonals both Z rows are 0, so 1 > 0 holds
-        assert get_conflict_list(q, include_diagonal=False) == [(0, 1)]
-
     def test_agrees_with_semantic_test(self):
         # the row-sum condition is sufficient for a semantic conflict
         rng = random.Random(21)
@@ -166,6 +161,21 @@ class TestFactorOut:
         _, report = factor_out(demo_qubo, 1, 3)
         restored = FactoringReport.loads(report.dumps())
         assert restored == report
+
+    def test_is_end_of_trajectory(self):
+        q = max_clique_qubo(sample_graph(10, 18, seed=13), 3)
+        trajectory, report = factoring_trajectory(q, 20, default_z(q))
+        assert len(trajectory) > 1
+        assert factor_out(q, 20, default_z(q)) == (trajectory[-1], report)
+
+    @pytest.mark.parametrize("z", [0, -1])
+    def test_rejects_nonpositive_z_when_nothing_factors(self, z):
+        q = vertex_cover_qubo(sample_graph(30, 131, seed=0), 3)
+        assert factoring_trajectory(q, 5, default_z(q))[1].steps == []
+        with pytest.raises(ParameterError):
+            factoring_trajectory(q, 5, z)
+        with pytest.raises(ParameterError):
+            factor_out(q, 5, z)
 
 
 class TestDefaultZ:
