@@ -15,13 +15,16 @@ available separately as :func:`is_conflicting` for validation.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .qubo import (
     CapacityError,
     ENUMERATION_GUARD,
+    FLOAT_TOL,
     ParameterError,
     QuboMatrix,
+    _check_json,
     all_energies,
     bits_from_index,
 )
@@ -75,13 +78,27 @@ class FactoringReport:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FactoringReport":
         try:
-            steps = [
-                FactoringStep(s["ancilla"], s["i"], s["j"], tuple(s["syms"]))
-                for s in data["steps"]
-            ]
-            return cls(data["base_n"], data["final_n"], data["z"], steps)
+            base_n, final_n, z, raw = data["base_n"], data["final_n"], data["z"], data["steps"]
+            _check_json("base_n", base_n, int)
+            _check_json("final_n", final_n, int)
+            _check_json("z", z, (int, float))
+            if not isinstance(raw, list) or not all(isinstance(s, dict) for s in raw):
+                raise ParameterError("report steps must be a list of objects")
+            if len(raw) != final_n - base_n:
+                raise ParameterError(f"{len(raw)} steps do not take {base_n} qubits to {final_n}")
+            steps = [FactoringStep(s["ancilla"], s["i"], s["j"], tuple(s["syms"])) for s in raw]
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed factoring report: {exc}") from exc
+        for k, step in enumerate(steps):
+            for what in ("ancilla", "i", "j"):
+                _check_json(f"step {k} {what}", getattr(step, what), int)
+            for v in step.syms:
+                _check_json(f"step {k} syms element", v, int)
+            if step.ancilla != base_n + k:
+                raise ParameterError(f"step {k} ancilla must be {base_n + k}, got {step.ancilla}")
+            if not (0 <= step.i < step.ancilla and 0 <= step.j < step.ancilla) or step.i == step.j:
+                raise ParameterError(f"step {k} pair ({step.i}, {step.j}) is not two distinct earlier qubits")
+        return cls(base_n, final_n, z, steps)
 
     @classmethod
     def loads(cls, text: str) -> "FactoringReport":
@@ -111,14 +128,16 @@ def get_most_sym_qubits(q: QuboMatrix, cl: list[tuple[int, int]]) -> SemiSymmetr
     """Pair from ``cl`` sharing identical nonzero couplings with the most other
     qubits.  Ties go to the pair scanned last; an empty list yields the
     sentinel pair (0, 1) with no shared qubits."""
+    # Symmetric off-diagonal rows, so row j never holds j; uncoupled qubits read as {}.
+    rows = defaultdict(dict)
+    for (a, b), v in q.entries():
+        if a != b:
+            rows[a][b] = v
+            rows[b][a] = v
     best = SemiSymmetry((0, 1))
     for i, j in cl:
-        row_i = q.row(i, diagonal=False)
-        row_j = q.row(j, diagonal=False)
-        syms = frozenset(
-            k for k, v in row_i.items()
-            if k != j and row_j.get(k) == v
-        )
+        row_j = rows[j]
+        syms = frozenset(k for k, v in rows[i].items() if row_j.get(k) == v)
         if len(syms) >= len(best.syms):
             best = SemiSymmetry((i, j), syms)
     return best
@@ -264,7 +283,7 @@ def verify_equivalence(
     best_mod = mod_energies.reshape(1 << num_anc, 1 << q.n).min(axis=0)
 
     exact = q.is_integral and q_mod.is_integral
-    tol = 0 if exact else 1e-9
+    tol = 0 if exact else FLOAT_TOL
 
     valid_ok = True
     invalid_ok = True

@@ -138,19 +138,6 @@ class QuboMatrix:
             return False
         return all(isinstance(v, int) for v in self._entries.values())
 
-    def row(self, i: int, diagonal: bool = True) -> dict[int, float]:
-        """Symmetric row ``i`` as {other index: coefficient}."""
-        out = {}
-        for (a, b), v in self._entries.items():
-            if a == i == b:
-                if diagonal:
-                    out[i] = v
-            elif a == i:
-                out[b] = v
-            elif b == i:
-                out[a] = v
-        return out
-
     def to_dense(self) -> np.ndarray:
         """Dense upper-triangular matrix (offset not included)."""
         m = np.zeros((self.n, self.n))

@@ -158,6 +158,60 @@ def test_malformed_qubo_json_exits_2(tmp_path, capsys, command, field, value):
     assert "error:" in capsys.readouterr().err
 
 
+def _verify(paths):
+    q_path, mod_path, report_path = paths
+    return main(["verify", "--qubo", str(q_path), "--modified", str(mod_path), "--report", str(report_path)])
+
+
+@pytest.fixture
+def demo_report_files(tmp_path, demo_qubo):
+    """The demo QUBO factored by one ancilla at z=9, which verifies all-ok."""
+    paths = tmp_path / "q.json", tmp_path / "mod.json", tmp_path / "report.json"
+    paths[0].write_text(demo_qubo.dumps())
+    assert main([
+        "factor", "--qubo", str(paths[0]), "--max-ancillas", "1", "--z", "9",
+        "--out", str(paths[1]), "--report", str(paths[2]),
+    ]) == 0
+    assert json.loads(paths[2].read_text())["steps"] == [{"ancilla": 6, "i": 1, "j": 4, "syms": [0, 2, 5]}]
+    assert _verify(paths) == 0
+    return paths
+
+
+@pytest.mark.parametrize("path, value", [
+    ("base_n", 6.0),
+    ("base_n", "6"),
+    ("final_n", True),
+    ("z", "9"),
+    ("z", None),
+    ("steps", {}),
+    ("steps", [5]),
+    ("steps", []),
+    ("steps.0.ancilla", "6"),
+    ("steps.0.ancilla", 7),
+    ("steps.0.i", "0"),
+    ("steps.0.i", True),
+    ("steps.0.i", 1.0),
+    ("steps.0.i", 9),
+    ("steps.0.i", -1),
+    ("steps.0.j", 6),
+    ("steps.0.j", 1),
+    ("steps.0.syms", 5),
+    ("steps.0.syms.0", "0"),
+    ("steps.0.syms.0", False),
+])
+def test_malformed_report_json_exits_2(demo_report_files, capsys, path, value):
+    report_path = demo_report_files[2]
+    data = json.loads(report_path.read_text())
+    *parents, last = (int(key) if key.isdigit() else key for key in path.split("."))
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    report_path.write_text(json.dumps(data))
+    assert _verify(demo_report_files) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_spectrum_above_guard_exits_2(tmp_path, capsys):
     q_path = tmp_path / "q.json"
     q_path.write_text(QuboMatrix(ENUMERATION_GUARD + 1).dumps())

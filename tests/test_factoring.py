@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -24,7 +25,8 @@ from quboreduce import (
     vertex_cover_qubo,
     verify_equivalence,
 )
-from quboreduce.factoring import factor_step, factoring_trajectory, is_conflicting
+from quboreduce.experiments import build_problem_qubo, builtin_settings
+from quboreduce.factoring import SemiSymmetry, factor_step, factoring_trajectory, is_conflicting
 from quboreduce.graphs import permute_vertices, sample_permutation
 from quboreduce.qubo import bits_from_index
 
@@ -86,6 +88,49 @@ class TestGetMostSymQubits:
                 q[i, k] = q[j, k] = 2
         best = get_most_sym_qubits(q, [(0, 1), (5, 6)])
         assert best.pair == (5, 6)
+
+    def test_uncoupled_qubit_shares_nothing(self):
+        q = QuboMatrix(3, {(0, 0): -1, (0, 1): 5})
+        assert get_most_sym_qubits(q, [(0, 2)]) == SemiSymmetry((0, 2), frozenset())
+        assert get_most_sym_qubits(q, [(2, 0)]) == SemiSymmetry((2, 0), frozenset())
+
+    def test_matches_reference_on_builtin_trajectories(self):
+        for setting in builtin_settings(seeds=(0,)):
+            if setting.setting != 0:
+                continue
+            q = build_problem_qubo(setting)
+            trajectory, _ = factoring_trajectory(q, 29, default_z(q))
+            for m in trajectory:
+                cl = get_conflict_list(m)
+                assert get_most_sym_qubits(m, cl) == reference_most_sym_qubits(m, cl), setting
+
+    def test_matches_reference_with_ties(self):
+        # Coefficients from a small set make many pairs share equally many
+        # qubits, so the scan order decides; every ordered pair is scanned.
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(3, 9)
+            q = QuboMatrix(n)
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.6:
+                        q[i, j] = rng.choice((-2, -1, 1, 2))
+            cl = [(i, j) for i in range(n) for j in range(n) if i != j]
+            rng.shuffle(cl)
+            cl = cl[: rng.randint(0, len(cl))]
+            assert get_most_sym_qubits(q, cl) == reference_most_sym_qubits(q, cl)
+
+
+def reference_most_sym_qubits(q, cl):
+    """get_most_sym_qubits with each pair's rows read straight off the entries."""
+    best = SemiSymmetry((0, 1))
+    for i, j in cl:
+        row_i = {a + b - i: v for (a, b), v in q.entries() if a != b and i in (a, b)}
+        row_j = {a + b - j: v for (a, b), v in q.entries() if a != b and j in (a, b)}
+        syms = frozenset(k for k, v in row_i.items() if k != j and row_j.get(k) == v)
+        if len(syms) >= len(best.syms):
+            best = SemiSymmetry((i, j), syms)
+    return best
 
 
 class TestEnhance:
@@ -262,3 +307,19 @@ class TestFactorStep:
         out = factor_step(demo_qubo, 3)
         assert out is not None
         assert out[0] == demo_factored
+
+
+# sha256 over report.dumps() and the final matrix's dumps() of every builtin
+# (setting, seed) instance, factored at budget 29 with default_z.  Any change
+# to a trajectory, a report or the JSON formats changes it.
+BUILTIN_TRAJECTORIES_SHA256 = "d040c9abf1db5012fc299586d132ace6ed7ffb5abbbd8add22a097bc55d250d8"
+
+
+def test_builtin_trajectories_are_pinned():
+    h = hashlib.sha256()
+    for setting in builtin_settings():
+        q = build_problem_qubo(setting)
+        q_mod, report = factor_out(q, 29, default_z(q))
+        h.update(report.dumps().encode())
+        h.update(q_mod.dumps().encode())
+    assert h.hexdigest() == BUILTIN_TRAJECTORIES_SHA256
