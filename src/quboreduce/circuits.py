@@ -13,6 +13,7 @@ multiplies the cost layer and beta the mixer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -248,20 +249,29 @@ def format_gate_list(c: GateList) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Operand and angle field counts of each gate kind in the text format.
+_GATE_FIELDS = {"H": (1, 0), "CNOT": (2, 0), "RX": (1, 1), "RZ": (1, 1)}
+
+
 def parse_gate_list(text: str) -> GateList:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("qubits "):
-        raise ParameterError("gate list must start with a 'qubits n' header")
-    c = GateList(int(lines[0].split()[1]))
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "qubits" or not header[1].isdecimal() or int(header[1]) < 1:
+        raise ParameterError("gate list must start with a 'qubits n' header, n a positive integer")
+    c = GateList(int(header[1]))
     for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
-        if kind == "CNOT":
-            c.cnot(int(parts[1]), int(parts[2]))
-        elif kind == "H":
-            c.h(int(parts[1]))
-        elif kind in ("RX", "RZ"):
-            c.append(Gate(kind, (int(parts[1]),), float(parts[2])))
-        else:
+        kind, *fields = ln.split()
+        if kind not in _GATE_FIELDS:
             raise ParameterError(f"unknown gate line {ln!r}")
+        operands, angles = _GATE_FIELDS[kind]
+        if len(fields) != operands + angles:
+            raise ParameterError(f"{kind} takes {operands + angles} field(s), got {ln!r}")
+        try:
+            qubits = tuple(int(f) for f in fields[:operands])
+            angle = float(fields[operands]) if angles else None
+        except ValueError as exc:
+            raise ParameterError(f"gate line {ln!r}: {exc}") from exc
+        if angle is not None and not math.isfinite(angle):
+            raise ParameterError(f"gate line {ln!r} has a non-finite angle")
+        c.append(Gate(kind, qubits, angle))
     return c

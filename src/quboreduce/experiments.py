@@ -208,6 +208,12 @@ def parse_records_csv(text: str) -> list[SweepRecord]:
     int_fields = set(CSV_HEADER) - {"problem"}
     out = []
     for row in reader:
-        kwargs = {k: (int(v) if k in int_fields else v) for k, v in row.items()}
+        # A short row fills its missing fields with None; a long one adds a None key.
+        if None in row or None in row.values():
+            raise ParameterError(f"CSV line {reader.line_num} needs {len(CSV_HEADER)} fields")
+        try:
+            kwargs = {k: (int(v) if k in int_fields else v) for k, v in row.items()}
+        except ValueError as exc:
+            raise ParameterError(f"CSV line {reader.line_num}: {exc}") from exc
         out.append(SweepRecord(**kwargs))
     return out

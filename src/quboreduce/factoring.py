@@ -18,6 +18,8 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .qubo import (
     CapacityError,
     ENUMERATION_GUARD,
@@ -25,8 +27,8 @@ from .qubo import (
     ParameterError,
     QuboMatrix,
     _check_json,
+    _grid_index,
     all_energies,
-    bits_from_index,
 )
 
 
@@ -221,15 +223,12 @@ def is_conflicting(q: QuboMatrix, i: int, j: int, guard: int = ENUMERATION_GUARD
     neighbors differing only on bits i and j."""
     if q.n > guard:
         raise CapacityError(f"n={q.n} exceeds enumeration guard {guard}")
-    energies = all_energies(q, guard=guard)
-    bi, bj = 1 << i, 1 << j
-    for m in range(energies.size):
-        if m & bi and m & bj:
-            e_both = energies[m]
-            others = (energies[m ^ bi], energies[m ^ bj], energies[m ^ bi ^ bj])
-            if not all(e_both > e for e in others):
-                return False
-    return True
+    if not (0 <= i < q.n and 0 <= j < q.n):
+        raise ParameterError(f"index pair ({i}, {j}) out of range for n={q.n}")
+    energies = all_energies(q, guard=guard).reshape((2,) * q.n)
+    corners = ((1, 1), (0, 1), (1, 0), (0, 0))
+    both, *others = (energies[_grid_index(q.n, ((i, a), (j, b)))] for a, b in corners)
+    return bool((both > np.maximum.reduce(others)).all())
 
 
 @dataclass(frozen=True)
@@ -245,18 +244,6 @@ class VerificationVerdict:
             and self.invalid_energies_nondecreasing
             and self.minimum_preserved
         )
-
-
-def _classify_valid(bits: tuple[int, ...], report: FactoringReport) -> bool:
-    # Replay the factoring steps, forcing each ancilla to the OR of its pair.
-    # The base assignment is valid iff no factored pair ends up fully set.
-    extended = list(bits)
-    for step in report.steps:
-        bi, bj = extended[step.i], extended[step.j]
-        if bi and bj:
-            return False
-        extended.append(bi | bj)
-    return True
 
 
 def verify_equivalence(
@@ -285,14 +272,19 @@ def verify_equivalence(
     exact = q.is_integral and q_mod.is_integral
     tol = 0 if exact else FLOAT_TOL
 
-    valid_ok = True
-    invalid_ok = True
-    for m in range(base_energies.size):
-        diff = best_mod[m] - base_energies[m]
-        if _classify_valid(bits_from_index(m, q.n), report):
-            if abs(diff) > tol:
-                valid_ok = False
-        elif diff < -tol:
-            invalid_ok = False
+    # Replay the steps on all base assignments at once, each ancilla the OR of
+    # its pair: valid iff no factored pair ends up fully set.  Bit k is a
+    # boolean array on axis -1-k, broadcast against the (2,) * base_n grid.
+    bits = [np.array([False, True]).reshape((2,) + (1,) * k) for k in range(q.n)]
+    valid = np.ones((2,) * q.n, dtype=bool)
+    for step in report.steps:
+        bi, bj = bits[step.i], bits[step.j]
+        valid &= ~(bi & bj)
+        bits.append(bi | bj)
+    valid = valid.reshape(-1)
+
+    diff = best_mod - base_energies
+    valid_ok = not np.any(np.abs(diff[valid]) > tol)
+    invalid_ok = not np.any(diff[~valid] < -tol)
     minimum_ok = bool(abs(mod_energies.min() - base_energies.min()) <= tol)
     return VerificationVerdict(valid_ok, invalid_ok, minimum_ok)

@@ -220,6 +220,15 @@ def coupling_count(q: QuboMatrix) -> int:
     return sum(1 for (i, j) in q._entries if i < j)
 
 
+def _grid_index(n: int, fixed: Iterable[tuple[int, int]]) -> tuple:
+    """Index into a ``(2,) * n`` grid setting bit k to b per (k, b), later pairs
+    winning.  Bit k is axis n - 1 - k, so the flat index is the assignment."""
+    index = [slice(None)] * n
+    for k, b in fixed:
+        index[n - 1 - k] = b
+    return tuple(index)
+
+
 def all_energies(q: QuboMatrix, guard: int = ENUMERATION_GUARD) -> np.ndarray:
     """Energies of all 2^n assignments, indexed so bit i of the index is x_i.
 
@@ -227,20 +236,17 @@ def all_energies(q: QuboMatrix, guard: int = ENUMERATION_GUARD) -> np.ndarray:
     """
     if q.n > guard:
         raise CapacityError(f"n={q.n} exceeds enumeration guard {guard}")
-    idx = np.arange(1 << q.n, dtype=np.int64)
     dtype = np.int64 if q.is_integral else np.float64
-    energies = np.full(1 << q.n, q.offset, dtype=dtype)
+    energies = np.full((2,) * q.n, q.offset, dtype=dtype)
     for (i, j), v in q._entries.items():
-        both = ((idx >> i) & (idx >> j) & 1).astype(bool)
-        energies[both] += v
-    return energies
+        energies[_grid_index(q.n, ((i, 1), (j, 1)))] += v
+    return energies.reshape(-1)
 
 
 def spectrum(q: QuboMatrix, guard: int = ENUMERATION_GUARD) -> list[SpectrumEntry]:
     """All 2^n assignments sorted by energy, ties by assignment index."""
     energies = all_energies(q, guard=guard)
-    idx = np.arange(energies.size)
-    order = np.lexsort((idx, energies))
+    order = np.argsort(energies, kind="stable")
     cast = int if q.is_integral else float
     return [SpectrumEntry(bits_from_index(int(m), q.n), cast(energies[m])) for m in order]
 

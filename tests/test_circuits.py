@@ -228,3 +228,19 @@ class TestGateListFormat:
     def test_rejects_missing_header(self):
         with pytest.raises(ParameterError):
             parse_gate_list("H 0\n")
+
+    @pytest.mark.parametrize("text", [
+        "qubits 2\nH\n",
+        "qubits 2\nCNOT 0\n",
+        "qubits 2\nRZ 0 abc\n",
+        "qubits x\n",
+        "qubits 2\nH 0 1.5\n",
+        "qubits 2\nRZ 0 nan\n",
+        "qubits 2\nRX 0 inf\n",
+        "qubits 0\n",
+        "qubits 2 3\n",
+        "qubits 2\nCNOT 0 1.0\n",
+    ])
+    def test_rejects_malformed_line(self, text):
+        with pytest.raises(ParameterError):
+            parse_gate_list(text)

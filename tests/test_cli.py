@@ -93,6 +93,18 @@ def test_sweep_and_pareto_commands(tmp_path):
     assert len(plines) >= 2
 
 
+@pytest.mark.parametrize("row", [
+    "max_clique,0,0,0,1,30,87,174,x",
+    "max_clique,0,0,0,1,30,87,174",
+    "max_clique,0,0,0,1,30,87,174,5,6",
+])
+def test_pareto_rejects_malformed_csv_row(tmp_path, capsys, row):
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text("problem,setting,seed,num_ancillas,p,qubits,couplings,cnots,depth\n" + row + "\n")
+    assert main(["pareto", "--csv", str(csv_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_file_reports_error(capsys):
     rc = main(["spectrum", "--qubo", "/nonexistent/q.json"])
     assert rc == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -26,9 +27,16 @@ from quboreduce import (
     verify_equivalence,
 )
 from quboreduce.experiments import build_problem_qubo, builtin_settings
-from quboreduce.factoring import SemiSymmetry, factor_step, factoring_trajectory, is_conflicting
+from quboreduce.factoring import (
+    FactoringStep,
+    SemiSymmetry,
+    VerificationVerdict,
+    factor_step,
+    factoring_trajectory,
+    is_conflicting,
+)
 from quboreduce.graphs import permute_vertices, sample_permutation
-from quboreduce.qubo import bits_from_index
+from quboreduce.qubo import FLOAT_TOL, all_energies, bits_from_index
 
 from conftest import random_qubo
 
@@ -48,6 +56,27 @@ class TestGetConflictList:
         q = QuboMatrix(2, {(0, 0): -1, (1, 1): -1, (0, 1): 1})
         assert get_conflict_list(q) == []  # 1 > 2 is false
 
+    def test_semantic_test_matches_reference(self):
+        # Every ordered pair, i == j included, of integer and float QUBOs.
+        rng = random.Random(23)
+        results = set()
+        for t in range(60):
+            n = rng.randint(1, 7)
+            q = random_qubo(rng, n, density=rng.uniform(0.3, 0.9))
+            if t % 2:
+                q = QuboMatrix(n, {k: c + rng.uniform(-0.5, 0.5) for k, c in q.entries()}, offset=0.25)
+            for i in range(n):
+                for j in range(n):
+                    result = is_conflicting(q, i, j)
+                    assert result == reference_is_conflicting(q, i, j), (t, i, j)
+                    results.add(result)
+        assert results == {False, True}
+
+    @pytest.mark.parametrize("pair", [(0, 3), (3, 0), (-1, 1)])
+    def test_semantic_test_rejects_out_of_range_pair(self, pair):
+        with pytest.raises(ParameterError):
+            is_conflicting(QuboMatrix(3, {(0, 1): 1}), *pair)
+
     def test_agrees_with_semantic_test(self):
         # the row-sum condition is sufficient for a semantic conflict
         rng = random.Random(21)
@@ -58,6 +87,19 @@ class TestGetConflictList:
                 assert is_conflicting(q, i, j)
                 checked += 1
         assert checked > 0
+
+
+def reference_is_conflicting(q, i, j):
+    """is_conflicting with one Python comparison per assignment."""
+    energies = all_energies(q)
+    bi, bj = 1 << i, 1 << j
+    for m in range(energies.size):
+        if m & bi and m & bj:
+            e_both = energies[m]
+            others = (energies[m ^ bi], energies[m ^ bj], energies[m ^ bi ^ bj])
+            if not all(e_both > e for e in others):
+                return False
+    return True
 
 
 class TestGetMostSymQubits:
@@ -257,6 +299,76 @@ class TestVerifyEquivalence:
         _, report = factor_out(demo_qubo, 0, 3)
         with pytest.raises(ParameterError):
             verify_equivalence(demo_qubo, demo_factored, report)
+
+    def test_changed_diagonal_breaks_valid_energies(self, demo_qubo):
+        # Valid assignments with x3 = 1 cost one more; the minimum has x3 = 0.
+        q_mod, report = factor_out(demo_qubo, 1, 9)
+        q_mod.add(3, 3, 1)
+        verdict = verify_equivalence(demo_qubo, q_mod, report)
+        assert verdict == VerificationVerdict(False, True, True)
+
+    def test_changed_diagonal_breaks_minimum(self, demo_qubo):
+        # The unique minimum (1, 0, 1, 0, 0, 1) has x0 = 1, so it rises from -3 to -2.
+        q_mod, report = factor_out(demo_qubo, 1, 9)
+        q_mod.add(0, 0, 1)
+        verdict = verify_equivalence(demo_qubo, q_mod, report)
+        assert verdict == VerificationVerdict(False, True, False)
+
+    @pytest.mark.parametrize("pair", [(3, 6), (6, 0)])
+    def test_step_on_an_earlier_ancilla(self, demo_qubo, pair):
+        # The loop makes no such step on the builtin instances.  The second
+        # ancilla is the OR of a base qubit and the first ancilla.
+        z = default_z(demo_qubo)
+        q_mod = enhance(enhance(demo_qubo, (1, 4), {0, 2, 5}, z), pair, set(), z)
+        report = FactoringReport(6, 8, z, [FactoringStep(6, 1, 4, (0, 2, 5)), FactoringStep(7, *pair, ())])
+        verdict = verify_equivalence(demo_qubo, q_mod, report)
+        assert verdict == reference_verify(demo_qubo, q_mod, report)
+        assert verdict.all_ok
+
+    def test_matches_reference(self):
+        # Encoded instances factored at the safe penalty and at weak ones, in
+        # integer and float form, so every verdict field is seen both ways.
+        rng = random.Random(5)
+        seen = set()
+        for t in range(40):
+            v = rng.randint(5, 10)
+            q = max_clique_qubo(sample_graph(v, rng.randint(v, v * (v - 1) // 2 - 3), seed=t), 3)
+            if t % 3 == 0:
+                q = QuboMatrix(q.n, {k: 0.75 * c for k, c in q.entries()}, offset=0.5)
+            for z in (default_z(q), 3, 1.5, 0.5):
+                q_mod, report = factor_out(q, 6, z)
+                verdict = verify_equivalence(q, q_mod, report)
+                assert verdict == reference_verify(q, q_mod, report), (t, z)
+                seen.add(dataclasses.astuple(verdict))
+        assert all(set(values) == {False, True} for values in zip(*seen))
+
+
+def reference_verify(q, q_mod, report):
+    """verify_equivalence with one Python replay of the steps per assignment."""
+    base_energies = all_energies(q)
+    mod_energies = all_energies(q_mod)
+    best_mod = mod_energies.reshape(1 << (q_mod.n - q.n), 1 << q.n).min(axis=0)
+    tol = 0 if q.is_integral and q_mod.is_integral else FLOAT_TOL
+
+    def classify_valid(bits):
+        extended = list(bits)
+        for step in report.steps:
+            bi, bj = extended[step.i], extended[step.j]
+            if bi and bj:
+                return False
+            extended.append(bi | bj)
+        return True
+
+    valid_ok = invalid_ok = True
+    for m in range(base_energies.size):
+        diff = best_mod[m] - base_energies[m]
+        if classify_valid(bits_from_index(m, q.n)):
+            if abs(diff) > tol:
+                valid_ok = False
+        elif diff < -tol:
+            invalid_ok = False
+    minimum_ok = bool(abs(mod_energies.min() - base_energies.min()) <= tol)
+    return VerificationVerdict(valid_ok, invalid_ok, minimum_ok)
 
 
 def _factor_and_verify(q, budget):

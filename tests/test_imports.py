@@ -1,15 +1,19 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level private function is used somewhere in the library.
 
-``__init__.py`` is skipped: its imports are the package's re-exports.
+``__init__.py`` is skipped for imports: its imports are the package's
+re-exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quboreduce"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +39,42 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(node: ast.AST) -> Counter:
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unused_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions that no library module refers to
+    outside their own ``def``."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and everywhere[node.name] == referenced_names(node)[node.name]
+    )
+
+
+def test_detects_unused_private_function():
+    sources = {
+        "a.py": "def _kept():\n    pass\ndef _dead():\n    _dead()\ndef _imported():\n    pass\n",
+        "b.py": "from .a import _imported\n_kept()\n",
+    }
+    assert unused_private_functions(sources) == ["a.py: _dead"]
+
+
+def test_no_unused_private_functions():
+    assert unused_private_functions(SOURCES) == []

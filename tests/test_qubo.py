@@ -172,6 +172,37 @@ class TestAllEnergies:
     def test_integer_dtype_for_integral_matrices(self, demo_qubo):
         assert all_energies(demo_qubo).dtype == np.int64
 
+    def test_matches_reference_bitwise(self):
+        # Entries go in in random order, so float sums differ unless each
+        # element adds the coefficients in the same (storage) order.
+        rng = random.Random(17)
+        for t in range(240):
+            n = rng.randint(1, 12)
+            floats = t % 2 == 1
+            q = QuboMatrix(n, offset=rng.uniform(-3, 3) if floats else rng.randint(-3, 3))
+            for _ in range(rng.randint(0, n * (n + 1))):
+                i, j = rng.randrange(n), rng.randrange(n)
+                q[i, j] = rng.uniform(-5, 5) if floats else rng.randint(-5, 5)
+            assert q.is_integral != floats
+            expected = reference_all_energies(q)
+            energies = all_energies(q)
+            assert energies.dtype == expected.dtype
+            assert np.array_equal(energies, expected), t
+            if n <= 10:
+                order = np.lexsort((np.arange(expected.size), expected))
+                assert [index_from_bits(e.bits) for e in spectrum(q)] == order.tolist()
+
+
+def reference_all_energies(q: QuboMatrix) -> np.ndarray:
+    """all_energies with one 2^n mask per stored coefficient."""
+    idx = np.arange(1 << q.n, dtype=np.int64)
+    dtype = np.int64 if q.is_integral else np.float64
+    energies = np.full(1 << q.n, q.offset, dtype=dtype)
+    for (i, j), v in q._entries.items():
+        both = ((idx >> i) & (idx >> j) & 1).astype(bool)
+        energies[both] += v
+    return energies
+
 
 class TestJsonFormat:
     def test_round_trip(self, demo_qubo):
