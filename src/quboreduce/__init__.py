@@ -24,7 +24,6 @@ from .experiments import (
     ParetoPoint,
     ProblemSetting,
     SweepRecord,
-    aggregate,
     builtin_settings,
     pareto_front,
     run_sweep,

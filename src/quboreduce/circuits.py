@@ -2,10 +2,13 @@
 dense statevector evaluator for checking the diagonal cost layer.
 
 The gate set is {H, RX, RZ, CNOT}; each coupling term compiles to
-CNOT-RZ-CNOT, so a circuit over a QUBO with C couplings and p layers contains
-exactly 2*C*p CNOT gates.  Connectivity is all-to-all (no routing) and every
-gate occupies one time step on each operand qubit; depth is the ASAP schedule
-length of the qubit-dependency DAG.
+CNOT-RZ-CNOT, so a circuit over a QUBO whose spin form has C couplings and p
+layers contains exactly 2*C*p CNOT gates.  Connectivity is all-to-all (no
+routing) and every gate occupies one time step on each operand qubit; depth is
+the ASAP schedule length of the qubit-dependency DAG.  A ``CostSchedule`` fixes
+one cost layer's gate order; ``build_circuit`` emits gates from it and
+``schedule_metrics`` reads the CNOT count and depth off it without building
+any.
 
 Angle convention: RZ(theta) = diag(exp(-i theta/2), exp(+i theta/2)), gamma
 multiplies the cost layer and beta the mixer.
@@ -135,34 +138,71 @@ def _coupling_rounds(pairs: list[tuple[int, int]], order: str) -> list[tuple[int
     raise ParameterError(f"unknown coupling order {order!r}")
 
 
-def append_cost_layer(c: GateList, ising: IsingForm, gamma: float, order: str = "ascending") -> None:
+class CostSchedule(NamedTuple):
+    """One cost layer's gate order, shared by the gate list and its metrics:
+    an RZ on each qubit of the sorted h support, then CNOT-RZ-CNOT on each
+    coupling pair in emission order."""
+
+    n: int
+    ising: IsingForm
+    h_support: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+
+
+def cost_schedule(q: QuboMatrix, order: str = "ascending") -> CostSchedule:
+    ising = qubo_to_ising(q)
+    pairs = _coupling_rounds(sorted(ising.couplings), order)
+    return CostSchedule(q.n, ising, tuple(sorted(ising.h)), tuple(pairs))
+
+
+def append_cost_layer(c: GateList, schedule: CostSchedule, gamma: float) -> None:
     """Diagonal phase layer exp(-i gamma H_C) up to global phase."""
-    for i in sorted(ising.h):
-        c.rz(i, 2 * gamma * ising.h[i])
-    for i, k in _coupling_rounds(sorted(ising.couplings), order):
+    h, couplings = schedule.ising.h, schedule.ising.couplings
+    for i in schedule.h_support:
+        c.rz(i, 2 * gamma * h[i])
+    for i, k in schedule.pairs:
         c.cnot(i, k)
-        c.rz(k, 2 * gamma * ising.couplings[(i, k)])
+        c.rz(k, 2 * gamma * couplings[(i, k)])
         c.cnot(i, k)
 
 
 def build_cost_layer(q: QuboMatrix, gamma: float, order: str = "ascending") -> GateList:
     c = GateList(q.n)
-    append_cost_layer(c, qubo_to_ising(q), gamma, order)
+    append_cost_layer(c, cost_schedule(q, order), gamma)
     return c
 
 
 def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = "ascending") -> GateList:
     """Full QAOA circuit: H on every qubit, then p alternating cost and mixer
     layers."""
-    ising = qubo_to_ising(q)
+    schedule = cost_schedule(q, order)
     c = GateList(q.n)
     for qb in range(q.n):
         c.h(qb)
     for layer in range(params.p):
-        append_cost_layer(c, ising, params.gammas[layer], order)
+        append_cost_layer(c, schedule, params.gammas[layer])
         for qb in range(q.n):
             c.rx(qb, 2 * params.betas[layer])
     return c
+
+
+def schedule_metrics(schedule: CostSchedule, p: int) -> tuple[int, int]:
+    """(CNOT count, depth) of ``build_circuit``'s p-layer circuit, read off
+    the schedule without building a gate.  Depth runs ASAP on per-qubit
+    frontiers: H sets each to 1, each RZ on the h support and each RX adds
+    1, and a pair's CNOT-RZ-CNOT sets both of its qubits to their maximum
+    plus 3."""
+    if p < 1:
+        raise ParameterError(f"layer count must be positive, got {p}")
+    frontier = [1] * schedule.n
+    for _ in range(p):
+        for i in schedule.h_support:
+            frontier[i] += 1
+        for i, k in schedule.pairs:
+            a, b = frontier[i], frontier[k]
+            frontier[i] = frontier[k] = (a if a > b else b) + 3  # faster than max() here
+        frontier = [t + 1 for t in frontier]
+    return 2 * len(schedule.pairs) * p, max(frontier)
 
 
 def cnot_count(c: GateList) -> int:

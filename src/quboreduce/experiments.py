@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .circuits import QaoaParams, build_circuit, cnot_count, depth
+from .circuits import cost_schedule, schedule_metrics
 from .encoders import PROBLEMS, encode
 from .factoring import default_z, factoring_trajectory
 from .graphs import permute_vertices, sample_graph, sample_permutation
@@ -72,19 +72,12 @@ class ParetoPoint:
     couplings: int
 
 
-@dataclass(frozen=True)
-class GroupStats:
-    count: int
-    mean_couplings: float
-    std_couplings: float
-    mean_depth: float
-    std_depth: float
-
-
 def builtin_settings(
     penalty: float = DEFAULT_PENALTY, seeds: Sequence[int] = DEFAULT_SEEDS
 ) -> list[ProblemSetting]:
     """All 15 experiment settings, one entry per (setting, seed)."""
+    if len(set(seeds)) != len(seeds):
+        raise ParameterError(f"duplicate seeds in {list(seeds)}")
     out = []
     for problem in PROBLEMS:
         for idx, (v, e) in enumerate(_SETTINGS_TABLE[problem]):
@@ -107,12 +100,6 @@ def build_problem_qubo(setting: ProblemSetting) -> QuboMatrix:
     return encode(setting.problem, g, setting.penalty, setting.k, g2)
 
 
-def _circuit_metrics(q: QuboMatrix, p: int) -> tuple[int, int]:
-    # Its own function, so each circuit is freed before the next is built.
-    circuit = build_circuit(q, QaoaParams.constant(p))
-    return cnot_count(circuit), depth(circuit)
-
-
 def run_sweep(
     setting: ProblemSetting,
     max_ancillas: int,
@@ -120,15 +107,20 @@ def run_sweep(
     z_mode: float | str = "proposition",
 ) -> list[SweepRecord]:
     """One record per (ancilla budget, p).  Each distinct trajectory matrix
-    is measured once per p; budgets beyond the available structure repeat
-    the saturated matrix's metrics."""
+    gets one cost schedule, from which every p's CNOT count and depth are
+    read without building a gate list; budgets beyond the available
+    structure repeat the saturated matrix's metrics."""
+    if any(p < 1 for p in p_values):
+        raise ParameterError(f"layer counts must be positive, got {list(p_values)}")
+    if len(set(p_values)) != len(p_values):
+        raise ParameterError(f"duplicate layer counts in {list(p_values)}")
     q = build_problem_qubo(setting)
     z = default_z(q) if z_mode == "proposition" else z_mode
     trajectory, _report = factoring_trajectory(q, max_ancillas, z)
-    metrics = [
-        (m.n, coupling_count(m), [_circuit_metrics(m, p) for p in p_values])
-        for m in trajectory
-    ]
+    metrics = []
+    for m in trajectory:
+        schedule = cost_schedule(m)
+        metrics.append((m.n, coupling_count(m), [schedule_metrics(schedule, p) for p in p_values]))
 
     records = []
     for budget in range(max_ancillas + 1):
@@ -164,29 +156,6 @@ def pareto_front(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
             front.append(ParetoPoint(anc, best[anc]))
             lowest = best[anc]
     return front
-
-
-def aggregate(
-    records: Iterable[SweepRecord],
-    keys: Sequence[str] = ("problem", "setting", "num_ancillas", "p"),
-) -> dict[tuple, GroupStats]:
-    """Per-group mean and population standard deviation of couplings and
-    depth."""
-    groups: dict[tuple, list[SweepRecord]] = {}
-    for r in records:
-        groups.setdefault(tuple(getattr(r, k) for k in keys), []).append(r)
-
-    def _stats(values: list[float]) -> tuple[float, float]:
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        return mean, math.sqrt(var)
-
-    out = {}
-    for key, rows in sorted(groups.items()):
-        mc, sc = _stats([r.couplings for r in rows])
-        md, sd = _stats([r.depth for r in rows])
-        out[key] = GroupStats(len(rows), mc, sc, md, sd)
-    return out
 
 
 CSV_HEADER = ("problem", "setting", "seed", "num_ancillas", "p", "qubits", "couplings", "cnots", "depth")

@@ -20,7 +20,9 @@ from quboreduce import (
     energy,
     qubo_to_ising,
 )
-from quboreduce.circuits import format_gate_list, parse_gate_list
+from quboreduce.circuits import cost_schedule, format_gate_list, parse_gate_list, schedule_metrics
+from quboreduce.experiments import build_problem_qubo, builtin_settings
+from quboreduce.factoring import default_z, factoring_trajectory
 from quboreduce.qubo import bits_from_index
 
 from conftest import random_qubo
@@ -146,6 +148,57 @@ class TestDepth:
                     degree[j] += 1
             c = build_circuit(q, QaoaParams.constant(1))
             assert depth(c) >= 2 * max(degree, default=0)
+
+
+def reference_metrics(q, p, order):
+    c = build_circuit(q, QaoaParams.constant(p), order)
+    return cnot_count(c), depth(c)
+
+
+class TestScheduleMetrics:
+    """``schedule_metrics`` against the CNOT count and depth of the gate list
+    that ``build_circuit`` emits from the same schedule."""
+
+    @staticmethod
+    def assert_matches_reference(q):
+        for order in ("ascending", "packed"):
+            schedule = cost_schedule(q, order)
+            for p in (1, 2, 3):
+                assert schedule_metrics(schedule, p) == reference_metrics(q, p, order)
+
+    def test_matches_reference_on_builtin_trajectories(self):
+        settings = [s for s in builtin_settings(seeds=(0,)) if s.setting == 0]
+        assert len(settings) == 5
+        for s in settings:
+            q = build_problem_qubo(s)
+            trajectory, _ = factoring_trajectory(q, 29, default_z(q))
+            for m in trajectory:
+                self.assert_matches_reference(m)
+
+    def test_matches_reference_on_random_qubos(self):
+        rng = random.Random(61)
+        for t in range(100):
+            n = 1 if t < 4 else rng.randint(2, 10)
+            floats = t % 2 == 1
+            density = rng.choice((0.2, 0.5, 0.9))
+            q = QuboMatrix(n, offset=rng.uniform(-3, 3) if floats else rng.randint(-3, 3))
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < density:
+                        q[i, j] = rng.uniform(-5, 5) if floats else rng.randint(-5, 5)
+            self.assert_matches_reference(q)
+
+    def test_matches_reference_without_couplings(self):
+        # A coupling of 5e-324 is stored but rounds to 0 in the spin form,
+        # so the circuit emits no pair for it.
+        for q in (QuboMatrix(3, {(0, 0): 2, (2, 2): -1}), QuboMatrix(2, {(0, 1): 5e-324})):
+            assert cost_schedule(q).pairs == ()
+            self.assert_matches_reference(q)
+
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_rejects_nonpositive_p(self, p):
+        with pytest.raises(ParameterError):
+            schedule_metrics(cost_schedule(QuboMatrix(1, {(0, 0): 1})), p)
 
 
 class TestBasisPhase:

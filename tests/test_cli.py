@@ -93,6 +93,15 @@ def test_sweep_and_pareto_commands(tmp_path):
     assert len(plines) >= 2
 
 
+@pytest.mark.parametrize("flags", [["--p", "0"], ["--p", "-2"], ["--p", "2", "2"], ["--seeds", "0", "0"]])
+def test_sweep_rejects_bad_p_or_seeds(tmp_path, capsys, flags):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--problem", "max_clique", "--max-ancillas", "1", "--out", str(out), *flags])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row", [
     "max_clique,0,0,0,1,30,87,174,x",
     "max_clique,0,0,0,1,30,87,174",

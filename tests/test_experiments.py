@@ -4,9 +4,8 @@ from quboreduce import (
     ParameterError,
     ParetoPoint,
     ProblemSetting,
-    SweepRecord,
-    aggregate,
     builtin_settings,
+    experiments,
     pareto_front,
     run_sweep,
 )
@@ -66,6 +65,10 @@ class TestBuiltinSettings:
                 assert s.k == 3
             else:
                 assert s.k is None
+
+    def test_rejects_duplicate_seeds(self):
+        with pytest.raises(ParameterError):
+            builtin_settings(seeds=[0, 1, 0])
 
     def test_hamilton_third_setting(self):
         rows = {(s.setting, s.v, s.e) for s in builtin_settings() if s.problem == "hamilton_cycles"}
@@ -128,6 +131,30 @@ class TestRunSweep:
             assert (r.qubits, r.couplings) == (q_mod.n, coupling_count(q_mod))
             assert (r.cnots, r.depth) == (cnot_count(circuit), depth(circuit))
 
+    def test_cnots_count_emitted_pairs_not_stored_couplings(self):
+        # A penalty of 5e-324 is stored as 9 couplings, but each rounds to 0
+        # in the spin form, so the circuit has no CNOT.
+        setting = demo_setting(penalty=5e-324, seed=3)
+        q = build_problem_qubo(setting)
+        records = run_sweep(setting, 1, p_values=[1, 2])
+        assert {(r.qubits, r.couplings, r.cnots) for r in records} == {(q.n, 9, 0)}
+        for r in records:
+            circuit = build_circuit(q, QaoaParams.constant(r.p))
+            assert (r.cnots, r.depth) == (cnot_count(circuit), depth(circuit))
+
+    @pytest.mark.parametrize("p_values", [[0], [-2], [2, 0]])
+    def test_rejects_nonpositive_p_before_factoring(self, p_values, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("factored before checking p")
+
+        monkeypatch.setattr(experiments, "factoring_trajectory", unreachable)
+        with pytest.raises(ParameterError):
+            run_sweep(demo_setting(), 1, p_values=p_values)
+
+    def test_rejects_duplicate_p(self):
+        with pytest.raises(ParameterError):
+            run_sweep(demo_setting(), 1, p_values=[2, 2])
+
     @pytest.mark.parametrize("z", [0, -1])
     def test_rejects_nonpositive_z_when_nothing_factors(self, z):
         setting = ProblemSetting("vertex_cover", 30, 131, seed=0)
@@ -152,28 +179,6 @@ class TestParetoFront:
         pts = [ParetoPoint(a, c) for a, c in [(3, 5), (0, 9), (1, 7), (2, 7), (4, 5)]]
         front = pareto_front(pts)
         assert pareto_front(front) == front
-
-
-class TestAggregate:
-    def _record(self, couplings, depth, seed=0):
-        return SweepRecord("max_clique", 0, seed, 0, 1, 6, couplings, 2 * couplings, depth)
-
-    def test_single_record_zero_std(self):
-        stats = aggregate([self._record(8, 20)])
-        ((key, gs),) = stats.items()
-        assert key == ("max_clique", 0, 0, 1)
-        assert gs.std_couplings == 0 and gs.std_depth == 0
-
-    def test_constant_group(self):
-        stats = aggregate([self._record(8, 20, seed=s) for s in range(4)])
-        gs = stats[("max_clique", 0, 0, 1)]
-        assert gs.mean_couplings == 8 and gs.std_couplings == 0
-
-    def test_population_std(self):
-        stats = aggregate([self._record(10, 10, seed=0), self._record(14, 14, seed=1)])
-        gs = stats[("max_clique", 0, 0, 1)]
-        assert gs.mean_couplings == 12 and gs.std_couplings == 2
-        assert gs.mean_depth == 12 and gs.std_depth == 2
 
 
 class TestCsvFormat:
