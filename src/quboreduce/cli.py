@@ -16,12 +16,14 @@ from pathlib import Path
 from .circuits import QaoaParams, build_circuit, cnot_count, depth, format_gate_list
 from .encoders import PROBLEMS, encode
 from .experiments import (
+    DEFAULT_PENALTY,
     ParetoPoint,
     builtin_settings,
     format_records_csv,
     pareto_front,
     parse_records_csv,
     run_sweep,
+    sweep_circuit,
 )
 from .factoring import FactoringReport, default_z, factor_out, verify_equivalence
 from .graphs import parse_edge_list
@@ -84,28 +86,38 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _select_settings(problem, setting_index, seeds, penalty) -> list:
+    settings = [
+        s
+        for s in builtin_settings(penalty=penalty, seeds=seeds)
+        if problem in (None, s.problem) and setting_index in (None, s.setting)
+    ]
+    if not settings:
+        raise ParameterError("no settings selected")
+    return settings
+
+
+# Options that pick a builtin sweep instance for `circuit --problem`.
+_INSTANCE_OPTIONS = ("setting_index", "seed", "ancillas")
+
+
 def _cmd_circuit(args) -> int:
-    q = _read_qubo(args.qubo)
     params = QaoaParams.constant(args.p, args.gamma, args.beta)
-    c = build_circuit(q, params, order=args.order)
+    if args.qubo is not None:
+        for name in _INSTANCE_OPTIONS:
+            if getattr(args, name) is not None:
+                raise ParameterError(f"--{name.replace('_', '-')} needs --problem, not --qubo")
+        c = build_circuit(_read_qubo(args.qubo), params, order=args.order)
+    else:
+        [setting] = _select_settings(args.problem, args.setting_index or 0, [args.seed or 0], DEFAULT_PENALTY)
+        c = sweep_circuit(setting, args.ancillas or 0, params, args.order)
     _write(args.out, format_gate_list(c))
     print(f"cnots={cnot_count(c)} depth={depth(c)}", file=sys.stderr)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    if args.problem is None:
-        settings = builtin_settings(penalty=args.penalty, seeds=args.seeds)
-    else:
-        settings = [
-            s
-            for s in builtin_settings(penalty=args.penalty, seeds=args.seeds)
-            if s.problem == args.problem
-        ]
-    if args.setting_index is not None:
-        settings = [s for s in settings if s.setting == args.setting_index]
-    if not settings:
-        raise ParameterError("no settings selected")
+    settings = _select_settings(args.problem, args.setting_index, args.seeds, args.penalty)
     z_mode = "proposition" if args.z is None else args.z
     records = []
     for setting in settings:
@@ -162,8 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("circuit", help="emit the QAOA gate list for a QUBO")
-    p.add_argument("--qubo", required=True)
+    p = sub.add_parser("circuit", help="emit the QAOA gate list for a QUBO or a builtin sweep instance")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--qubo", help="input QUBO JSON")
+    source.add_argument("--problem", choices=PROBLEMS, help="builtin sweep instance of this problem")
+    p.add_argument("--setting-index", type=int, help="builtin setting (default 0)")
+    p.add_argument("--seed", type=int, help="builtin seed (default 0)")
+    p.add_argument("--ancillas", type=int, help="ancilla budget, as a sweep row's num_ancillas (default 0)")
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--beta", type=float, default=0.5)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .circuits import cost_schedule, schedule_metrics
+from .circuits import GateList, QaoaParams, build_circuit, cost_schedule, schedule_metrics
 from .encoders import PROBLEMS, encode
 from .factoring import default_z, factoring_trajectory
 from .graphs import permute_vertices, sample_graph, sample_permutation
@@ -100,6 +100,12 @@ def build_problem_qubo(setting: ProblemSetting) -> QuboMatrix:
     return encode(setting.problem, g, setting.penalty, setting.k, g2)
 
 
+def _trajectory(setting: ProblemSetting, max_ancillas: int, z_mode: float | str) -> list[QuboMatrix]:
+    q = build_problem_qubo(setting)
+    z = default_z(q) if z_mode == "proposition" else z_mode
+    return factoring_trajectory(q, max_ancillas, z)[0]
+
+
 def run_sweep(
     setting: ProblemSetting,
     max_ancillas: int,
@@ -114,9 +120,7 @@ def run_sweep(
         raise ParameterError(f"layer counts must be positive, got {list(p_values)}")
     if len(set(p_values)) != len(p_values):
         raise ParameterError(f"duplicate layer counts in {list(p_values)}")
-    q = build_problem_qubo(setting)
-    z = default_z(q) if z_mode == "proposition" else z_mode
-    trajectory, _report = factoring_trajectory(q, max_ancillas, z)
+    trajectory = _trajectory(setting, max_ancillas, z_mode)
     metrics = []
     for m in trajectory:
         schedule = cost_schedule(m)
@@ -140,6 +144,18 @@ def run_sweep(
                 )
             )
     return records
+
+
+def sweep_circuit(
+    setting: ProblemSetting,
+    num_ancillas: int,
+    params: QaoaParams,
+    order: str = "ascending",
+) -> GateList:
+    """The gate list behind the default-z sweep rows at one ancilla budget:
+    the circuit of the matrix those rows measure.  In ``ascending`` order
+    its CNOT count and depth are the row's for ``params.p`` layers."""
+    return build_circuit(_trajectory(setting, num_ancillas, "proposition")[-1], params, order)
 
 
 def pareto_front(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:

@@ -93,6 +93,35 @@ def test_sweep_and_pareto_commands(tmp_path):
     assert len(plines) >= 2
 
 
+def test_circuit_of_builtin_instance_is_the_sweep_row(tmp_path, capsys):
+    instance = ["--problem", "hamilton_cycles", "--setting-index", "0", "--seed", "1"]
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", *instance[:4], "--seeds", "1", "--max-ancillas", "3", "--p", "2",
+                 "--out", str(csv_path)]) == 0
+    row = csv_path.read_text().splitlines()[-1].split(",")
+    assert row[:5] == ["hamilton_cycles", "0", "1", "3", "2"]
+    out = tmp_path / "circuit.txt"
+    assert main(["circuit", *instance, "--ancillas", "3", "--p", "2", "--out", str(out)]) == 0
+    assert out.read_text().startswith(f"qubits {row[5]}\n")
+    assert capsys.readouterr().err == f"cnots={row[7]} depth={row[8]}\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--qubo", "q.json", "--seed", "1"],
+    ["--qubo", "q.json", "--ancillas", "0"],
+    ["--problem", "max_clique", "--setting-index", "3"],
+    ["--problem", "max_clique", "--ancillas", "-1"],
+    ["--problem", "max_clique", "--p", "0"],
+])
+def test_circuit_rejects_bad_instance(tmp_path, capsys, flags):
+    (tmp_path / "q.json").write_text(json.dumps(_GOOD_QUBO))
+    flags = [str(tmp_path / f) if f == "q.json" else f for f in flags]
+    out = tmp_path / "circuit.txt"
+    assert main(["circuit", *flags, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--p", "0"], ["--p", "-2"], ["--p", "2", "2"], ["--seeds", "0", "0"]])
 def test_sweep_rejects_bad_p_or_seeds(tmp_path, capsys, flags):
     out = tmp_path / "sweep.csv"

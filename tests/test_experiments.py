@@ -14,6 +14,7 @@ from quboreduce.experiments import (
     build_problem_qubo,
     format_records_csv,
     parse_records_csv,
+    sweep_circuit,
 )
 from quboreduce.factoring import default_z, factoring_trajectory
 from quboreduce.qubo import coupling_count
@@ -161,6 +162,34 @@ class TestRunSweep:
         assert {r.qubits for r in run_sweep(setting, 2, [1])} == {30}  # nothing factors
         with pytest.raises(ParameterError):
             run_sweep(setting, 2, [1], z_mode=z)
+
+
+class TestSweepCircuit:
+    @pytest.mark.parametrize("setting, budget", [
+        (demo_setting(v=8, e=10, seed=5), 3),
+        (ProblemSetting("hamilton_cycles", 4, 5, seed=0), 6),
+        (ProblemSetting("graph_isomorphism", 4, 4, seed=1), 8),
+    ])
+    def test_metrics_are_the_rows(self, setting, budget):
+        # every budget, saturated ones included, and every p
+        records = run_sweep(setting, budget, p_values=[1, 2, 3])
+        assert len({r.qubits for r in records}) > 1  # the instance factors
+        for r in records:
+            circuit = sweep_circuit(setting, r.num_ancillas, QaoaParams.constant(r.p))
+            assert (circuit.n, cnot_count(circuit), depth(circuit)) == (r.qubits, r.cnots, r.depth)
+
+    def test_is_the_circuit_of_the_factored_matrix(self):
+        setting = demo_setting(v=8, e=10, seed=5)
+        q = build_problem_qubo(setting)
+        q_mod = factoring_trajectory(q, 2, default_z(q))[0][-1]
+        params = QaoaParams.constant(2, gamma=0.3, beta=0.7)
+        for order in ("ascending", "packed"):
+            expected = build_circuit(q_mod, params, order=order)
+            assert sweep_circuit(setting, 2, params, order=order).gates == expected.gates
+
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ParameterError):
+            sweep_circuit(demo_setting(), -1, QaoaParams.constant(1))
 
 
 class TestParetoFront:
