@@ -26,6 +26,9 @@ from .qubo import CapacityError, ParameterError, QuboMatrix, index_from_bits
 
 STATEVECTOR_GUARD = 20
 
+# Operand and angle counts of each gate kind; two operands must be distinct.
+_GATE_FIELDS = {"H": (1, 0), "CNOT": (2, 0), "RX": (1, 1), "RZ": (1, 1)}
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -34,19 +37,16 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if self.kind == "CNOT":
-            if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
-                raise ParameterError(f"CNOT needs two distinct operands, got {self.qubits}")
-            if self.angle is not None:
-                raise ParameterError("CNOT takes no angle")
-        elif self.kind == "H":
-            if len(self.qubits) != 1 or self.angle is not None:
-                raise ParameterError("H takes one operand and no angle")
-        elif self.kind in ("RX", "RZ"):
-            if len(self.qubits) != 1 or self.angle is None:
-                raise ParameterError(f"{self.kind} takes one operand and an angle")
-        else:
+        fields = _GATE_FIELDS.get(self.kind)
+        if fields is None:
             raise ParameterError(f"unknown gate kind {self.kind!r}")
+        operands, angles = fields
+        if len(self.qubits) != operands or (self.angle is not None) != angles:
+            raise ParameterError(
+                f"{self.kind} takes {operands} operand(s) and {angles} angle(s), got {self.qubits} {self.angle}"
+            )
+        if operands == 2 and self.qubits[0] == self.qubits[1]:
+            raise ParameterError(f"{self.kind} needs two distinct operands, got {self.qubits}")
 
 
 @dataclass
@@ -106,12 +106,11 @@ def qubo_to_ising(q: QuboMatrix) -> IsingForm:
             h[i] = h.get(i, 0.0) - v / 2
             c += v / 2
         else:
-            jj[(i, j)] = jj.get((i, j), 0.0) + v / 4
+            jj[(i, j)] = v / 4
             h[i] = h.get(i, 0.0) - v / 4
             h[j] = h.get(j, 0.0) - v / 4
             c += v / 4
     h = {i: v for i, v in h.items() if v != 0}
-    jj = {k: v for k, v in jj.items() if v != 0}
     return IsingForm(h, jj, c)
 
 
@@ -274,23 +273,18 @@ def basis_phase(c: GateList, x: Sequence[int], cost_only: bool = False) -> compl
     return complex(evolve(c, state)[m])
 
 
-# -- Line-oriented text format: header "qubits n", then "H q", "RX q angle",
-#    "RZ q angle", "CNOT q1 q2".  Angles carry 17 significant digits.
+# -- Line-oriented text format: header "qubits n", then one line per gate:
+#    the kind, its operands and its angle if any ("H q", "RX q angle",
+#    "RZ q angle", "CNOT q1 q2").  Angles carry 17 significant digits.
 
 def format_gate_list(c: GateList) -> str:
     lines = [f"qubits {c.n}"]
     for g in c.gates:
-        if g.kind == "CNOT":
-            lines.append(f"CNOT {g.qubits[0]} {g.qubits[1]}")
-        elif g.kind == "H":
-            lines.append(f"H {g.qubits[0]}")
-        else:
-            lines.append(f"{g.kind} {g.qubits[0]} {g.angle:.17g}")
+        line = g.kind
+        for qb in g.qubits:
+            line = f"{line} {qb}"
+        lines.append(line if g.angle is None else f"{line} {g.angle:.17g}")
     return "\n".join(lines) + "\n"
-
-
-# Operand and angle field counts of each gate kind in the text format.
-_GATE_FIELDS = {"H": (1, 0), "CNOT": (2, 0), "RX": (1, 1), "RZ": (1, 1)}
 
 
 def parse_gate_list(text: str) -> GateList:

@@ -16,7 +16,9 @@ from pathlib import Path
 from .circuits import QaoaParams, build_circuit, cnot_count, depth, format_gate_list
 from .encoders import PROBLEMS, encode
 from .experiments import (
+    DEFAULT_MAX_ANCILLAS,
     DEFAULT_PENALTY,
+    DEFAULT_SEEDS,
     ParetoPoint,
     builtin_settings,
     format_records_csv,
@@ -25,7 +27,7 @@ from .experiments import (
     run_sweep,
     sweep_circuit,
 )
-from .factoring import FactoringReport, default_z, factor_out, verify_equivalence
+from .factoring import FactoringReport, factor_out, verify_equivalence
 from .graphs import parse_edge_list
 from .qubo import CapacityError, ParameterError, QuboMatrix, coupling_count, spectrum
 
@@ -55,8 +57,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_factor(args) -> int:
     q = _read_qubo(args.qubo)
-    z = default_z(q) if args.z is None else args.z
-    q_mod, report = factor_out(q, args.max_ancillas, z)
+    q_mod, report = factor_out(q, args.max_ancillas, args.z)
     _write(args.out, q_mod.dumps() + "\n")
     if args.report is not None:
         _write(args.report, report.dumps() + "\n")
@@ -118,10 +119,9 @@ def _cmd_circuit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     settings = _select_settings(args.problem, args.setting_index, args.seeds, args.penalty)
-    z_mode = "proposition" if args.z is None else args.z
     records = []
     for setting in settings:
-        records.extend(run_sweep(setting, args.max_ancillas, args.p, z_mode))
+        records.extend(run_sweep(setting, args.max_ancillas, args.p, args.z))
     records.sort(key=lambda r: (r.problem, r.setting, r.seed, r.num_ancillas, r.p))
     _write(args.out, format_records_csv(records))
     return 0
@@ -151,13 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--graph2", help="second edge-list file (graph_isomorphism)")
     p.add_argument("--k", type=int, help="color count (graph_coloring)")
-    p.add_argument("--penalty", type=int, default=3)
+    p.add_argument("--penalty", type=int, default=DEFAULT_PENALTY)
     p.add_argument("--out", help="output QUBO JSON (default stdout)")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("factor", help="factor shared structure into ancilla qubits")
     p.add_argument("--qubo", required=True, help="input QUBO JSON")
-    p.add_argument("--max-ancillas", type=int, default=29)
+    p.add_argument("--max-ancillas", type=int, default=DEFAULT_MAX_ANCILLAS)
     p.add_argument("--z", type=float, help="penalty weight (default: coefficient-sum bound)")
     p.add_argument("--out", help="output QUBO JSON (default stdout)")
     p.add_argument("--report", help="output factoring report JSON")
@@ -191,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run coupling/depth sweeps over the builtin settings")
     p.add_argument("--problem", choices=PROBLEMS)
     p.add_argument("--setting-index", type=int)
-    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
-    p.add_argument("--max-ancillas", type=int, default=29)
+    p.add_argument("--seeds", type=int, nargs="+", default=DEFAULT_SEEDS)
+    p.add_argument("--max-ancillas", type=int, default=DEFAULT_MAX_ANCILLAS)
     p.add_argument("--p", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--z", type=float, help="explicit penalty weight")
-    p.add_argument("--penalty", type=int, default=3)
+    p.add_argument("--penalty", type=int, default=DEFAULT_PENALTY)
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -30,7 +30,6 @@ PROBLEMS = (
 class VariableLayout:
     """Row-major flattening of structured binary variables onto qubits."""
 
-    kind: str
     rows: int
     cols: int = 1
 
@@ -66,7 +65,7 @@ def max_clique_qubo(g: Graph, a=3) -> QuboMatrix:
 
 
 def hamilton_cycle_layout(g: Graph) -> VariableLayout:
-    return VariableLayout("hamilton_cycles", g.v, g.v)
+    return VariableLayout(g.v, g.v)
 
 
 def _positions_adjacent(j: int, l: int, v: int) -> bool:
@@ -100,7 +99,7 @@ def hamilton_cycle_qubo(g: Graph, a=3) -> QuboMatrix:
 
 
 def graph_coloring_layout(g: Graph, k: int) -> VariableLayout:
-    return VariableLayout("graph_coloring", g.v, k)
+    return VariableLayout(g.v, k)
 
 
 def graph_coloring_qubo(g: Graph, k: int, a=3) -> QuboMatrix:
@@ -137,7 +136,7 @@ def vertex_cover_qubo(g: Graph, a=3) -> QuboMatrix:
 
 
 def graph_isomorphism_layout(g1: Graph) -> VariableLayout:
-    return VariableLayout("graph_isomorphism", g1.v, g1.v)
+    return VariableLayout(g1.v, g1.v)
 
 
 def graph_isomorphism_qubo(g1: Graph, g2: Graph, a=3) -> QuboMatrix:

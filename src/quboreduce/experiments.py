@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .circuits import GateList, QaoaParams, build_circuit, cost_schedule, schedule_metrics
 from .encoders import PROBLEMS, encode
-from .factoring import default_z, factoring_trajectory
+from .factoring import factor_out, factoring_trajectory
 from .graphs import permute_vertices, sample_graph, sample_permutation
 from .qubo import ParameterError, QuboMatrix, coupling_count
 
@@ -29,6 +29,7 @@ _SETTINGS_TABLE = {
 _COLORS = 3
 DEFAULT_PENALTY = 3
 DEFAULT_SEEDS = (0, 1, 2, 3)
+DEFAULT_MAX_ANCILLAS = 29
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,6 @@ class ProblemSetting:
     penalty: float = DEFAULT_PENALTY
     seed: int = 0
     setting: int = 0
-    # For graph_isomorphism: "permuted" pairs the sampled graph with a seeded
-    # vertex relabeling of itself; "independent" samples a second graph.
-    pair_mode: str = "permuted"
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -91,36 +89,27 @@ def build_problem_qubo(setting: ProblemSetting) -> QuboMatrix:
     g = sample_graph(setting.v, setting.e, setting.seed)
     g2 = None
     if setting.problem == "graph_isomorphism":
-        if setting.pair_mode == "permuted":
-            g2 = permute_vertices(g, sample_permutation(g.v, setting.seed + 1))
-        elif setting.pair_mode == "independent":
-            g2 = sample_graph(setting.v, setting.e, setting.seed + 1)
-        else:
-            raise ParameterError(f"unknown pair mode {setting.pair_mode!r}")
+        # The second graph is a seeded vertex relabeling of the first.
+        g2 = permute_vertices(g, sample_permutation(g.v, setting.seed + 1))
     return encode(setting.problem, g, setting.penalty, setting.k, g2)
-
-
-def _trajectory(setting: ProblemSetting, max_ancillas: int, z_mode: float | str) -> list[QuboMatrix]:
-    q = build_problem_qubo(setting)
-    z = default_z(q) if z_mode == "proposition" else z_mode
-    return factoring_trajectory(q, max_ancillas, z)[0]
 
 
 def run_sweep(
     setting: ProblemSetting,
     max_ancillas: int,
     p_values: Sequence[int] = (1, 2, 3),
-    z_mode: float | str = "proposition",
+    z: float | None = None,
 ) -> list[SweepRecord]:
-    """One record per (ancilla budget, p).  Each distinct trajectory matrix
-    gets one cost schedule, from which every p's CNOT count and depth are
-    read without building a gate list; budgets beyond the available
-    structure repeat the saturated matrix's metrics."""
+    """One record per (ancilla budget, p), factoring with penalty ``z``
+    (no ``z`` means ``default_z``).  Each distinct trajectory matrix gets one
+    cost schedule, from which every p's CNOT count and depth are read
+    without building a gate list; budgets beyond the available structure
+    repeat the saturated matrix's metrics."""
     if any(p < 1 for p in p_values):
         raise ParameterError(f"layer counts must be positive, got {list(p_values)}")
     if len(set(p_values)) != len(p_values):
         raise ParameterError(f"duplicate layer counts in {list(p_values)}")
-    trajectory = _trajectory(setting, max_ancillas, z_mode)
+    trajectory, _ = factoring_trajectory(build_problem_qubo(setting), max_ancillas, z)
     metrics = []
     for m in trajectory:
         schedule = cost_schedule(m)
@@ -155,7 +144,8 @@ def sweep_circuit(
     """The gate list behind the default-z sweep rows at one ancilla budget:
     the circuit of the matrix those rows measure.  In ``ascending`` order
     its CNOT count and depth are the row's for ``params.p`` layers."""
-    return build_circuit(_trajectory(setting, num_ancillas, "proposition")[-1], params, order)
+    q_mod, _ = factor_out(build_problem_qubo(setting), num_ancillas)
+    return build_circuit(q_mod, params, order)
 
 
 def pareto_front(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:

@@ -155,7 +155,7 @@ def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
     if i in syms or j in syms:
         raise ParameterError("syms must exclude the factored pair")
     for k in syms:
-        if q.get(i, k) == 0 or q.get(i, k) != q.get(j, k):
+        if q[i, k] == 0 or q[i, k] != q[j, k]:
             raise ParameterError(f"qubit {k} does not share identical nonzero couplings")
     a = q.n
     out = q.copy(q.n + 1)
@@ -166,7 +166,7 @@ def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
     out[j, a] = -2 * z
     out.add(i, j, 2 * z)
     for k in syms:
-        out[k, a] = q.get(i, k)
+        out[k, a] = q[i, k]
         out[i, k] = 0
         out[j, k] = 0
     return out
@@ -190,12 +190,16 @@ def factor_step(q: QuboMatrix, z) -> tuple[QuboMatrix, FactoringStep] | None:
     return enhance(q, best.pair, best.syms, z), step
 
 
-def factoring_trajectory(q: QuboMatrix, num_ancillas: int, z) -> tuple[list[QuboMatrix], FactoringReport]:
+def factoring_trajectory(
+    q: QuboMatrix, num_ancillas: int, z=None
+) -> tuple[list[QuboMatrix], FactoringReport]:
     """Repeatedly factor the largest shared structure until no eligible pair
     remains or the ancilla budget is exhausted.  trajectory[k] is the matrix
-    after k ancillas."""
+    after k ancillas.  No ``z`` means :func:`default_z` of ``q``."""
     if num_ancillas < 0:
         raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
+    if z is None:
+        z = default_z(q)
     if not z > 0:
         raise ParameterError(f"penalty z must be positive, got {z}")
     report = FactoringReport(q.n, q.n, z)
@@ -211,21 +215,21 @@ def factoring_trajectory(q: QuboMatrix, num_ancillas: int, z) -> tuple[list[Qubo
     return trajectory, report
 
 
-def factor_out(q: QuboMatrix, num_ancillas: int, z) -> tuple[QuboMatrix, FactoringReport]:
+def factor_out(q: QuboMatrix, num_ancillas: int, z=None) -> tuple[QuboMatrix, FactoringReport]:
     """The last matrix of :func:`factoring_trajectory`, with its report."""
     trajectory, report = factoring_trajectory(q, num_ancillas, z)
     return trajectory[-1], report
 
 
-def is_conflicting(q: QuboMatrix, i: int, j: int, guard: int = ENUMERATION_GUARD) -> bool:
+def is_conflicting(q: QuboMatrix, i: int, j: int) -> bool:
     """Exact semantic conflict test by exhaustive enumeration: every
     assignment with both bits set is strictly worse than its three
     neighbors differing only on bits i and j."""
-    if q.n > guard:
-        raise CapacityError(f"n={q.n} exceeds enumeration guard {guard}")
+    if q.n > ENUMERATION_GUARD:
+        raise CapacityError(f"n={q.n} exceeds enumeration guard {ENUMERATION_GUARD}")
     if not (0 <= i < q.n and 0 <= j < q.n):
         raise ParameterError(f"index pair ({i}, {j}) out of range for n={q.n}")
-    energies = all_energies(q, guard=guard).reshape((2,) * q.n)
+    energies = all_energies(q).reshape((2,) * q.n)
     corners = ((1, 1), (0, 1), (1, 0), (0, 0))
     both, *others = (energies[_grid_index(q.n, ((i, a), (j, b)))] for a, b in corners)
     return bool((both > np.maximum.reduce(others)).all())
@@ -246,12 +250,7 @@ class VerificationVerdict:
         )
 
 
-def verify_equivalence(
-    q: QuboMatrix,
-    q_mod: QuboMatrix,
-    report: FactoringReport,
-    guard: int = ENUMERATION_GUARD,
-) -> VerificationVerdict:
+def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport) -> VerificationVerdict:
     """Exhaustively compare the base matrix with its factored counterpart.
 
     Checks that best-ancilla energies of valid base assignments are preserved
@@ -260,11 +259,11 @@ def verify_equivalence(
     """
     if q.n != report.base_n or q_mod.n != report.final_n:
         raise ParameterError("report does not match the supplied matrices")
-    if q_mod.n > guard:
-        raise CapacityError(f"n={q_mod.n} exceeds enumeration guard {guard}")
+    if q_mod.n > ENUMERATION_GUARD:
+        raise CapacityError(f"n={q_mod.n} exceeds enumeration guard {ENUMERATION_GUARD}")
 
-    base_energies = all_energies(q, guard=guard)
-    mod_energies = all_energies(q_mod, guard=guard)
+    base_energies = all_energies(q)
+    mod_energies = all_energies(q_mod)
     num_anc = q_mod.n - q.n
     # Assignment index packs base bits low, ancilla bits high.
     best_mod = mod_energies.reshape(1 << num_anc, 1 << q.n).min(axis=0)

@@ -18,8 +18,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-# Largest qubit count for which full 2^n enumeration is permitted by default.
+# Largest qubit count for which full 2^n enumeration is permitted.
 ENUMERATION_GUARD = 24
+
+# Integral matrices enumerate in int64.  Keeping |offset| + sum |Q[i,j]| below
+# 2**62 bounds every energy, and every difference of two, inside int64.
+_INT_ENERGY_BOUND = 2**62
 
 # Comparison tolerance for QUBOs with non-integer coefficients.
 FLOAT_TOL = 1e-9
@@ -67,7 +71,7 @@ class QuboMatrix:
     ):
         if n < 1:
             raise ParameterError(f"qubit count must be positive, got {n}")
-        if not math.isfinite(offset):
+        if not _finite(offset):
             raise ParameterError("offset must be finite")
         self.n = n
         self.offset = offset
@@ -89,18 +93,15 @@ class QuboMatrix:
         if value == 0:
             self._entries.pop(k, None)
             return
-        if not math.isfinite(value):
+        if not _finite(value):
             raise ParameterError(f"non-finite coefficient at {k}")
         self._entries[k] = value
 
     def __getitem__(self, key: tuple[int, int]) -> float:
         return self._entries.get(self._key(*key), 0)
 
-    def get(self, i: int, j: int) -> float:
-        return self._entries.get(self._key(i, j), 0)
-
     def add(self, i: int, j: int, delta: float) -> None:
-        self[i, j] = self.get(i, j) + delta
+        self[i, j] += delta
 
     def entries(self) -> Iterator[tuple[tuple[int, int], float]]:
         """Stored (pair, coefficient) items, sorted by (i, j)."""
@@ -137,13 +138,6 @@ class QuboMatrix:
         if not isinstance(self.offset, int):
             return False
         return all(isinstance(v, int) for v in self._entries.values())
-
-    def to_dense(self) -> np.ndarray:
-        """Dense upper-triangular matrix (offset not included)."""
-        m = np.zeros((self.n, self.n))
-        for (i, j), v in self._entries.items():
-            m[i, j] = v
-        return m
 
     # -- JSON file format: {"n": int, "offset": number, "entries": [[i, j, v], ...]}
 
@@ -191,6 +185,14 @@ class QuboMatrix:
         return cls.from_json_dict(json.loads(text))
 
 
+def _finite(value) -> bool:
+    # An int too large for a float (say 10**400) has no float value at all.
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_json(what: str, value, kinds: type | tuple[type, ...]) -> None:
     # JSON true/false load as bool, a subclass of int; neither is a number here.
     if isinstance(value, bool) or not isinstance(value, kinds):
@@ -229,37 +231,40 @@ def _grid_index(n: int, fixed: Iterable[tuple[int, int]]) -> tuple:
     return tuple(index)
 
 
-def all_energies(q: QuboMatrix, guard: int = ENUMERATION_GUARD) -> np.ndarray:
+def all_energies(q: QuboMatrix) -> np.ndarray:
     """Energies of all 2^n assignments, indexed so bit i of the index is x_i.
 
     Integer-valued QUBOs produce an int64 array (exact arithmetic).
     """
-    if q.n > guard:
-        raise CapacityError(f"n={q.n} exceeds enumeration guard {guard}")
-    dtype = np.int64 if q.is_integral else np.float64
+    if q.n > ENUMERATION_GUARD:
+        raise CapacityError(f"n={q.n} exceeds enumeration guard {ENUMERATION_GUARD}")
+    integral = q.is_integral
+    if integral:
+        total = abs(q.offset) + sum(abs(v) for v in q._entries.values())
+        if total >= _INT_ENERGY_BOUND:
+            raise CapacityError(f"|offset| + sum |Q[i,j]| = {total} reaches the int64 enumeration bound 2**62")
+    dtype = np.int64 if integral else np.float64
     energies = np.full((2,) * q.n, q.offset, dtype=dtype)
     for (i, j), v in q._entries.items():
         energies[_grid_index(q.n, ((i, 1), (j, 1)))] += v
     return energies.reshape(-1)
 
 
-def spectrum(q: QuboMatrix, guard: int = ENUMERATION_GUARD) -> list[SpectrumEntry]:
+def spectrum(q: QuboMatrix) -> list[SpectrumEntry]:
     """All 2^n assignments sorted by energy, ties by assignment index."""
-    energies = all_energies(q, guard=guard)
+    energies = all_energies(q)
     order = np.argsort(energies, kind="stable")
     cast = int if q.is_integral else float
     return [SpectrumEntry(bits_from_index(int(m), q.n), cast(energies[m])) for m in order]
 
 
-def min_energy_over_ancillas(
-    q_mod: QuboMatrix, base_n: int, x: Bits, guard: int = ENUMERATION_GUARD
-) -> float:
+def min_energy_over_ancillas(q_mod: QuboMatrix, base_n: int, x: Bits) -> float:
     """Best energy of ``x`` extended by every possible ancilla assignment."""
     if len(x) != base_n or base_n > q_mod.n:
         raise DimensionError(f"base length {len(x)} incompatible with base_n={base_n}, n={q_mod.n}")
     num_anc = q_mod.n - base_n
-    if num_anc > guard:
-        raise CapacityError(f"{num_anc} ancillas exceed enumeration guard {guard}")
+    if num_anc > ENUMERATION_GUARD:
+        raise CapacityError(f"{num_anc} ancillas exceed enumeration guard {ENUMERATION_GUARD}")
     base = tuple(x)
     best = None
     for a in range(1 << num_anc):

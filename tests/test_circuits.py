@@ -189,11 +189,14 @@ class TestScheduleMetrics:
             self.assert_matches_reference(q)
 
     def test_matches_reference_without_couplings(self):
-        # A coupling of 5e-324 is stored but rounds to 0 in the spin form,
-        # so the circuit emits no pair for it.
-        for q in (QuboMatrix(3, {(0, 0): 2, (2, 2): -1}), QuboMatrix(2, {(0, 1): 5e-324})):
-            assert cost_schedule(q).pairs == ()
-            self.assert_matches_reference(q)
+        q = QuboMatrix(3, {(0, 0): 2, (2, 2): -1})
+        assert cost_schedule(q).pairs == ()
+        self.assert_matches_reference(q)
+        # A coupling of 5e-324 rounds to 0 in the spin form, but it is stored,
+        # so the circuit still emits its pair.
+        q = QuboMatrix(2, {(0, 1): 5e-324})
+        assert cost_schedule(q).pairs == ((0, 1),)
+        self.assert_matches_reference(q)
 
     @pytest.mark.parametrize("p", [0, -2])
     def test_rejects_nonpositive_p(self, p):
@@ -255,6 +258,32 @@ class TestGateValidation:
         with pytest.raises(ParameterError):
             Gate("RZ", (0,))
 
+    @pytest.mark.parametrize("kind, qubits, angle", [
+        # wrong operand count
+        ("H", (), None),
+        ("H", (0, 1), None),
+        ("RX", (), 0.5),
+        ("RX", (0, 1), 0.5),
+        ("RZ", (), 0.5),
+        ("RZ", (0, 1), 0.5),
+        ("CNOT", (0,), None),
+        ("CNOT", (0, 1, 2), None),
+        # angle present where none is taken, or missing
+        ("H", (0,), 0.5),
+        ("CNOT", (0, 1), 0.5),
+        ("RX", (0,), None),
+        ("RZ", (0,), None),
+        # equal CNOT operands
+        ("CNOT", (1, 1), None),
+        # unknown kind
+        ("CZ", (0, 1), None),
+        ("rz", (0,), 0.5),
+        ("", (), None),
+    ])
+    def test_rejects_malformed_gate(self, kind, qubits, angle):
+        with pytest.raises(ParameterError):
+            Gate(kind, qubits, angle)
+
     def test_operands_in_range(self):
         c = GateList(2)
         with pytest.raises(ParameterError):
@@ -273,10 +302,12 @@ class TestGateListFormat:
         c.h(0)
         c.rz(1, 0.5)
         c.cnot(0, 1)
+        c.rx(1, 0.1)
         text = format_gate_list(c)
         assert text.splitlines()[0] == "qubits 2"
         assert "RZ 1 0.5" in text
         assert "CNOT 0 1" in text
+        assert text == "qubits 2\nH 0\nRZ 1 0.5\nCNOT 0 1\nRX 1 0.10000000000000001\n"
 
     def test_rejects_missing_header(self):
         with pytest.raises(ParameterError):

@@ -269,6 +269,29 @@ def test_spectrum_above_guard_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_HUGE = "1" + "0" * 400  # an integer with no float value
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("doc", [
+    '{"n": 2, "offset": 0, "entries": [[0, 1, %s]]}' % _HUGE,
+    '{"n": 2, "offset": -%s, "entries": []}' % _HUGE,
+    json.dumps({"n": 2, "offset": 0, "entries": [[0, 0, 2**62], [0, 1, 1], [1, 1, 2**62]]}),
+    json.dumps({"n": 2, "offset": 0, "entries": [[0, 0, 10**29]]}),
+], ids=["no-float-coefficient", "no-float-offset", "sum-above-2**62", "1e29"])
+def test_out_of_range_integer_coefficients_exit_2(tmp_path, capsys, command, doc):
+    q_path = tmp_path / "q.json"
+    q_path.write_text(doc)
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps({"base_n": 2, "final_n": 2, "z": 1, "steps": []}))
+    if command == "spectrum":
+        rc = main(["spectrum", "--qubo", str(q_path), "--out", str(tmp_path / "out")])
+    else:
+        rc = _verify((q_path, q_path, report_path))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_above_guard_exits_2(tmp_path, capsys):
     n = ENUMERATION_GUARD + 1
     q_path = tmp_path / "q.json"

@@ -86,7 +86,7 @@ class TestRunSweep:
         from quboreduce import sample_graph
         seed = 9115
         assert sample_graph(6, 6, seed).edges == frozenset(DEMO_EDGES)
-        records = run_sweep(demo_setting(seed=seed), max_ancillas=1, p_values=[3], z_mode=3)
+        records = run_sweep(demo_setting(seed=seed), max_ancillas=1, p_values=[3], z=3)
         assert [(r.num_ancillas, r.couplings, r.cnots) for r in records] == [
             (0, 9, 54),
             (1, 8, 48),
@@ -132,13 +132,14 @@ class TestRunSweep:
             assert (r.qubits, r.couplings) == (q_mod.n, coupling_count(q_mod))
             assert (r.cnots, r.depth) == (cnot_count(circuit), depth(circuit))
 
-    def test_cnots_count_emitted_pairs_not_stored_couplings(self):
-        # A penalty of 5e-324 is stored as 9 couplings, but each rounds to 0
-        # in the spin form, so the circuit has no CNOT.
+    def test_cnots_are_two_per_stored_coupling_per_layer(self):
+        # A penalty of 5e-324 is stored as 9 couplings whose spin-form quarter
+        # underflows to 0; each still compiles to CNOT-RZ-CNOT.
         setting = demo_setting(penalty=5e-324, seed=3)
         q = build_problem_qubo(setting)
         records = run_sweep(setting, 1, p_values=[1, 2])
-        assert {(r.qubits, r.couplings, r.cnots) for r in records} == {(q.n, 9, 0)}
+        assert {(r.qubits, r.couplings) for r in records} == {(q.n, 9)}
+        assert all(r.cnots == 2 * 9 * r.p for r in records)
         for r in records:
             circuit = build_circuit(q, QaoaParams.constant(r.p))
             assert (r.cnots, r.depth) == (cnot_count(circuit), depth(circuit))
@@ -156,12 +157,21 @@ class TestRunSweep:
         with pytest.raises(ParameterError):
             run_sweep(demo_setting(), 1, p_values=[2, 2])
 
+    @pytest.mark.parametrize("setting", [
+        demo_setting(v=8, e=10, seed=5),
+        ProblemSetting("graph_isomorphism", 4, 4, seed=1),
+    ])
+    def test_omitted_z_is_default_z(self, setting):
+        explicit = run_sweep(setting, 4, [1, 2], z=default_z(build_problem_qubo(setting)))
+        assert len({r.qubits for r in explicit}) > 1  # the instance factors
+        assert run_sweep(setting, 4, [1, 2]) == explicit
+
     @pytest.mark.parametrize("z", [0, -1])
     def test_rejects_nonpositive_z_when_nothing_factors(self, z):
         setting = ProblemSetting("vertex_cover", 30, 131, seed=0)
         assert {r.qubits for r in run_sweep(setting, 2, [1])} == {30}  # nothing factors
         with pytest.raises(ParameterError):
-            run_sweep(setting, 2, [1], z_mode=z)
+            run_sweep(setting, 2, [1], z=z)
 
 
 class TestSweepCircuit:
@@ -230,8 +240,3 @@ class TestGraphIsomorphismModes:
         setting = ProblemSetting("graph_isomorphism", 3, 2, seed=1)
         q = build_problem_qubo(setting)
         assert spectrum(q)[0].energy == -3
-
-    def test_independent_mode(self):
-        setting = ProblemSetting("graph_isomorphism", 4, 3, seed=1, pair_mode="independent")
-        q = build_problem_qubo(setting)
-        assert q.n == 16

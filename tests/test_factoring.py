@@ -255,6 +255,21 @@ class TestFactorOut:
         assert len(trajectory) > 1
         assert factor_out(q, 20, default_z(q)) == (trajectory[-1], report)
 
+    @pytest.mark.parametrize("penalty", [3, 2.5])
+    def test_omitted_z_is_default_z(self, penalty):
+        q = max_clique_qubo(sample_graph(10, 18, seed=13), penalty)
+        explicit = factor_out(q, 20, default_z(q))
+        assert explicit[1].steps and explicit[1].z == default_z(q)
+        for q_mod, report in (factor_out(q, 20), factor_out(q, 20, None)):
+            assert (q_mod.dumps(), report.dumps()) == (explicit[0].dumps(), explicit[1].dumps())
+        assert factoring_trajectory(q, 20)[1] == explicit[1]
+        assert factor_out(q, 20, 3)[0].dumps() != explicit[0].dumps()
+
+    def test_omitted_z_of_zero_matrix_is_rejected(self):
+        # default_z is 0 here, and the z > 0 check still applies to it.
+        with pytest.raises(ParameterError):
+            factor_out(QuboMatrix(3), 2)
+
     @pytest.mark.parametrize("z", [0, -1])
     def test_rejects_nonpositive_z_when_nothing_factors(self, z):
         q = vertex_cover_qubo(sample_graph(30, 131, seed=0), 3)

@@ -14,15 +14,20 @@ from quboreduce import (
     min_energy_over_ancillas,
     spectrum,
 )
-from quboreduce.qubo import all_energies, bits_from_index, index_from_bits
+from quboreduce import factoring, qubo
+from quboreduce.factoring import FactoringReport, FactoringStep, is_conflicting, verify_equivalence
+from quboreduce.qubo import ENUMERATION_GUARD, all_energies, bits_from_index, index_from_bits
 
 from conftest import random_qubo
 
 
 def dense_energy(q: QuboMatrix, x) -> float:
     """Independent oracle: dense upper-triangular matrix product."""
+    m = np.zeros((q.n, q.n))
+    for (i, j), v in q.entries():
+        m[i, j] = v
     v = np.array(x)
-    return float(v @ q.to_dense() @ v) + q.offset
+    return float(v @ m @ v) + q.offset
 
 
 class TestQuboMatrix:
@@ -42,6 +47,15 @@ class TestQuboMatrix:
         q = QuboMatrix(2)
         with pytest.raises(ParameterError):
             q[0, 1] = float("inf")
+
+    def test_rejects_integer_without_float_value(self):
+        q = QuboMatrix(2)
+        with pytest.raises(ParameterError):
+            q[0, 1] = 10**400
+        with pytest.raises(ParameterError):
+            QuboMatrix(2, offset=-(10**400))
+        q[0, 1] = 10**300  # large, but a float exists
+        assert q[0, 1] == 10**300
 
     def test_rejects_out_of_range(self):
         q = QuboMatrix(2)
@@ -138,7 +152,7 @@ class TestSpectrum:
 
     def test_guard(self):
         with pytest.raises(CapacityError):
-            spectrum(QuboMatrix(30), guard=24)
+            spectrum(QuboMatrix(30))
 
 
 class TestMinEnergyOverAncillas:
@@ -158,7 +172,7 @@ class TestMinEnergyOverAncillas:
     def test_guard(self):
         q = QuboMatrix(30)
         with pytest.raises(CapacityError):
-            min_energy_over_ancillas(q, 2, [0, 0], guard=24)
+            min_energy_over_ancillas(q, 2, [0, 0])
 
 
 class TestAllEnergies:
@@ -192,6 +206,26 @@ class TestAllEnergies:
                 order = np.lexsort((np.arange(expected.size), expected))
                 assert [index_from_bits(e.bits) for e in spectrum(q)] == order.tolist()
 
+    @pytest.mark.parametrize("entries, offset", [
+        ({(0, 0): 2**62, (1, 1): 2**62, (0, 1): 1}, 0),
+        ({(0, 0): 10**29}, 0),
+        ({(0, 0): -(2**61), (1, 1): -(2**61)}, 0),
+        ({(0, 0): 1}, 2**62 - 1),
+    ], ids=["above", "1e29", "negative-at", "offset-at"])
+    def test_rejects_integer_sum_reaching_int64_bound(self, entries, offset):
+        q = QuboMatrix(2, entries, offset)
+        for enumerate_all in (all_energies, spectrum):
+            with pytest.raises(CapacityError):
+                enumerate_all(q)
+
+    def test_just_under_int64_bound_is_exact(self):
+        # |offset| + sum |Q[i,j]| = 2**62 - 1, and x = (1, 1, 0) reaches 2**62 - 2.
+        q = QuboMatrix(3, {(0, 0): 2**61, (1, 1): 2**61 - 4, (0, 1): 1, (2, 2): -1}, offset=1)
+        energies = all_energies(q)
+        assert energies.dtype == np.int64
+        assert energies.tolist() == [energy(q, bits_from_index(m, 3)) for m in range(8)]
+        assert energies.max() == 2**62 - 2
+
 
 def reference_all_energies(q: QuboMatrix) -> np.ndarray:
     """all_energies with one 2^n mask per stored coefficient."""
@@ -202,6 +236,28 @@ def reference_all_energies(q: QuboMatrix) -> np.ndarray:
         both = ((idx >> i) & (idx >> j) & 1).astype(bool)
         energies[both] += v
     return energies
+
+
+def _above_guard_report():
+    n = ENUMERATION_GUARD
+    return QuboMatrix(n), QuboMatrix(n + 1), FactoringReport(n, n + 1, 1, [FactoringStep(n, 0, 1, ())])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: all_energies(QuboMatrix(ENUMERATION_GUARD + 1)),
+    lambda: spectrum(QuboMatrix(ENUMERATION_GUARD + 1)),
+    lambda: is_conflicting(QuboMatrix(ENUMERATION_GUARD + 1), 0, 1),
+    lambda: verify_equivalence(*_above_guard_report()),
+    lambda: min_energy_over_ancillas(QuboMatrix(ENUMERATION_GUARD + 1), 0, []),
+], ids=["all_energies", "spectrum", "is_conflicting", "verify_equivalence", "min_energy_over_ancillas"])
+def test_enumeration_guard_refuses_before_any_grid(call, monkeypatch):
+    # With numpy and energy() unreachable, any enumeration work fails with
+    # something other than CapacityError.
+    monkeypatch.setattr(qubo, "np", None)
+    monkeypatch.setattr(factoring, "np", None)
+    monkeypatch.setattr(qubo, "energy", None)
+    with pytest.raises(CapacityError, match=f"exceeds? enumeration guard {ENUMERATION_GUARD}$"):
+        call()
 
 
 class TestJsonFormat:
@@ -222,6 +278,14 @@ class TestJsonFormat:
     def test_rejects_non_finite(self):
         with pytest.raises((ParameterError, ValueError)):
             QuboMatrix.from_json_dict({"n": 1, "offset": 0, "entries": [[0, 0, float("nan")]]})
+
+    @pytest.mark.parametrize("doc", [
+        '{"n": 1, "offset": 0, "entries": [[0, 0, 1%s]]}' % ("0" * 400),
+        '{"n": 1, "offset": -1%s, "entries": []}' % ("0" * 400),
+    ], ids=["coefficient", "offset"])
+    def test_rejects_integer_without_float_value(self, doc):
+        with pytest.raises(ParameterError):
+            QuboMatrix.loads(doc)
 
     def test_rejects_lower_triangular(self):
         text = json.dumps({"n": 2, "offset": 0, "entries": [[1, 0, 1]]})
