@@ -31,7 +31,6 @@ from .experiments import (
 from .factoring import (
     FactoringReport,
     FactoringStep,
-    SemiSymmetry,
     default_z,
     enhance,
     factor_out,

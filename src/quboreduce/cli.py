@@ -40,6 +40,14 @@ def _read_qubo(path: str) -> QuboMatrix:
     return QuboMatrix.loads(Path(path).read_text())
 
 
+def int_or_float(text: str) -> int | float:
+    # An integer literal stays an int, so an integer QUBO factors to integers.
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -158,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="factor shared structure into ancilla qubits")
     p.add_argument("--qubo", required=True, help="input QUBO JSON")
     p.add_argument("--max-ancillas", type=int, default=DEFAULT_MAX_ANCILLAS)
-    p.add_argument("--z", type=float, help="penalty weight (default: coefficient-sum bound)")
+    p.add_argument("--z", type=int_or_float, help="penalty weight (default: coefficient-sum bound)")
     p.add_argument("--out", help="output QUBO JSON (default stdout)")
     p.add_argument("--report", help="output factoring report JSON")
     p.set_defaults(func=_cmd_factor)
@@ -194,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, nargs="+", default=DEFAULT_SEEDS)
     p.add_argument("--max-ancillas", type=int, default=DEFAULT_MAX_ANCILLAS)
     p.add_argument("--p", type=int, nargs="+", default=[1, 2, 3])
-    p.add_argument("--z", type=float, help="explicit penalty weight")
+    p.add_argument("--z", type=int_or_float, help="explicit penalty weight")
     p.add_argument("--penalty", type=int, default=DEFAULT_PENALTY)
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_sweep)
@@ -211,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, CapacityError, OSError, json.JSONDecodeError) as exc:
+    except (ParameterError, CapacityError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,8 @@ storage convention.
 
 Structured variables (vertex, position) or (vertex, color) are flattened
 row-major; the :class:`VariableLayout` helpers expose the index mapping.
+All encoders but vertex cover share one shape, a -1 reward per variable and
+a penalty per violating pair, and differ only in the violation predicate.
 :func:`encode` dispatches on the problem names in :data:`PROBLEMS`.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, complement
+from .graphs import Graph
 from .qubo import ParameterError, QuboMatrix
 
 PROBLEMS = (
@@ -53,15 +55,27 @@ def _check_penalty(a) -> None:
         raise ParameterError(f"penalty weight must be positive, got {a}")
 
 
+def _penalty_qubo(layout: VariableLayout, a, violates) -> QuboMatrix:
+    """Reward -1 on every variable, then penalty ``a`` on each pair m1 < m2
+    whose cells (i, j) and (k, l) satisfy ``violates(i, j, k, l)``.
+
+    Entries go in diagonal first, then pairs in (m1, m2) order: energies
+    add float coefficients in insertion order."""
+    q = QuboMatrix(layout.n)
+    cells = [layout.unindex(m) for m in range(layout.n)]
+    for m in range(layout.n):
+        q[m, m] = -1
+    for m1, (i, j) in enumerate(cells):
+        for m2 in range(m1 + 1, layout.n):
+            if violates(i, j, *cells[m2]):
+                q[m1, m2] = a
+    return q
+
+
 def max_clique_qubo(g: Graph, a=3) -> QuboMatrix:
     """Reward -1 per selected vertex; penalty ``a`` per selected non-edge."""
     _check_penalty(a)
-    q = QuboMatrix(g.v)
-    for i in range(g.v):
-        q[i, i] = -1
-    for i, j in complement(g).sorted_edges():
-        q[i, j] = a
-    return q
+    return _penalty_qubo(VariableLayout(g.v), a, lambda i, _j, k, _l: not g.has_edge(i, k))
 
 
 def hamilton_cycle_layout(g: Graph) -> VariableLayout:
@@ -80,22 +94,10 @@ def hamilton_cycle_qubo(g: Graph, a=3) -> QuboMatrix:
     _check_penalty(a)
     if g.v < 3:
         raise ParameterError(f"cycle encoding needs at least 3 vertices, got {g.v}")
-    layout = hamilton_cycle_layout(g)
-    q = QuboMatrix(layout.n)
-    for m in range(layout.n):
-        q[m, m] = -1
-    for m1 in range(layout.n):
-        i, j = layout.unindex(m1)
-        for m2 in range(m1 + 1, layout.n):
-            k, l = layout.unindex(m2)
-            violates = (
-                i == k
-                or j == l
-                or (i != k and _positions_adjacent(j, l, g.v) and not g.has_edge(i, k))
-            )
-            if violates:
-                q[m1, m2] = a
-    return q
+    return _penalty_qubo(
+        hamilton_cycle_layout(g), a,
+        lambda i, j, k, l: i == k or j == l or (_positions_adjacent(j, l, g.v) and not g.has_edge(i, k)),
+    )
 
 
 def graph_coloring_layout(g: Graph, k: int) -> VariableLayout:
@@ -108,17 +110,9 @@ def graph_coloring_qubo(g: Graph, k: int, a=3) -> QuboMatrix:
     _check_penalty(a)
     if k < 1:
         raise ParameterError(f"color count must be positive, got {k}")
-    layout = graph_coloring_layout(g, k)
-    q = QuboMatrix(layout.n)
-    for m in range(layout.n):
-        q[m, m] = -1
-    for m1 in range(layout.n):
-        i, k1 = layout.unindex(m1)
-        for m2 in range(m1 + 1, layout.n):
-            j, k2 = layout.unindex(m2)
-            if i == j or (k1 == k2 and g.has_edge(i, j)):
-                q[m1, m2] = a
-    return q
+    return _penalty_qubo(
+        graph_coloring_layout(g, k), a, lambda i, c1, j, c2: i == j or (c1 == c2 and g.has_edge(i, j))
+    )
 
 
 def vertex_cover_qubo(g: Graph, a=3) -> QuboMatrix:
@@ -149,25 +143,10 @@ def graph_isomorphism_qubo(g1: Graph, g2: Graph, a=3) -> QuboMatrix:
     _check_penalty(a)
     if g1.v != g2.v:
         raise ParameterError(f"vertex counts differ: {g1.v} != {g2.v}")
-    layout = graph_isomorphism_layout(g1)
-    q = QuboMatrix(layout.n)
-    for m in range(layout.n):
-        q[m, m] = -1
-    for m1 in range(layout.n):
-        i1, j1 = layout.unindex(m1)
-        for m2 in range(m1 + 1, layout.n):
-            i2, j2 = layout.unindex(m2)
-            e1 = g1.has_edge(i1, i2) if i1 != i2 else False
-            e2 = g2.has_edge(j1, j2) if j1 != j2 else False
-            violates = (
-                i1 == i2
-                or j1 == j2
-                or (e1 and not e2 and j1 != j2)
-                or (not e1 and e2 and i1 != i2)
-            )
-            if violates:
-                q[m1, m2] = a
-    return q
+    return _penalty_qubo(
+        graph_isomorphism_layout(g1), a,
+        lambda i1, j1, i2, j2: i1 == i2 or j1 == j2 or g1.has_edge(i1, i2) != g2.has_edge(j1, j2),
+    )
 
 
 def encode(problem: str, g: Graph, a, k: int | None = None, g2: Graph | None = None) -> QuboMatrix:

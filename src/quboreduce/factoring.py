@@ -33,18 +33,6 @@ from .qubo import (
 
 
 @dataclass(frozen=True)
-class SemiSymmetry:
-    """A conflicting pair plus the qubits it shares identical couplings with."""
-
-    pair: tuple[int, int]
-    syms: frozenset = frozenset()
-
-    @property
-    def eligible(self) -> bool:
-        return len(self.syms) >= 3
-
-
-@dataclass(frozen=True)
 class FactoringStep:
     ancilla: int
     i: int
@@ -126,23 +114,24 @@ def get_conflict_list(q: QuboMatrix) -> list[tuple[int, int]]:
     )
 
 
-def get_most_sym_qubits(q: QuboMatrix, cl: list[tuple[int, int]]) -> SemiSymmetry:
-    """Pair from ``cl`` sharing identical nonzero couplings with the most other
-    qubits.  Ties go to the pair scanned last; an empty list yields the
-    sentinel pair (0, 1) with no shared qubits."""
+def get_most_sym_qubits(q: QuboMatrix, cl: list[tuple[int, int]]) -> FactoringStep:
+    """The step onto ancilla ``q.n`` for the pair from ``cl`` sharing identical
+    nonzero couplings with the most other qubits, syms sorted.  Ties go to the
+    pair scanned last; an empty list yields the sentinel
+    ``FactoringStep(q.n, 0, 1, ())``."""
     # Symmetric off-diagonal rows, so row j never holds j; uncoupled qubits read as {}.
     rows = defaultdict(dict)
     for (a, b), v in q.entries():
         if a != b:
             rows[a][b] = v
             rows[b][a] = v
-    best = SemiSymmetry((0, 1))
+    best, best_syms = (0, 1), []
     for i, j in cl:
         row_j = rows[j]
-        syms = frozenset(k for k, v in rows[i].items() if row_j.get(k) == v)
-        if len(syms) >= len(best.syms):
-            best = SemiSymmetry((i, j), syms)
-    return best
+        syms = [k for k, v in rows[i].items() if row_j.get(k) == v]
+        if len(syms) >= len(best_syms):
+            best, best_syms = (i, j), syms
+    return FactoringStep(q.n, *best, tuple(sorted(best_syms)))
 
 
 def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
@@ -183,11 +172,10 @@ def factor_step(q: QuboMatrix, z) -> tuple[QuboMatrix, FactoringStep] | None:
     cl = get_conflict_list(q)
     if not cl:
         return None
-    best = get_most_sym_qubits(q, cl)
-    if not best.eligible:
+    step = get_most_sym_qubits(q, cl)
+    if len(step.syms) < 3:
         return None
-    step = FactoringStep(q.n, best.pair[0], best.pair[1], tuple(sorted(best.syms)))
-    return enhance(q, best.pair, best.syms, z), step
+    return enhance(q, (step.i, step.j), step.syms, z), step
 
 
 def factoring_trajectory(

@@ -108,7 +108,11 @@ def parse_edge_list(text: str) -> Graph:
     (v, e), edges = rows[0], rows[1:]
     if len(edges) != e:
         raise ParameterError(f"header declares {e} edges, found {len(edges)}")
+    seen = set()
     for i, j in edges:
         if i >= j:
             raise ParameterError(f"edge ({i}, {j}) violates i < j")
+        if (i, j) in seen:
+            raise ParameterError(f"edge ({i}, {j}) is repeated")
+        seen.add((i, j))
     return Graph(v, frozenset(edges))

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from quboreduce import Graph, QuboMatrix, graph_isomorphism_qubo
+from quboreduce import Graph, QuboMatrix, factor_out, graph_isomorphism_qubo
 from quboreduce.cli import main
+from quboreduce.experiments import builtin_settings, format_records_csv, run_sweep
 from quboreduce.graphs import format_edge_list, permute_vertices
 from quboreduce.qubo import ENUMERATION_GUARD
 
@@ -40,7 +41,7 @@ def test_factor_verify_pipeline(tmp_path, demo_graph_file, demo_factored):
         "--out", str(mod_path), "--report", str(report_path),
     ])
     assert rc == 0
-    assert QuboMatrix.loads(mod_path.read_text()) == demo_factored
+    assert mod_path.read_text() == demo_factored.dumps() + "\n"
     report = json.loads(report_path.read_text())
     assert report["base_n"] == 6 and report["final_n"] == 7
 
@@ -53,6 +54,32 @@ def test_factor_verify_pipeline(tmp_path, demo_graph_file, demo_factored):
         "--out", str(mod_path), "--report", str(report_path),
     ]) == 0
     assert main(["verify", "--qubo", str(q_path), "--modified", str(mod_path), "--report", str(report_path)]) == 0
+
+
+@pytest.mark.parametrize("z", ["3", "2.5"])
+def test_factor_writes_the_library_bytes_for_z(tmp_path, demo_qubo, z):
+    # An integer --z stays an int, so an integer QUBO factors to integers.
+    q_path, mod_path, report_path = tmp_path / "q.json", tmp_path / "mod.json", tmp_path / "report.json"
+    q_path.write_text(demo_qubo.dumps())
+    assert main([
+        "factor", "--qubo", str(q_path), "--max-ancillas", "4", "--z", z,
+        "--out", str(mod_path), "--report", str(report_path),
+    ]) == 0
+    q_mod, report = factor_out(demo_qubo, 4, json.loads(z))
+    assert mod_path.read_text() == q_mod.dumps() + "\n"
+    assert report_path.read_text() == report.dumps() + "\n"
+    assert repr(json.loads(report_path.read_text())["z"]) == z
+
+
+def test_sweep_with_integer_z_writes_the_float_z_csv(tmp_path):
+    # Coupling counts, CNOTs and depth do not depend on whether z is 40 or 40.0.
+    csv_path = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--problem", "max_clique", "--setting-index", "1", "--seeds", "0",
+        "--max-ancillas", "29", "--z", "40", "--out", str(csv_path),
+    ]) == 0
+    [setting] = [s for s in builtin_settings(seeds=(0,)) if (s.problem, s.setting) == ("max_clique", 1)]
+    assert csv_path.read_bytes() == format_records_csv(run_sweep(setting, 29, z=40.0)).encode()
 
 
 def test_spectrum_command(tmp_path, demo_qubo):
@@ -160,6 +187,33 @@ def test_encode_graph_isomorphism_with_second_graph(tmp_path, demo_graph, demo_g
     ])
     assert rc == 0
     assert QuboMatrix.loads(out.read_text()) == graph_isomorphism_qubo(demo_graph, g2, 4)
+
+
+def test_encode_rejects_repeated_edge_line(tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_text("3 2\n0 1\n0 1\n")
+    assert main(["encode", "--problem", "max_clique", "--graph", str(path)]) == 2
+    assert "edge (0, 1) is repeated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["encode", "--problem", "max_clique", "--graph", "BAD"],
+    ["factor", "--qubo", "BAD"],
+    ["spectrum", "--qubo", "BAD"],
+    ["circuit", "--qubo", "BAD"],
+    ["verify", "--qubo", "BAD", "--modified", "MOD", "--report", "REPORT"],
+    ["verify", "--qubo", "Q", "--modified", "BAD", "--report", "REPORT"],
+    ["verify", "--qubo", "Q", "--modified", "MOD", "--report", "BAD"],
+    ["pareto", "--csv", "BAD"],
+], ids=["encode-graph", "factor-qubo", "spectrum-qubo", "circuit-qubo", "verify-qubo", "verify-modified",
+        "verify-report", "pareto-csv"])
+def test_undecodable_input_file_exits_2(demo_report_files, capsys, command):
+    q_path, mod_path, report_path = demo_report_files
+    bad = q_path.parent / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    files = {"BAD": bad, "Q": q_path, "MOD": mod_path, "REPORT": report_path}
+    assert main([str(files.get(a, a)) for a in command]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_encode_rejects_edge_line_with_three_fields(tmp_path, capsys):

@@ -7,6 +7,7 @@ from quboreduce import (
     Graph,
     ParameterError,
     QuboMatrix,
+    complement,
     energy,
     graph_coloring_qubo,
     graph_isomorphism_qubo,
@@ -23,6 +24,7 @@ from quboreduce.encoders import (
     graph_isomorphism_layout,
     hamilton_cycle_layout,
 )
+from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.graphs import permute_vertices, sample_permutation
 from quboreduce.qubo import bits_from_index
 
@@ -319,3 +321,103 @@ class TestEncode:
     def test_rejects_missing_argument_or_unknown_problem(self, problem, kwargs):
         with pytest.raises(ParameterError):
             encode(problem, self.G, 3, **kwargs)
+
+
+# The penalty-pair encoders as they were before they shared one builder,
+# kept as references: the shared builder must reproduce their entries in
+# the same insertion order, since energies add float coefficients in it.
+
+def reference_max_clique_qubo(g, a):
+    q = QuboMatrix(g.v)
+    for i in range(g.v):
+        q[i, i] = -1
+    for i, j in complement(g).sorted_edges():
+        q[i, j] = a
+    return q
+
+
+def reference_hamilton_cycle_qubo(g, a):
+    layout = hamilton_cycle_layout(g)
+    q = QuboMatrix(layout.n)
+    for m in range(layout.n):
+        q[m, m] = -1
+    for m1 in range(layout.n):
+        i, j = layout.unindex(m1)
+        for m2 in range(m1 + 1, layout.n):
+            k, l = layout.unindex(m2)
+            d = abs(j - l)
+            adjacent = d == 1 or d == g.v - 1
+            if i == k or j == l or (i != k and adjacent and not g.has_edge(i, k)):
+                q[m1, m2] = a
+    return q
+
+
+def reference_graph_coloring_qubo(g, k, a):
+    layout = graph_coloring_layout(g, k)
+    q = QuboMatrix(layout.n)
+    for m in range(layout.n):
+        q[m, m] = -1
+    for m1 in range(layout.n):
+        i, k1 = layout.unindex(m1)
+        for m2 in range(m1 + 1, layout.n):
+            j, k2 = layout.unindex(m2)
+            if i == j or (k1 == k2 and g.has_edge(i, j)):
+                q[m1, m2] = a
+    return q
+
+
+def reference_graph_isomorphism_qubo(g1, g2, a):
+    layout = graph_isomorphism_layout(g1)
+    q = QuboMatrix(layout.n)
+    for m in range(layout.n):
+        q[m, m] = -1
+    for m1 in range(layout.n):
+        i1, j1 = layout.unindex(m1)
+        for m2 in range(m1 + 1, layout.n):
+            i2, j2 = layout.unindex(m2)
+            e1 = g1.has_edge(i1, i2) if i1 != i2 else False
+            e2 = g2.has_edge(j1, j2) if j1 != j2 else False
+            if (
+                i1 == i2
+                or j1 == j2
+                or (e1 and not e2 and j1 != j2)
+                or (not e1 and e2 and i1 != i2)
+            ):
+                q[m1, m2] = a
+    return q
+
+
+def _same_entries(q, ref):
+    assert (q.n, q.offset, list(q._entries.items())) == (ref.n, ref.offset, list(ref._entries.items()))
+
+
+class TestPenaltyPairBuilder:
+    def test_matches_reference_encoders_on_random_graphs(self):
+        rng = random.Random(8)
+        for t in range(120):
+            v = rng.randint(3, 9)
+            g = sample_graph(v, rng.randint(0, v * (v - 1) // 2), rng.randrange(10**6))
+            a = rng.choice((1, 3, 7, 2.5, rng.uniform(0.1, 10.0)))
+            k = rng.randint(1, 4)
+            permuted = permute_vertices(g, sample_permutation(v, t))
+            unrelated = sample_graph(v, rng.randint(0, v * (v - 1) // 2), rng.randrange(10**6))
+            _same_entries(max_clique_qubo(g, a), reference_max_clique_qubo(g, a))
+            _same_entries(hamilton_cycle_qubo(g, a), reference_hamilton_cycle_qubo(g, a))
+            _same_entries(graph_coloring_qubo(g, k, a), reference_graph_coloring_qubo(g, k, a))
+            for g2 in (permuted, unrelated):
+                _same_entries(graph_isomorphism_qubo(g, g2, a), reference_graph_isomorphism_qubo(g, g2, a))
+
+    def test_matches_reference_encoders_on_builtin_settings(self):
+        reference = {
+            "max_clique": lambda g, s, g2: reference_max_clique_qubo(g, s.penalty),
+            "hamilton_cycles": lambda g, s, g2: reference_hamilton_cycle_qubo(g, s.penalty),
+            "graph_coloring": lambda g, s, g2: reference_graph_coloring_qubo(g, s.k, s.penalty),
+            "vertex_cover": lambda g, s, g2: vertex_cover_qubo(g, s.penalty),
+            "graph_isomorphism": lambda g, s, g2: reference_graph_isomorphism_qubo(g, g2, s.penalty),
+        }
+        settings = builtin_settings()
+        assert len(settings) == 60
+        for s in settings:
+            g = sample_graph(s.v, s.e, s.seed)
+            g2 = permute_vertices(g, sample_permutation(g.v, s.seed + 1))
+            _same_entries(build_problem_qubo(s), reference[s.problem](g, s, g2))

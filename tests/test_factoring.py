@@ -29,7 +29,6 @@ from quboreduce import (
 from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.factoring import (
     FactoringStep,
-    SemiSymmetry,
     VerificationVerdict,
     factor_step,
     factoring_trajectory,
@@ -104,21 +103,15 @@ def reference_is_conflicting(q, i, j):
 
 class TestGetMostSymQubits:
     def test_demo_instance(self, demo_qubo):
-        best = get_most_sym_qubits(demo_qubo, get_conflict_list(demo_qubo))
-        assert best.pair == (1, 4)
-        assert best.syms == frozenset({0, 2, 5})
-        assert best.eligible
+        step = get_most_sym_qubits(demo_qubo, get_conflict_list(demo_qubo))
+        assert step == FactoringStep(6, 1, 4, (0, 2, 5))
 
     def test_empty_list_returns_sentinel(self, demo_qubo):
-        best = get_most_sym_qubits(demo_qubo, [])
-        assert best.pair == (0, 1)
-        assert best.syms == frozenset()
+        assert get_most_sym_qubits(demo_qubo, []) == FactoringStep(6, 0, 1, ())
 
     def test_no_shared_couplings(self):
         q = QuboMatrix(3, {(0, 0): -1, (1, 1): -1, (0, 1): 5, (1, 2): 2})
-        best = get_most_sym_qubits(q, [(0, 1)])
-        assert best.pair == (0, 1)
-        assert best.syms == frozenset()
+        assert get_most_sym_qubits(q, [(0, 1)]) == FactoringStep(3, 0, 1, ())
 
     def test_tie_goes_to_later_pair(self):
         # two disjoint blocks, each pair sharing 3 neighbors with equal weights
@@ -128,13 +121,12 @@ class TestGetMostSymQubits:
             q[i, j] = 5
             for k in shared:
                 q[i, k] = q[j, k] = 2
-        best = get_most_sym_qubits(q, [(0, 1), (5, 6)])
-        assert best.pair == (5, 6)
+        assert get_most_sym_qubits(q, [(0, 1), (5, 6)]) == FactoringStep(10, 5, 6, (7, 8, 9))
 
     def test_uncoupled_qubit_shares_nothing(self):
         q = QuboMatrix(3, {(0, 0): -1, (0, 1): 5})
-        assert get_most_sym_qubits(q, [(0, 2)]) == SemiSymmetry((0, 2), frozenset())
-        assert get_most_sym_qubits(q, [(2, 0)]) == SemiSymmetry((2, 0), frozenset())
+        assert get_most_sym_qubits(q, [(0, 2)]) == FactoringStep(3, 0, 2, ())
+        assert get_most_sym_qubits(q, [(2, 0)]) == FactoringStep(3, 2, 0, ())
 
     def test_matches_reference_on_builtin_trajectories(self):
         for setting in builtin_settings(seeds=(0,)):
@@ -165,13 +157,13 @@ class TestGetMostSymQubits:
 
 def reference_most_sym_qubits(q, cl):
     """get_most_sym_qubits with each pair's rows read straight off the entries."""
-    best = SemiSymmetry((0, 1))
+    best = FactoringStep(q.n, 0, 1, ())
     for i, j in cl:
         row_i = {a + b - i: v for (a, b), v in q.entries() if a != b and i in (a, b)}
         row_j = {a + b - j: v for (a, b), v in q.entries() if a != b and j in (a, b)}
-        syms = frozenset(k for k, v in row_i.items() if k != j and row_j.get(k) == v)
+        syms = tuple(sorted(k for k, v in row_i.items() if k != j and row_j.get(k) == v))
         if len(syms) >= len(best.syms):
-            best = SemiSymmetry((i, j), syms)
+            best = FactoringStep(q.n, i, j, syms)
     return best
 
 
@@ -429,6 +421,15 @@ class TestFactorStep:
     def test_returns_none_when_saturated(self):
         q = QuboMatrix(3, {(0, 0): -1, (1, 1): -1})
         assert factor_step(q, 5) is None
+
+    def test_needs_three_shared_qubits(self):
+        # (0, 1) conflicts and shares qubits 2 and 3; a third, 4, makes it eligible.
+        q = QuboMatrix(5, {(0, 0): -1, (1, 1): -1, (0, 1): 5})
+        for k in (2, 3):
+            q[0, k] = q[1, k] = 2
+        assert factor_step(q, 9) is None
+        q[0, 4] = q[1, 4] = 2
+        assert factor_step(q, 9)[1] == FactoringStep(5, 0, 1, (2, 3, 4))
 
     def test_single_step_matches_factor_out(self, demo_qubo, demo_factored):
         out = factor_step(demo_qubo, 3)

@@ -119,3 +119,8 @@ class TestEdgeListFormat:
     def test_rejects_unsorted_pair(self):
         with pytest.raises(ParameterError):
             parse_edge_list("3 1\n2 1\n")
+
+    def test_rejects_repeated_edge(self):
+        # The header count matches the lines, but two of them are one edge.
+        with pytest.raises(ParameterError, match=r"edge \(0, 1\) is repeated"):
+            parse_edge_list("3 2\n0 1\n0 1\n")

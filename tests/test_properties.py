@@ -1,0 +1,71 @@
+"""Property tests: file-format round trips and the coupling count of each
+factoring step, on small generated inputs."""
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from quboreduce import Graph, QuboMatrix, coupling_count
+from quboreduce.factoring import factoring_trajectory
+from quboreduce.graphs import all_pairs, format_edge_list, parse_edge_list
+
+SMALL = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def graphs(draw):
+    v = draw(st.integers(1, 8))
+    edges = draw(st.sets(st.sampled_from(all_pairs(v)))) if v > 1 else set()
+    return Graph(v, frozenset(edges))
+
+
+@st.composite
+def qubos(draw, coefficients):
+    n = draw(st.integers(1, 6))
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    entries = draw(st.dictionaries(st.sampled_from(cells), coefficients))
+    return QuboMatrix(n, entries, offset=draw(coefficients))
+
+
+@st.composite
+def penalty_qubos(draw):
+    # A reward on every variable and a penalty on many pairs, the shape of
+    # the penalty-pair encoders, so that most examples have steps to take.
+    n = draw(st.integers(4, 9))
+    q = QuboMatrix(n)
+    for i in range(n):
+        q[i, i] = draw(st.sampled_from((-1, -1, -1, -2)))
+    for i, j in all_pairs(n):
+        q[i, j] = draw(st.sampled_from((0, 3, 3, 3, 2)))
+    return q
+
+
+_INTS = st.integers(-10**6, 10**6)
+_FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@SMALL
+@given(graphs())
+def test_edge_list_round_trip(g):
+    assert parse_edge_list(format_edge_list(g)) == g
+
+
+@SMALL
+@given(qubos(_INTS | _FLOATS))
+def test_qubo_json_round_trip(q):
+    # Types too: 3 == 3.0, but an int coefficient must not come back a float.
+    def typed(m):
+        return m.n, type(m.offset), m.offset, [(k, type(v), v) for k, v in m.entries()]
+
+    assert typed(QuboMatrix.loads(q.dumps())) == typed(q)
+
+
+@SMALL
+@given(penalty_qubos(), st.none() | st.integers(1, 40))
+def test_each_step_removes_all_but_two_of_its_shared_couplings(q, z):
+    # Moving |syms| shared couplings of a pair onto an ancilla removes 2|syms|
+    # and adds |syms| + 2, the ancilla's couplings to the pair included.
+    trajectory, report = factoring_trajectory(q, 4, z)
+    event(f"{len(report.steps)} steps")
+    for before, after, step in zip(trajectory, trajectory[1:], report.steps):
+        assert len(step.syms) >= 3
+        assert coupling_count(before) - coupling_count(after) == len(step.syms) - 2
