@@ -32,6 +32,7 @@ from .factoring import (
     FactoringReport,
     FactoringStep,
     default_z,
+    dense_mirror,
     enhance,
     factor_out,
     get_conflict_list,

@@ -32,12 +32,16 @@ from .graphs import parse_edge_list
 from .qubo import CapacityError, ParameterError, QuboMatrix, coupling_count, spectrum
 
 
-def _read_graph(path: str):
-    return parse_edge_list(Path(path).read_text())
+# Errors that end a command with exit code 2.
+_INPUT_ERRORS = (ParameterError, CapacityError, OSError, json.JSONDecodeError, UnicodeDecodeError)
 
 
-def _read_qubo(path: str) -> QuboMatrix:
-    return QuboMatrix.loads(Path(path).read_text())
+def _read(option: str, path: str, parse):
+    """``parse`` of the text of ``path``; an error names the option and the file."""
+    try:
+        return parse(Path(path).read_text())
+    except _INPUT_ERRORS as exc:
+        raise ParameterError(f"{option} {path}: {exc}") from exc
 
 
 def int_or_float(text: str) -> int | float:
@@ -56,15 +60,15 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _cmd_encode(args) -> int:
-    g = _read_graph(args.graph)
-    g2 = None if args.graph2 is None else _read_graph(args.graph2)
+    g = _read("--graph", args.graph, parse_edge_list)
+    g2 = None if args.graph2 is None else _read("--graph2", args.graph2, parse_edge_list)
     q = encode(args.problem, g, args.penalty, args.k, g2)
     _write(args.out, q.dumps() + "\n")
     return 0
 
 
 def _cmd_factor(args) -> int:
-    q = _read_qubo(args.qubo)
+    q = _read("--qubo", args.qubo, QuboMatrix.loads)
     q_mod, report = factor_out(q, args.max_ancillas, args.z)
     _write(args.out, q_mod.dumps() + "\n")
     if args.report is not None:
@@ -77,16 +81,16 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    q = _read_qubo(args.qubo)
-    q_mod = _read_qubo(args.modified)
-    report = FactoringReport.loads(Path(args.report).read_text())
+    q = _read("--qubo", args.qubo, QuboMatrix.loads)
+    q_mod = _read("--modified", args.modified, QuboMatrix.loads)
+    report = _read("--report", args.report, FactoringReport.loads)
     verdict = verify_equivalence(q, q_mod, report)
     print(json.dumps(dataclasses.asdict(verdict)))
     return 0 if verdict.all_ok else 1
 
 
 def _cmd_spectrum(args) -> int:
-    q = _read_qubo(args.qubo)
+    q = _read("--qubo", args.qubo, QuboMatrix.loads)
     lines = []
     for entry in spectrum(q):
         bits = "".join(str(b) for b in entry.bits)
@@ -116,7 +120,7 @@ def _cmd_circuit(args) -> int:
         for name in _INSTANCE_OPTIONS:
             if getattr(args, name) is not None:
                 raise ParameterError(f"--{name.replace('_', '-')} needs --problem, not --qubo")
-        c = build_circuit(_read_qubo(args.qubo), params, order=args.order)
+        c = build_circuit(_read("--qubo", args.qubo, QuboMatrix.loads), params, order=args.order)
     else:
         [setting] = _select_settings(args.problem, args.setting_index or 0, [args.seed or 0], DEFAULT_PENALTY)
         c = sweep_circuit(setting, args.ancillas or 0, params, args.order)
@@ -136,7 +140,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pareto(args) -> int:
-    records = parse_records_csv(Path(args.csv).read_text())
+    records = _read("--csv", args.csv, parse_records_csv)
     lines = ["problem,setting,p,ancillas,couplings"]
     groups: dict[tuple, list[ParetoPoint]] = {}
     for r in records:
@@ -219,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, CapacityError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

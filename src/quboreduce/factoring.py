@@ -15,7 +15,6 @@ available separately as :func:`is_conflicting` for validation.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,7 @@ from .qubo import (
     _check_json,
     _grid_index,
     all_energies,
+    coupling_count,
 )
 
 
@@ -88,6 +88,11 @@ class FactoringReport:
                 raise ParameterError(f"step {k} ancilla must be {base_n + k}, got {step.ancilla}")
             if not (0 <= step.i < step.ancilla and 0 <= step.j < step.ancilla) or step.i == step.j:
                 raise ParameterError(f"step {k} pair ({step.i}, {step.j}) is not two distinct earlier qubits")
+            outside = all(0 <= v < step.ancilla and v not in (step.i, step.j) for v in step.syms)
+            if len(step.syms) < 3 or len(set(step.syms)) != len(step.syms) or not outside:
+                raise ParameterError(
+                    f"step {k} syms {list(step.syms)} are not three or more distinct earlier qubits outside the pair"
+                )
         return cls(base_n, final_n, z, steps)
 
     @classmethod
@@ -95,43 +100,85 @@ class FactoringReport:
         return cls.from_json_dict(json.loads(text))
 
 
-def get_conflict_list(q: QuboMatrix) -> list[tuple[int, int]]:
-    """Coupled pairs (i, j) whose coupling exceeds the negative energy
-    available to both rows: Q[i,j] > -Z[i] - Z[j].
+# Rows per block in the searches, so that no temporary exceeds about 1 MB.
+_BLOCK_BYTES = 1 << 20
 
-    Z[i] sums the negative coefficients of symmetric row i, diagonal included.
+
+def _blocks(rows: int, width: int):
+    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
+    """Dense symmetric copy of ``q`` with room for ``num_ancillas`` more qubits,
+    the array that :func:`get_conflict_list` and :func:`get_most_sym_qubits`
+    search; a step removes at least one coupling, so at most
+    ``coupling_count(q)`` rows and columns are added.
+
+    float64 holds every int up to 2**53 exactly, and with it Python's own
+    sums and comparisons.  When an int coefficient or an int ``z`` could push
+    a partial sum past that, the array holds the Python numbers themselves
+    (dtype object).  Each step adds at most 9|z| to sum |coefficients|.
     """
-    z_row = [0] * q.n
-    for (i, j), v in q.entries():
-        if v < 0:
-            z_row[i] += v
-            if i != j:
-                z_row[j] += v
-    return sorted(
-        (i, j)
-        for (i, j), v in q.entries()
-        if i < j and v > -z_row[i] - z_row[j]
-    )
+    items = list(q.entries())
+    values = [v for _, v in items]
+    room = min(num_ancillas, coupling_count(q))
+    floats_only = all(isinstance(v, float) for v in values + [z])
+    bound = 2 * (sum(abs(v) for v in values) + 9 * abs(z) * room)
+    dtype = np.float64 if floats_only or bound < 2**53 else object
+    a = np.zeros((q.n + room, q.n + room), dtype=dtype)
+    if items:
+        rows, cols = np.array([k for k, _ in items]).T
+        a[rows, cols] = values
+        a[cols, rows] = values
+    return a
 
 
-def get_most_sym_qubits(q: QuboMatrix, cl: list[tuple[int, int]]) -> FactoringStep:
-    """The step onto ancilla ``q.n`` for the pair from ``cl`` sharing identical
-    nonzero couplings with the most other qubits, syms sorted.  Ties go to the
-    pair scanned last; an empty list yields the sentinel
-    ``FactoringStep(q.n, 0, 1, ())``."""
-    # Symmetric off-diagonal rows, so row j never holds j; uncoupled qubits read as {}.
-    rows = defaultdict(dict)
-    for (a, b), v in q.entries():
-        if a != b:
-            rows[a][b] = v
-            rows[b][a] = v
-    best, best_syms = (0, 1), []
-    for i, j in cl:
-        row_j = rows[j]
-        syms = [k for k, v in rows[i].items() if row_j.get(k) == v]
-        if len(syms) >= len(best_syms):
-            best, best_syms = (i, j), syms
-    return FactoringStep(q.n, *best, tuple(sorted(best_syms)))
+def get_conflict_list(a: np.ndarray) -> np.ndarray:
+    """Coupled pairs (i, j) whose coupling exceeds the negative energy
+    available to both rows: a[i,j] > -Z[i] - Z[j], as an (m, 2) array with
+    i < j in ascending order.
+
+    Z[i] sums the negative coefficients of row i of the symmetric ``a``,
+    diagonal included, from row 0 down, the order the sparse entries run.
+    """
+    n = len(a)
+    # accumulate adds row by row, whatever the shape; sum may add pairwise.
+    z_row = np.zeros(n, dtype=a.dtype)
+    for rows in _blocks(n, n):
+        z_row = np.add.accumulate(np.vstack((z_row, np.minimum(a[rows], 0))), axis=0)[-1]
+    found = []
+    for rows in _blocks(n, n):
+        block = a[rows]
+        hit = (block != 0) & (block > -z_row[rows, None] - z_row)
+        i, j = np.nonzero(np.triu(hit, rows.start + 1))
+        found.append(np.stack((i + rows.start, j), axis=1))
+    return np.concatenate(found) if found else np.empty((0, 2), dtype=np.intp)
+
+
+def get_most_sym_qubits(a: np.ndarray, cl) -> FactoringStep:
+    """The step onto ancilla ``len(a)`` for the pair from ``cl`` sharing
+    identical nonzero couplings with the most other qubits, syms sorted.
+    Ties go to the pair scanned last; an empty list yields the sentinel
+    ``FactoringStep(len(a), 0, 1, ())``."""
+    n = len(a)
+    pairs = np.asarray(cl, dtype=np.intp).reshape(-1, 2)
+    if not len(pairs):
+        return FactoringStep(n, 0, 1, ())
+    counts = np.empty(len(pairs), dtype=np.intp)
+    for block in _blocks(len(pairs), n):
+        i, j = pairs[block, 0], pairs[block, 1]
+        row_i = a[i]
+        shared = (row_i == a[j]) & (row_i != 0)
+        # Off the diagonal only: column j of row i is their own coupling.
+        at = np.arange(len(i))
+        shared[at, i] = shared[at, j] = False
+        counts[block] = shared.sum(axis=1)
+    best = len(counts) - 1 - int(np.argmax(counts[::-1]))
+    i, j = pairs[best].tolist()
+    syms = np.nonzero((a[i] == a[j]) & (a[i] != 0))[0].tolist()
+    return FactoringStep(n, i, j, tuple(k for k in syms if k not in (i, j)))
 
 
 def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
@@ -167,17 +214,6 @@ def default_z(q: QuboMatrix):
     return sum(abs(v) for _, v in q.entries())
 
 
-def factor_step(q: QuboMatrix, z) -> tuple[QuboMatrix, FactoringStep] | None:
-    """One factoring iteration, or None when no eligible structure remains."""
-    cl = get_conflict_list(q)
-    if not cl:
-        return None
-    step = get_most_sym_qubits(q, cl)
-    if len(step.syms) < 3:
-        return None
-    return enhance(q, (step.i, step.j), step.syms, z), step
-
-
 def factoring_trajectory(
     q: QuboMatrix, num_ancillas: int, z=None
 ) -> tuple[list[QuboMatrix], FactoringReport]:
@@ -192,11 +228,24 @@ def factoring_trajectory(
         raise ParameterError(f"penalty z must be positive, got {z}")
     report = FactoringReport(q.n, q.n, z)
     trajectory = [q]
+    mirror = dense_mirror(q, num_ancillas, z)
     for _ in range(num_ancillas):
-        result = factor_step(trajectory[-1], z)
-        if result is None:
+        current = trajectory[-1]
+        a = mirror[: current.n, : current.n]
+        cl = get_conflict_list(a)
+        if not len(cl):
             break
-        nxt, step = result
+        step = get_most_sym_qubits(a, cl)
+        if len(step.syms) < 3:
+            break
+        nxt = enhance(current, (step.i, step.j), step.syms, z)
+        # enhance changes only these cells; copy them from the matrix it built.
+        i, j, c = step.i, step.j, step.ancilla
+        cells = [(i, i), (j, j), (c, c), (i, c), (j, c), (i, j)]
+        for k in step.syms:
+            cells += [(k, c), (i, k), (j, k)]
+        for r, s in cells:
+            mirror[r, s] = mirror[s, r] = nxt[r, s]
         trajectory.append(nxt)
         report.steps.append(step)
         report.final_n = nxt.n

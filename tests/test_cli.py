@@ -213,7 +213,16 @@ def test_undecodable_input_file_exits_2(demo_report_files, capsys, command):
     bad.write_bytes(b"\xff\xfe")
     files = {"BAD": bad, "Q": q_path, "MOD": mod_path, "REPORT": report_path}
     assert main([str(files.get(a, a)) for a in command]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    option = command[command.index("BAD") - 1]
+    assert capsys.readouterr().err.startswith(f"error: {option} {bad}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("option", ["--qubo", "--modified", "--report"])
+def test_verify_input_error_names_the_option_and_file(demo_report_files, capsys, option):
+    files = dict(zip(("--qubo", "--modified", "--report"), demo_report_files))
+    files[option].write_text("")
+    assert main(["verify", *(arg for pair in files.items() for arg in map(str, pair))]) == 2
+    assert capsys.readouterr().err == f"error: {option} {files[option]}: Expecting value: line 1 column 1 (char 0)\n"
 
 
 def test_encode_rejects_edge_line_with_three_fields(tmp_path, capsys):
@@ -302,6 +311,15 @@ def demo_report_files(tmp_path, demo_qubo):
     ("steps.0.syms", 5),
     ("steps.0.syms.0", "0"),
     ("steps.0.syms.0", False),
+    # The demo step factors (1, 4) onto ancilla 6.
+    ("steps.0.syms", [0, 7, 7]),
+    ("steps.0.syms", [1, 2, 5]),
+    ("steps.0.syms", [0, 2, 4]),
+    ("steps.0.syms", [0, 2, 6]),
+    ("steps.0.syms", [-1, 2, 5]),
+    ("steps.0.syms", [0, 2, 2, 5]),
+    ("steps.0.syms", [0, 2]),
+    ("steps.0.syms", []),
 ])
 def test_malformed_report_json_exits_2(demo_report_files, capsys, path, value):
     report_path = demo_report_files[2]
@@ -313,7 +331,7 @@ def test_malformed_report_json_exits_2(demo_report_files, capsys, path, value):
     target[last] = value
     report_path.write_text(json.dumps(data))
     assert _verify(demo_report_files) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: --report {report_path}: ")
 
 
 def test_spectrum_above_guard_exits_2(tmp_path, capsys):

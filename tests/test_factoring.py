@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import random
+import sys
+from collections import defaultdict
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quboreduce import (
@@ -30,7 +34,7 @@ from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.factoring import (
     FactoringStep,
     VerificationVerdict,
-    factor_step,
+    dense_mirror,
     factoring_trajectory,
     is_conflicting,
 )
@@ -39,21 +43,101 @@ from quboreduce.qubo import FLOAT_TOL, all_energies, bits_from_index
 
 from conftest import random_qubo
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+
+
+def dense(q, z=1):
+    """The array the searches take, for ``q`` alone."""
+    return dense_mirror(q, 0, z)
+
+
+def pairs(cl):
+    return [tuple(p) for p in cl.tolist()]
+
+
+def oracle_conflict_list(q):
+    """get_conflict_list as the sparse entries give it, one Python sum per entry."""
+    z_row = [0] * q.n
+    for (i, j), v in q.entries():
+        if v < 0:
+            z_row[i] += v
+            if i != j:
+                z_row[j] += v
+    return sorted(
+        (i, j)
+        for (i, j), v in q.entries()
+        if i < j and v > -z_row[i] - z_row[j]
+    )
+
+
+def oracle_most_sym_qubits(q, cl):
+    """get_most_sym_qubits over dict rows read in one pass of the entries."""
+    # Symmetric off-diagonal rows, so row j never holds j; uncoupled qubits read as {}.
+    rows = defaultdict(dict)
+    for (a, b), v in q.entries():
+        if a != b:
+            rows[a][b] = v
+            rows[b][a] = v
+    best, best_syms = (0, 1), []
+    for i, j in cl:
+        row_j = rows[j]
+        syms = [k for k, v in rows[i].items() if row_j.get(k) == v]
+        if len(syms) >= len(best_syms):
+            best, best_syms = (i, j), syms
+    return FactoringStep(q.n, *best, tuple(sorted(best_syms)))
+
+
+def oracle_trajectory(q, num_ancillas, z):
+    """factoring_trajectory with the oracle searches on each sparse matrix."""
+    trajectory, steps = [q], []
+    for _ in range(num_ancillas):
+        cl = oracle_conflict_list(trajectory[-1])
+        step = oracle_most_sym_qubits(trajectory[-1], cl)
+        if not cl or len(step.syms) < 3:
+            break
+        trajectory.append(enhance(trajectory[-1], (step.i, step.j), step.syms, z))
+        steps.append(step)
+    return trajectory, FactoringReport(q.n, trajectory[-1].n, z, steps)
+
+
+def assert_searches_match_oracles(trajectory, z):
+    for m in trajectory:
+        a = dense(m, z)
+        cl = oracle_conflict_list(m)
+        assert pairs(get_conflict_list(a)) == cl
+        assert get_most_sym_qubits(a, cl) == oracle_most_sym_qubits(m, cl)
+
 
 class TestGetConflictList:
     def test_diagonal_only(self):
         q = QuboMatrix(3, {(0, 0): -1, (1, 1): 2, (2, 2): -3})
-        assert get_conflict_list(q) == []
+        assert pairs(get_conflict_list(dense(q))) == []
 
     def test_demo_instance(self, demo_qubo):
         # every row sum of negatives is -1, and 3 > 2 for each coupling
-        assert get_conflict_list(demo_qubo) == sorted(
+        assert pairs(get_conflict_list(dense(demo_qubo))) == sorted(
             (i, j) for (i, j), _ in demo_qubo.entries() if i < j
         )
 
     def test_coupling_below_threshold(self):
         q = QuboMatrix(2, {(0, 0): -1, (1, 1): -1, (0, 1): 1})
-        assert get_conflict_list(q) == []  # 1 > 2 is false
+        assert pairs(get_conflict_list(dense(q))) == []  # 1 > 2 is false
+
+    def test_rows_past_the_first_block(self):
+        # 420 rows of float64 span two 1 MB row blocks, the second from row
+        # 312.  Column 0 sums to -1 adding row by row, since -1 - 2**-53
+        # rounds to -1 twice, but to -1 - 2**-52 when rows 400 and 410 are
+        # added up first; the (0, 1) coupling conflicts only with the first.
+        # Cell (350, 100) lies below the diagonal but right of row 350's
+        # place in its block (38), so only the block's offset drops it.
+        q = QuboMatrix(420, {(0, 0): -1.0, (0, 400): -(2.0**-53), (0, 410): -(2.0**-53)})
+        q[0, 1] = 1 + 2.0**-52
+        q[100, 350] = 2.0
+        cl = pairs(get_conflict_list(dense(q)))
+        assert cl == oracle_conflict_list(q)
+        assert cl == [(0, 1), (100, 350)]
 
     def test_semantic_test_matches_reference(self):
         # Every ordered pair, i == j included, of integer and float QUBOs.
@@ -82,7 +166,7 @@ class TestGetConflictList:
         checked = 0
         for _ in range(40):
             q = random_qubo(rng, rng.randint(2, 7))
-            for i, j in get_conflict_list(q):
+            for i, j in pairs(get_conflict_list(dense(q))):
                 assert is_conflicting(q, i, j)
                 checked += 1
         assert checked > 0
@@ -103,15 +187,16 @@ def reference_is_conflicting(q, i, j):
 
 class TestGetMostSymQubits:
     def test_demo_instance(self, demo_qubo):
-        step = get_most_sym_qubits(demo_qubo, get_conflict_list(demo_qubo))
+        a = dense(demo_qubo)
+        step = get_most_sym_qubits(a, get_conflict_list(a))
         assert step == FactoringStep(6, 1, 4, (0, 2, 5))
 
     def test_empty_list_returns_sentinel(self, demo_qubo):
-        assert get_most_sym_qubits(demo_qubo, []) == FactoringStep(6, 0, 1, ())
+        assert get_most_sym_qubits(dense(demo_qubo), []) == FactoringStep(6, 0, 1, ())
 
     def test_no_shared_couplings(self):
         q = QuboMatrix(3, {(0, 0): -1, (1, 1): -1, (0, 1): 5, (1, 2): 2})
-        assert get_most_sym_qubits(q, [(0, 1)]) == FactoringStep(3, 0, 1, ())
+        assert get_most_sym_qubits(dense(q), [(0, 1)]) == FactoringStep(3, 0, 1, ())
 
     def test_tie_goes_to_later_pair(self):
         # two disjoint blocks, each pair sharing 3 neighbors with equal weights
@@ -121,22 +206,21 @@ class TestGetMostSymQubits:
             q[i, j] = 5
             for k in shared:
                 q[i, k] = q[j, k] = 2
-        assert get_most_sym_qubits(q, [(0, 1), (5, 6)]) == FactoringStep(10, 5, 6, (7, 8, 9))
+        assert get_most_sym_qubits(dense(q), [(0, 1), (5, 6)]) == FactoringStep(10, 5, 6, (7, 8, 9))
 
     def test_uncoupled_qubit_shares_nothing(self):
         q = QuboMatrix(3, {(0, 0): -1, (0, 1): 5})
-        assert get_most_sym_qubits(q, [(0, 2)]) == FactoringStep(3, 0, 2, ())
-        assert get_most_sym_qubits(q, [(2, 0)]) == FactoringStep(3, 2, 0, ())
+        assert get_most_sym_qubits(dense(q), [(0, 2)]) == FactoringStep(3, 0, 2, ())
+        assert get_most_sym_qubits(dense(q), [(2, 0)]) == FactoringStep(3, 2, 0, ())
+
 
     def test_matches_reference_on_builtin_trajectories(self):
-        for setting in builtin_settings(seeds=(0,)):
-            if setting.setting != 0:
-                continue
+        # Both searches, on every matrix of all 60 (setting, seed) instances.
+        for setting in builtin_settings():
             q = build_problem_qubo(setting)
-            trajectory, _ = factoring_trajectory(q, 29, default_z(q))
-            for m in trajectory:
-                cl = get_conflict_list(m)
-                assert get_most_sym_qubits(m, cl) == reference_most_sym_qubits(m, cl), setting
+            z = default_z(q)
+            trajectory, _ = factoring_trajectory(q, 29, z)
+            assert_searches_match_oracles(trajectory, z)
 
     def test_matches_reference_with_ties(self):
         # Coefficients from a small set make many pairs share equally many
@@ -152,19 +236,7 @@ class TestGetMostSymQubits:
             cl = [(i, j) for i in range(n) for j in range(n) if i != j]
             rng.shuffle(cl)
             cl = cl[: rng.randint(0, len(cl))]
-            assert get_most_sym_qubits(q, cl) == reference_most_sym_qubits(q, cl)
-
-
-def reference_most_sym_qubits(q, cl):
-    """get_most_sym_qubits with each pair's rows read straight off the entries."""
-    best = FactoringStep(q.n, 0, 1, ())
-    for i, j in cl:
-        row_i = {a + b - i: v for (a, b), v in q.entries() if a != b and i in (a, b)}
-        row_j = {a + b - j: v for (a, b), v in q.entries() if a != b and j in (a, b)}
-        syms = tuple(sorted(k for k, v in row_i.items() if k != j and row_j.get(k) == v))
-        if len(syms) >= len(best.syms):
-            best = FactoringStep(q.n, i, j, syms)
-    return best
+            assert get_most_sym_qubits(dense(q), cl) == oracle_most_sym_qubits(q, cl)
 
 
 class TestEnhance:
@@ -420,21 +492,86 @@ class TestLandscapePreservationProperty:
 class TestFactorStep:
     def test_returns_none_when_saturated(self):
         q = QuboMatrix(3, {(0, 0): -1, (1, 1): -1})
-        assert factor_step(q, 5) is None
+        assert factoring_trajectory(q, 1, 5) == ([q], FactoringReport(3, 3, 5))
 
     def test_needs_three_shared_qubits(self):
         # (0, 1) conflicts and shares qubits 2 and 3; a third, 4, makes it eligible.
         q = QuboMatrix(5, {(0, 0): -1, (1, 1): -1, (0, 1): 5})
         for k in (2, 3):
             q[0, k] = q[1, k] = 2
-        assert factor_step(q, 9) is None
+        assert factoring_trajectory(q, 1, 9)[1].steps == []
         q[0, 4] = q[1, 4] = 2
-        assert factor_step(q, 9)[1] == FactoringStep(5, 0, 1, (2, 3, 4))
+        assert factoring_trajectory(q, 1, 9)[1].steps == [FactoringStep(5, 0, 1, (2, 3, 4))]
 
     def test_single_step_matches_factor_out(self, demo_qubo, demo_factored):
-        out = factor_step(demo_qubo, 3)
-        assert out is not None
-        assert out[0] == demo_factored
+        trajectory, report = factoring_trajectory(demo_qubo, 1, 3)
+        assert len(report.steps) == 1
+        assert trajectory[-1] == demo_factored
+
+
+class TestSearchesMatchOracles:
+    """The array searches against the sparse code they replace, on every
+    matrix of each trajectory."""
+
+    def test_benchmark_factor_inputs(self):
+        # The largest builtin settings and the two float weighted cliques.
+        for name, text in workloads.factor_setup(23).data["texts"]:
+            q = QuboMatrix.loads(text)
+            z = default_z(q)
+            trajectory, report = factoring_trajectory(q, 29, z)
+            assert (trajectory, report) == oracle_trajectory(q, 29, z), name
+            assert_searches_match_oracles(trajectory, z)
+
+    @pytest.mark.parametrize("diagonal, couplings, z, dtype", [
+        ((-1, -1.0), (2, 3, 3.0, 2.5), 7, np.float64),
+        ((-1.0, -2.25), (2.5, 3.5, 3.5), 7, np.float64),
+        ((-1.0, -2.25), (2.5, 3.5, 3.5), 2**55 + 1, object),
+        ((-1, -(2**59) - 3), (2**60 + 1, 2**60 + 1, float(2**60), 3), 2**54 + 3, object),
+    ], ids=["ints-and-floats", "int-z-on-floats", "huge-int-z-on-floats", "ints-above-2**53"])
+    def test_random_matrices(self, diagonal, couplings, z, dtype):
+        # Penalty-shaped, so that most matrices take steps.
+        rng = random.Random(11)
+        steps = 0
+        for _ in range(40):
+            n = rng.randint(4, 11)
+            q = QuboMatrix(n, {(i, i): rng.choice(diagonal) for i in range(n)})
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.7:
+                        q[i, j] = rng.choice(couplings)
+            assert dense_mirror(q, 6, z).dtype == dtype
+            trajectory, report = factoring_trajectory(q, 6, z)
+            assert (trajectory, report) == oracle_trajectory(q, 6, z)
+            assert_searches_match_oracles(trajectory, z)
+            steps += len(report.steps)
+        assert steps >= 20
+
+    def test_float64_would_round_ints_above_2_53(self):
+        # 2**53 + 1 has no float64 value: as floats, the coupling would
+        # equal its threshold and two unequal couplings would compare equal.
+        big = 2**53 + 1
+        q = QuboMatrix(5, {(0, 0): -(2**53), (0, 1): big})
+        for k in (2, 3, 4):
+            q[0, k], q[1, k] = big, float(2**53)
+        a = dense(q)
+        assert a.dtype == object
+        assert pairs(get_conflict_list(a)) == oracle_conflict_list(q)
+        assert get_most_sym_qubits(a, [(0, 1)]) == FactoringStep(5, 0, 1, ())
+        rounded = a.astype(np.float64)
+        assert (0, 1) not in pairs(get_conflict_list(rounded))
+        assert get_most_sym_qubits(rounded, [(0, 1)]).syms == (2, 3, 4)
+
+    def test_mirror_takes_float64_when_it_is_exact(self, demo_qubo):
+        assert dense(demo_qubo).dtype == np.float64
+        assert dense_mirror(demo_qubo, 29, 2**47).dtype == object
+        floats = QuboMatrix(2, {(0, 0): -1e300, (0, 1): 2.0})
+        assert dense_mirror(floats, 29, 1e300).dtype == np.float64
+        assert dense_mirror(floats, 29, 2**53).dtype == object
+
+    def test_mirror_has_room_for_one_ancilla_per_coupling(self, demo_qubo):
+        assert dense_mirror(demo_qubo, 29, 3).shape == (6 + 9, 6 + 9)
+        assert dense_mirror(demo_qubo, 2, 3).shape == (8, 8)
+        assert dense_mirror(QuboMatrix(3, {(0, 0): -1}), 29, 3).shape == (3, 3)
 
 
 # sha256 over report.dumps() and the final matrix's dumps() of every builtin

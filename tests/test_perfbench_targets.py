@@ -2,16 +2,23 @@
 
 Every function the benchmark's tracer wraps still exists: ``perfbench/spans.py``
 is imported read-only, so a deletion under ``src/`` that would break its
-``Tracer.install`` fails here first.  The benchmark's own self-tests pass too.
+``Tracer.install`` fails here first.  The factoring loop calls the wrapped
+searches and ``enhance`` through the module, once per search and step, so the
+benchmark's factoring counts measure the loop.  The benchmark's own
+self-tests pass too.
 """
 
 import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from quboreduce import factoring
+from quboreduce.experiments import ProblemSetting, build_problem_qubo
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -28,6 +35,30 @@ def test_target_resolves(module, attr):
         owner = getattr(owner, cls_name[0])
         assert name in vars(owner)
     assert callable(getattr(owner, name))
+
+
+@pytest.mark.parametrize("setting, budget, steps, empty_at_stop", [
+    (ProblemSetting("graph_coloring", 10, 31, k=3), 29, 9, False),
+    (ProblemSetting("max_clique", 30, 87), 29, 15, True),
+    (ProblemSetting("max_clique", 30, 87), 5, 5, None),
+], ids=["stops-on-too-few-syms", "stops-on-empty-conflict-list", "budget-spent"])
+def test_factoring_loop_calls_the_traced_functions(monkeypatch, setting, budget, steps, empty_at_stop):
+    # factoring.conflict_pairs, .steps and .eligible_ratio (steps over pair
+    # searches) come from spans around these three module attributes.
+    calls = Counter()
+    for name in ("get_conflict_list", "get_most_sym_qubits", "enhance"):
+        def shim(*args, _name=name, _fn=getattr(factoring, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(factoring, name, shim)
+    q = build_problem_qubo(setting)
+    _, report = factoring.factor_out(q, budget, factoring.default_z(q))
+    assert len(report.steps) == steps
+    assert calls["enhance"] == steps
+    stopped_early = empty_at_stop is not None
+    assert calls["get_conflict_list"] == steps + stopped_early
+    assert calls["get_most_sym_qubits"] == steps + (stopped_early and not empty_at_stop)
 
 
 def test_benchmark_self_tests_pass():

@@ -1,11 +1,19 @@
-"""Property tests: file-format round trips and the coupling count of each
-factoring step, on small generated inputs."""
+"""Property tests: file-format round trips, the conflict list, and the
+coupling count and landscape of each factoring step, on small generated
+inputs."""
 
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from quboreduce import Graph, QuboMatrix, coupling_count
-from quboreduce.factoring import factoring_trajectory
+from quboreduce.factoring import (
+    dense_mirror,
+    factor_out,
+    factoring_trajectory,
+    get_conflict_list,
+    is_conflicting,
+    verify_equivalence,
+)
 from quboreduce.graphs import all_pairs, format_edge_list, parse_edge_list
 
 SMALL = settings(max_examples=60, deadline=None)
@@ -27,20 +35,25 @@ def qubos(draw, coefficients):
 
 
 @st.composite
-def penalty_qubos(draw):
+def penalty_qubos(draw, scales=st.just(1)):
     # A reward on every variable and a penalty on many pairs, the shape of
     # the penalty-pair encoders, so that most examples have steps to take.
+    # Every coefficient is multiplied by one drawn scale.
     n = draw(st.integers(4, 9))
+    scale = draw(scales)
     q = QuboMatrix(n)
     for i in range(n):
-        q[i, i] = draw(st.sampled_from((-1, -1, -1, -2)))
+        q[i, i] = scale * draw(st.sampled_from((-1, -1, -1, -2)))
     for i, j in all_pairs(n):
-        q[i, j] = draw(st.sampled_from((0, 3, 3, 3, 2)))
+        q[i, j] = scale * draw(st.sampled_from((0, 3, 3, 3, 2)))
     return q
 
 
 _INTS = st.integers(-10**6, 10**6)
 _FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+# Quarters add exactly in float64, so the energies is_conflicting compares
+# carry no rounding.
+_QUARTERS = st.integers(-400, 400).map(lambda k: k / 4)
 
 
 @SMALL
@@ -69,3 +82,22 @@ def test_each_step_removes_all_but_two_of_its_shared_couplings(q, z):
     for before, after, step in zip(trajectory, trajectory[1:], report.steps):
         assert len(step.syms) >= 3
         assert coupling_count(before) - coupling_count(after) == len(step.syms) - 2
+
+
+@SMALL
+@given(qubos(_INTS | _QUARTERS) | penalty_qubos(st.sampled_from((1, 0.25, 1.5))))
+def test_conflict_list_pairs_are_conflicting(q):
+    # The row-sum condition is sufficient for the exact semantic test.
+    cl = get_conflict_list(dense_mirror(q, 0, 1)).tolist()
+    event("some conflicting pairs" if cl else "no conflicting pairs")
+    for i, j in cl:
+        assert is_conflicting(q, i, j)
+
+
+@SMALL
+@given(penalty_qubos(st.just(1) | st.floats(0.1, 10)))
+def test_factoring_at_default_z_preserves_the_landscape(q):
+    q_mod, report = factor_out(q, 4)
+    assume(report.steps)
+    event("float" if not q.is_integral else "integer")
+    assert verify_equivalence(q, q_mod, report).all_ok
