@@ -45,6 +45,7 @@ from .qubo import (
     DimensionError,
     ParameterError,
     QuboMatrix,
+    Spectrum,
     SpectrumEntry,
     coupling_count,
     energy,

@@ -155,14 +155,17 @@ def cost_schedule(q: QuboMatrix, order: str = "ascending") -> CostSchedule:
 
 
 def append_cost_layer(c: GateList, schedule: CostSchedule, gamma: float) -> None:
-    """Diagonal phase layer exp(-i gamma H_C) up to global phase."""
+    """Diagonal phase layer exp(-i gamma H_C) up to global phase.  ``c`` has
+    ``schedule.n`` qubits; the schedule's operands are in range by
+    construction, so its gates skip ``GateList.append``'s range check."""
     h, couplings = schedule.ising.h, schedule.ising.couplings
+    add = c.gates.append
     for i in schedule.h_support:
-        c.rz(i, 2 * gamma * h[i])
+        add(Gate("RZ", (i,), 2 * gamma * h[i]))
     for i, k in schedule.pairs:
-        c.cnot(i, k)
-        c.rz(k, 2 * gamma * couplings[(i, k)])
-        c.cnot(i, k)
+        add(Gate("CNOT", (i, k)))
+        add(Gate("RZ", (k,), 2 * gamma * couplings[(i, k)]))
+        add(Gate("CNOT", (i, k)))
 
 
 def build_cost_layer(q: QuboMatrix, gamma: float, order: str = "ascending") -> GateList:
@@ -176,12 +179,13 @@ def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = "ascending") -
     layers."""
     schedule = cost_schedule(q, order)
     c = GateList(q.n)
+    add = c.gates.append
     for qb in range(q.n):
-        c.h(qb)
+        add(Gate("H", (qb,)))
     for layer in range(params.p):
         append_cost_layer(c, schedule, params.gammas[layer])
         for qb in range(q.n):
-            c.rx(qb, 2 * params.betas[layer])
+            add(Gate("RX", (qb,), 2 * params.betas[layer]))
     return c
 
 

@@ -8,10 +8,13 @@ reports, line-oriented text for gate lists, flat CSV for sweeps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .circuits import QaoaParams, build_circuit, cnot_count, depth, format_gate_list
 from .encoders import PROBLEMS, encode
@@ -52,11 +55,19 @@ def int_or_float(text: str) -> int | float:
         return float(text)
 
 
-def _write(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The text stream a command writes to: ``path``, or stdout for none or ``-``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            yield f
+
+
+def _write(path: str | None, text: str) -> None:
+    with _output(path) as out:
+        out.write(text)
 
 
 def _cmd_encode(args) -> int:
@@ -90,12 +101,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    q = _read("--qubo", args.qubo, QuboMatrix.loads)
-    lines = []
-    for entry in spectrum(q):
-        bits = "".join(str(b) for b in entry.bits)
-        lines.append(f"{bits} {entry.energy}")
-    _write(args.out, "\n".join(lines) + "\n")
+    spec = spectrum(_read("--qubo", args.qubo, QuboMatrix.loads))
+    with _output(args.out) as out:
+        for bits, energies in spec.chunks():
+            # Each row of ASCII digits viewed as one n-byte string.
+            digits = (bits + ord("0")).astype(np.uint8).view(f"S{spec.n}").ravel().astype(str).tolist()
+            out.write("".join([f"{b} {e}\n" for b, e in zip(digits, energies)]))
     return 0
 
 

@@ -228,6 +228,8 @@ def factoring_trajectory(
         raise ParameterError(f"penalty z must be positive, got {z}")
     report = FactoringReport(q.n, q.n, z)
     trajectory = [q]
+    if not num_ancillas or not coupling_count(q):
+        return trajectory, report  # no step to take: skip the mirror
     mirror = dense_mirror(q, num_ancillas, z)
     for _ in range(num_ancillas):
         current = trajectory[-1]

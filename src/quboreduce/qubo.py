@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +28,10 @@ _INT_ENERGY_BOUND = 2**62
 
 # Comparison tolerance for QUBOs with non-integer coefficients.
 FLOAT_TOL = 1e-9
+
+# Spectrum entries are unpacked this many at a time, so reading them holds a
+# few hundred kB of scratch arrays at any n.
+_SPECTRUM_CHUNK = 2048
 
 
 class DimensionError(ValueError):
@@ -250,12 +255,56 @@ def all_energies(q: QuboMatrix) -> np.ndarray:
     return energies.reshape(-1)
 
 
-def spectrum(q: QuboMatrix) -> list[SpectrumEntry]:
-    """All 2^n assignments sorted by energy, ties by assignment index."""
+class Spectrum(Sequence):
+    """All 2^n assignments of a QUBO sorted by energy, ties by assignment
+    index, as a read-only sequence of :class:`SpectrumEntry`.
+
+    It holds the :func:`all_energies` array and its stable sort order, and
+    unpacks entries from them a chunk at a time as they are read: bits as a
+    tuple of ints, the energy as an int for an integral QUBO, else a float.
+    """
+
+    __slots__ = ("n", "_energies", "_order")
+
+    def __init__(self, n: int, energies: np.ndarray, order: np.ndarray):
+        self.n = n
+        self._energies = energies
+        self._order = order
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return list(self._entries(self._order[key]))
+        [entry] = self._entries(self._order[[operator.index(key)]])
+        return entry
+
+    def __iter__(self) -> Iterator[SpectrumEntry]:
+        return self._entries(self._order)
+
+    def chunks(self) -> Iterator[tuple[np.ndarray, list]]:
+        """The entries in order as successive (bits, energies) chunks: bits an
+        (m, n) array of 0/1 with x_i in column i, energies a list of m
+        Python numbers."""
+        return self._unpack(self._order)
+
+    def _unpack(self, order: np.ndarray) -> Iterator[tuple[np.ndarray, list]]:
+        shifts = np.arange(self.n)
+        for start in range(0, len(order), _SPECTRUM_CHUNK):
+            idx = order[start : start + _SPECTRUM_CHUNK]
+            yield (idx[:, None] >> shifts) & 1, self._energies[idx].tolist()
+
+    def _entries(self, order: np.ndarray) -> Iterator[SpectrumEntry]:
+        for bits, energies in self._unpack(order):
+            yield from map(SpectrumEntry, map(tuple, bits.tolist()), energies)
+
+
+def spectrum(q: QuboMatrix) -> Spectrum:
+    """All 2^n assignments sorted by energy, ties by assignment index.  The
+    energies are computed and sorted here; entries are built as read."""
     energies = all_energies(q)
-    order = np.argsort(energies, kind="stable")
-    cast = int if q.is_integral else float
-    return [SpectrumEntry(bits_from_index(int(m), q.n), cast(energies[m])) for m in order]
+    return Spectrum(q.n, energies, np.argsort(energies, kind="stable"))
 
 
 def min_energy_over_ancillas(q_mod: QuboMatrix, base_n: int, x: Bits) -> float:

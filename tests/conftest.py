@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from quboreduce import Graph, QuboMatrix, complement, max_clique_qubo
+from quboreduce import Graph, QuboMatrix, SpectrumEntry, complement, max_clique_qubo
+from quboreduce.qubo import all_energies, bits_from_index
 
 # Six-vertex demo instance used across the suite.  The clique penalty couples
 # every non-edge with weight 3; factoring the (1, 4) pair with its three
@@ -40,3 +42,23 @@ def random_qubo(rng: random.Random, n: int, density: float = 0.5, lo: int = -5, 
             if rng.random() < density:
                 q[i, j] = rng.randint(lo, hi)
     return q
+
+
+def random_float_qubo(rng: random.Random, n: int) -> QuboMatrix:
+    """Random float QUBO whose coefficients span small, tiny and huge
+    magnitudes, so energies print in fixed and exponent notation."""
+    q = QuboMatrix(n, offset=rng.uniform(-3, 3))
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.5:
+                q[i, j] = rng.choice((rng.uniform(-5, 5), rng.uniform(-1e-7, 1e-7), rng.uniform(-1e17, 1e17)))
+    return q
+
+
+def reference_spectrum(q: QuboMatrix) -> list[SpectrumEntry]:
+    """The eager spectrum that ``qubo.Spectrum`` replaces: one entry per
+    assignment, bits from ``bits_from_index``, energy cast by integrality."""
+    energies = all_energies(q)
+    order = np.argsort(energies, kind="stable")
+    cast = int if q.is_integral else float
+    return [SpectrumEntry(bits_from_index(int(m), q.n), cast(energies[m])) for m in order]

@@ -25,7 +25,7 @@ from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.factoring import default_z, factoring_trajectory
 from quboreduce.qubo import bits_from_index
 
-from conftest import random_qubo
+from conftest import random_float_qubo, random_qubo
 
 
 class TestQuboToIsing:
@@ -99,6 +99,46 @@ class TestBuildCircuit:
             QaoaParams(0, (), ())
         with pytest.raises(ParameterError):
             QaoaParams(2, (0.1,), (0.2, 0.3))
+
+
+def reference_circuit(q, params, order):
+    """``build_circuit``'s gates added through the range-checked GateList
+    methods, as it added them before it skipped that check."""
+    schedule = cost_schedule(q, order)
+    h, couplings = schedule.ising.h, schedule.ising.couplings
+    c = GateList(q.n)
+    for qb in range(q.n):
+        c.h(qb)
+    for gamma, beta in zip(params.gammas, params.betas):
+        for i in schedule.h_support:
+            c.rz(i, 2 * gamma * h[i])
+        for i, k in schedule.pairs:
+            c.cnot(i, k)
+            c.rz(k, 2 * gamma * couplings[(i, k)])
+            c.cnot(i, k)
+        for qb in range(q.n):
+            c.rx(qb, 2 * beta)
+    return c
+
+
+class TestBuildCircuitMatchesReference:
+    @pytest.mark.parametrize("order", ["ascending", "packed"])
+    def test_random_and_builtin_qubos(self, order):
+        rng = random.Random(21)
+        qubos = [random_qubo(rng, rng.randint(1, 9)) for _ in range(20)]
+        qubos += [random_float_qubo(rng, rng.randint(1, 9)) for _ in range(20)]
+        for s in builtin_settings(seeds=(0,)):
+            if s.setting == 0:
+                q = build_problem_qubo(s)
+                qubos += factoring_trajectory(q, 29, default_z(q))[0][::7]
+        for q in qubos:
+            p = rng.randint(1, 3)
+            gammas, betas = ([rng.uniform(-2, 2) for _ in range(p)] for _ in range(2))
+            params = QaoaParams(p, tuple(gammas), tuple(betas))
+            c = build_circuit(q, params, order)
+            ref = reference_circuit(q, params, order)
+            assert c == ref
+            assert format_gate_list(c) == format_gate_list(ref)
 
 
 class TestDepth:
@@ -286,8 +326,11 @@ class TestGateValidation:
 
     def test_operands_in_range(self):
         c = GateList(2)
-        with pytest.raises(ParameterError):
-            c.h(2)
+        for add in (lambda: c.h(2), lambda: c.rx(-1, 0.5), lambda: c.rz(2, 0.5), lambda: c.cnot(0, 2),
+                    lambda: c.cnot(-1, 1), lambda: c.append(Gate("H", (5,)))):
+            with pytest.raises(ParameterError):
+                add()
+        assert c.gates == []
 
 
 class TestGateListFormat:
@@ -324,6 +367,9 @@ class TestGateListFormat:
         "qubits 0\n",
         "qubits 2 3\n",
         "qubits 2\nCNOT 0 1.0\n",
+        "qubits 2\nH 2\n",
+        "qubits 2\nRZ -1 0.5\n",
+        "qubits 2\nCNOT 0 2\n",
     ])
     def test_rejects_malformed_line(self, text):
         with pytest.raises(ParameterError):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ from quboreduce.experiments import builtin_settings, format_records_csv, run_swe
 from quboreduce.graphs import format_edge_list, permute_vertices
 from quboreduce.qubo import ENUMERATION_GUARD
 
-from conftest import DEMO_EDGES
+from conftest import DEMO_EDGES, random_float_qubo, random_qubo, reference_spectrum
 
 
 @pytest.fixture
@@ -91,6 +92,24 @@ def test_spectrum_command(tmp_path, demo_qubo):
     assert len(lines) == 64
     bits, e = lines[0].split()
     assert e == "-3" and bits == "101001"
+
+
+@pytest.mark.parametrize("floats", [False, True], ids=["integer", "float"])
+def test_spectrum_command_writes_the_joined_lines_text(tmp_path, capsys, floats):
+    # The text the command wrote when it joined one line per entry of the
+    # eager spectrum; 2**12 entries span more than one chunk.
+    rng = random.Random(8)
+    q = random_float_qubo(rng, 12) if floats else random_qubo(rng, 12)
+    lines = [f"{''.join(str(b) for b in e.bits)} {e.energy}" for e in reference_spectrum(q)]
+    expected = ("\n".join(lines) + "\n").encode()
+    q_path, out = tmp_path / "q.json", tmp_path / "spectrum.txt"
+    q_path.write_text(q.dumps())
+    assert main(["spectrum", "--qubo", str(q_path), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    capsys.readouterr()
+    assert main(["spectrum", "--qubo", str(q_path)]) == 0
+    assert capsys.readouterr().out.encode() == expected
+    assert ("e+" in expected.decode()) == floats
 
 
 def test_circuit_command(tmp_path, demo_qubo, capsys):

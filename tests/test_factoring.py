@@ -30,6 +30,7 @@ from quboreduce import (
     vertex_cover_qubo,
     verify_equivalence,
 )
+from quboreduce import factoring
 from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.factoring import (
     FactoringStep,
@@ -328,6 +329,25 @@ class TestFactorOut:
             assert (q_mod.dumps(), report.dumps()) == (explicit[0].dumps(), explicit[1].dumps())
         assert factoring_trajectory(q, 20)[1] == explicit[1]
         assert factor_out(q, 20, 3)[0].dumps() != explicit[0].dumps()
+
+    @pytest.mark.parametrize("budget, chain", [(29, False), (0, True)], ids=["diagonal-only", "budget-0"])
+    def test_builds_no_mirror_when_no_step_is_possible(self, monkeypatch, budget, chain):
+        # The mirror of these 3,000 qubits would take 72 MB; with no coupling
+        # or no budget the loop cannot take a step.
+        n = 3000
+        q = QuboMatrix(n, {(i, i): -1 for i in range(n)})
+        if chain:
+            for i in range(n - 1):
+                q[i, i + 1] = 3
+
+        def no_mirror(*args):
+            raise AssertionError("dense_mirror called")
+
+        monkeypatch.setattr(factoring, "dense_mirror", no_mirror)
+        trajectory, report = factoring_trajectory(q, budget, 5)
+        assert len(trajectory) == 1 and trajectory[0] is q
+        assert report == FactoringReport(n, n, 5)
+        assert factor_out(q, budget) == (q, FactoringReport(n, n, default_z(q)))
 
     def test_omitted_z_of_zero_matrix_is_rejected(self):
         # default_z is 0 here, and the z > 0 check still applies to it.

@@ -2,10 +2,13 @@
 coupling count and landscape of each factoring step, on small generated
 inputs."""
 
+import math
+
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from quboreduce import Graph, QuboMatrix, coupling_count
+from quboreduce import Gate, GateList, Graph, QuboMatrix, coupling_count
+from quboreduce.circuits import _GATE_FIELDS, format_gate_list, parse_gate_list
 from quboreduce.factoring import (
     dense_mirror,
     factor_out,
@@ -49,6 +52,20 @@ def penalty_qubos(draw, scales=st.just(1)):
     return q
 
 
+@st.composite
+def gate_lists(draw):
+    n = draw(st.integers(1, 6))
+    c = GateList(n)
+    kinds = [kind for kind, (operands, _) in _GATE_FIELDS.items() if operands <= n]
+    for kind in draw(st.lists(st.sampled_from(kinds))):
+        operands, angles = _GATE_FIELDS[kind]
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=operands, max_size=operands, unique=True))
+        # Any finite double: subnormals, -0.0 and 17-digit values included.
+        angle = draw(st.floats(allow_nan=False, allow_infinity=False)) if angles else None
+        c.append(Gate(kind, tuple(qubits), angle))
+    return c
+
+
 _INTS = st.integers(-10**6, 10**6)
 _FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 # Quarters add exactly in float64, so the energies is_conflicting compares
@@ -60,6 +77,16 @@ _QUARTERS = st.integers(-400, 400).map(lambda k: k / 4)
 @given(graphs())
 def test_edge_list_round_trip(g):
     assert parse_edge_list(format_edge_list(g)) == g
+
+
+@SMALL
+@given(gate_lists())
+def test_gate_list_round_trip(c):
+    # .17g angles parse back to the same double, the sign of zero included.
+    restored = parse_gate_list(format_gate_list(c))
+    assert restored == c
+    signs = [[math.copysign(1, g.angle) for g in m.gates if g.angle is not None] for m in (restored, c)]
+    assert signs[0] == signs[1]
 
 
 @SMALL

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -9,16 +11,20 @@ from quboreduce import (
     DimensionError,
     ParameterError,
     QuboMatrix,
+    Spectrum,
+    SpectrumEntry,
     coupling_count,
     energy,
+    max_clique_qubo,
     min_energy_over_ancillas,
+    sample_graph,
     spectrum,
 )
 from quboreduce import factoring, qubo
 from quboreduce.factoring import FactoringReport, FactoringStep, is_conflicting, verify_equivalence
 from quboreduce.qubo import ENUMERATION_GUARD, all_energies, bits_from_index, index_from_bits
 
-from conftest import random_qubo
+from conftest import random_float_qubo, random_qubo, reference_spectrum
 
 
 def dense_energy(q: QuboMatrix, x) -> float:
@@ -153,6 +159,75 @@ class TestSpectrum:
     def test_guard(self):
         with pytest.raises(CapacityError):
             spectrum(QuboMatrix(30))
+
+
+def typed(entries) -> tuple:
+    # 3 == 3.0 and np.int64(1) == 1: compare the types too.
+    entries = list(entries)
+    return (
+        entries,
+        {type(e) for e in entries},
+        {type(e.bits) for e in entries},
+        {type(b) for e in entries for b in e.bits},
+        {type(e.energy) for e in entries},
+    )
+
+
+class TestSpectrumMatchesReference:
+    @pytest.mark.parametrize("chunk", [1, 3, qubo._SPECTRUM_CHUNK], ids=lambda c: f"chunk{c}")
+    def test_random_integer_and_float_qubos(self, monkeypatch, chunk):
+        monkeypatch.setattr(qubo, "_SPECTRUM_CHUNK", chunk)
+        rng = random.Random(11)
+        for t in range(40):
+            n = rng.randint(1, 10)
+            q = random_float_qubo(rng, n) if t % 2 else random_qubo(rng, n)
+            q.offset = q.offset if t % 2 else rng.randint(-3, 3)
+            sp = spectrum(q)
+            ref = reference_spectrum(q)
+            assert len(sp) == len(ref) == 1 << n
+            assert typed(sp) == typed(ref), t
+
+    def test_exhaustive_workload_max_clique(self):
+        # The 17-qubit base instance of the benchmark's exhaustive workload at
+        # seed 23, with integer and with float coefficients.
+        q = max_clique_qubo(sample_graph(17, 60, 23), 3)
+        floated = QuboMatrix(q.n, ((k, float(v)) for k, v in q.entries()), float(q.offset))
+        for m in (q, floated):
+            assert typed(spectrum(m)) == typed(reference_spectrum(m))
+
+    def test_indexing_and_slicing_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(qubo, "_SPECTRUM_CHUNK", 5)
+        q = random_float_qubo(random.Random(2), 6)
+        sp = spectrum(q)
+        ref = reference_spectrum(q)
+        assert isinstance(sp, Sequence) and isinstance(sp, Spectrum)
+        assert len(sp) == 64
+        for k in [0, 4, 5, 9, 10, 63, -1, -5, -6, -64, np.int64(7)]:
+            assert typed([sp[k]]) == typed([ref[k]]), k
+        for key in [slice(None), slice(3, 12), slice(4, 6), slice(-7, None), slice(None, None, -1),
+                    slice(60, 2, -3), slice(1, 64, 7), slice(70, 80), slice(10, 3)]:
+            assert typed(sp[key]) == typed(ref[key]), key
+        for k in [64, -65, 10**6]:
+            with pytest.raises(IndexError):
+                sp[k]
+        with pytest.raises(TypeError):
+            sp["0"]
+        with pytest.raises(TypeError):
+            sp[1.0]
+        # A sequence, not a one-shot iterator.
+        assert list(sp) == list(sp) == ref
+        assert list(reversed(sp)) == ref[::-1]
+        assert ref[17] in sp and sp.index(ref[17]) == 17
+
+    def test_read_only_entries(self):
+        sp = spectrum(QuboMatrix(2, {(0, 1): 1}))
+        entry = sp[0]
+        assert hash(entry) == hash(SpectrumEntry((0, 0), 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.energy = 5
+        with pytest.raises(TypeError):
+            sp[0] = entry
+        assert [f.name for f in dataclasses.fields(SpectrumEntry)] == ["bits", "energy"]
 
 
 class TestMinEnergyOverAncillas:
