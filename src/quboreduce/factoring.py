@@ -324,5 +324,5 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
     diff = best_mod - base_energies
     valid_ok = not np.any(np.abs(diff[valid]) > tol)
     invalid_ok = not np.any(diff[~valid] < -tol)
-    minimum_ok = bool(abs(mod_energies.min() - base_energies.min()) <= tol)
+    minimum_ok = bool(abs(best_mod.min() - base_energies.min()) <= tol)
     return VerificationVerdict(valid_ok, invalid_ok, minimum_ok)

@@ -26,6 +26,10 @@ ENUMERATION_GUARD = 24
 # 2**62 bounds every energy, and every difference of two, inside int64.
 _INT_ENERGY_BOUND = 2**62
 
+# A float64 holds k * 2**-e exactly for every integer |k| < 2**53, so sums of
+# dyadic numbers whose numerators over one 2**e stay below this never round.
+_FLOAT_EXACT_BOUND = 2**53
+
 # Comparison tolerance for QUBOs with non-integer coefficients.
 FLOAT_TOL = 1e-9
 
@@ -239,7 +243,25 @@ def _grid_index(n: int, fixed: Iterable[tuple[int, int]]) -> tuple:
 def all_energies(q: QuboMatrix) -> np.ndarray:
     """Energies of all 2^n assignments, indexed so bit i of the index is x_i.
 
-    Integer-valued QUBOs produce an int64 array (exact arithmetic).
+    Integer-valued QUBOs produce an int64 array (exact arithmetic), others a
+    float64 array.  Both fill the flat result in place by bit doubling: for
+    k = 0..n-1, slice ``[2^k, 2^(k+1))`` first receives bit k's linear term
+    under every assignment of the lower bits -- ``Q[k,k]``, doubled once per
+    lower bit b by adding ``Q[b,k]``, or copied when that pair is not
+    stored -- and then adds the energies ``[0, 2^k)`` of those lower bits.
+    That is O(2^n) work in about n^2/2 array operations.
+
+    Doubling adds each energy's coefficients in another order than they
+    were stored.  It is used only where that cannot change a bit: for
+    integral matrices, and for float matrices whose offset and coefficients
+    are m/d with d a power of two and sum |m|*(D/d) < 2**53, D the largest
+    d, so that every partial sum is exact.  Every other float matrix adds
+    each coefficient, in insertion order, to the assignments with both of
+    its bits set.  Either way each energy is bitwise the offset plus its
+    active coefficients in insertion order.  That includes the sign of
+    zero: an assignment with no active coefficient keeps the offset's zero,
+    which is why each float term starts from -0.0; one whose active
+    coefficients cancel reads +0.0.
     """
     if q.n > ENUMERATION_GUARD:
         raise CapacityError(f"n={q.n} exceeds enumeration guard {ENUMERATION_GUARD}")
@@ -248,11 +270,42 @@ def all_energies(q: QuboMatrix) -> np.ndarray:
         total = abs(q.offset) + sum(abs(v) for v in q._entries.values())
         if total >= _INT_ENERGY_BOUND:
             raise CapacityError(f"|offset| + sum |Q[i,j]| = {total} reaches the int64 enumeration bound 2**62")
-    dtype = np.int64 if integral else np.float64
-    energies = np.full((2,) * q.n, q.offset, dtype=dtype)
-    for (i, j), v in q._entries.items():
-        energies[_grid_index(q.n, ((i, 1), (j, 1)))] += v
-    return energies.reshape(-1)
+    energies = np.empty(1 << q.n, dtype=np.int64 if integral else np.float64)
+    if integral or _sums_exact(q):
+        _fill_by_doubling(q, energies, 0 if integral else -0.0)
+    else:
+        grid = energies.reshape((2,) * q.n)
+        grid[...] = q.offset
+        for (i, j), v in q._entries.items():
+            grid[_grid_index(q.n, ((i, 1), (j, 1)))] += v
+    return energies
+
+
+def _sums_exact(q: QuboMatrix) -> bool:
+    """True when every sum of the offset and any coefficients is exact in
+    float64, whatever the order of the additions.  The values are taken as
+    the float64 numbers the energy array adds, whose ratios m/d all have a
+    power of two d."""
+    ratios = [float(v).as_integer_ratio() for v in (q.offset, *q._entries.values())]
+    scale = max(d for _, d in ratios)
+    return sum(abs(m) * (scale // d) for m, d in ratios) < _FLOAT_EXACT_BOUND
+
+
+def _fill_by_doubling(q: QuboMatrix, energies: np.ndarray, zero) -> None:
+    entries = q._entries
+    energies[0] = q.offset
+    for k in range(q.n):
+        half = 1 << k
+        term = energies[half : 2 * half]
+        term[0] = entries.get((k, k), zero)
+        for b in range(k):
+            low = term[: 1 << b]
+            v = entries.get((b, k))
+            if v is None:
+                term[1 << b : 2 << b] = low
+            else:
+                np.add(low, v, out=term[1 << b : 2 << b])
+        term += energies[:half]
 
 
 class Spectrum(Sequence):
@@ -308,16 +361,21 @@ def spectrum(q: QuboMatrix) -> Spectrum:
 
 
 def min_energy_over_ancillas(q_mod: QuboMatrix, base_n: int, x: Bits) -> float:
-    """Best energy of ``x`` extended by every possible ancilla assignment."""
+    """Best energy of ``x`` extended by every possible ancilla assignment.
+
+    One grid over the ancilla bits holds each extension's energy as a Python
+    number, adding the coefficients in insertion order, so the result is
+    exactly :func:`energy` of the first best extension in ancilla index
+    order (ints stay exact past int64).
+    """
     if len(x) != base_n or base_n > q_mod.n:
         raise DimensionError(f"base length {len(x)} incompatible with base_n={base_n}, n={q_mod.n}")
     num_anc = q_mod.n - base_n
     if num_anc > ENUMERATION_GUARD:
         raise CapacityError(f"{num_anc} ancillas exceed enumeration guard {ENUMERATION_GUARD}")
-    base = tuple(x)
-    best = None
-    for a in range(1 << num_anc):
-        e = energy(q_mod, base + bits_from_index(a, num_anc))
-        if best is None or e < best:
-            best = e
-    return best
+    grid = np.full((2,) * num_anc, q_mod.offset, dtype=object)
+    for (i, j), v in q_mod._entries.items():
+        if (i < base_n and not x[i]) or (j < base_n and not x[j]):
+            continue
+        grid[_grid_index(num_anc, ((k - base_n, 1) for k in (i, j) if k >= base_n))] += v
+    return min(grid.reshape(-1))

@@ -55,6 +55,27 @@ def random_float_qubo(rng: random.Random, n: int) -> QuboMatrix:
     return q
 
 
+def reference_all_energies(q: QuboMatrix) -> np.ndarray:
+    """all_energies with one 2^n mask per stored coefficient, each added in
+    insertion order: the bitwise reference for both of its fill paths."""
+    idx = np.arange(1 << q.n, dtype=np.int64)
+    dtype = np.int64 if q.is_integral else np.float64
+    energies = np.full(1 << q.n, q.offset, dtype=dtype)
+    for (i, j), v in q._entries.items():
+        both = ((idx >> i) & (idx >> j) & 1).astype(bool)
+        energies[both] += v
+    return energies
+
+
+def assert_bitwise_reference(q: QuboMatrix) -> None:
+    """all_energies equals the reference in dtype, value and sign of zero."""
+    expected = reference_all_energies(q)
+    energies = all_energies(q)
+    assert energies.dtype == expected.dtype
+    assert np.array_equal(energies, expected)
+    assert np.array_equal(np.signbit(energies), np.signbit(expected))
+
+
 def reference_spectrum(q: QuboMatrix) -> list[SpectrumEntry]:
     """The eager spectrum that ``qubo.Spectrum`` replaces: one entry per
     assignment, bits from ``bits_from_index``, energy cast by integrality."""

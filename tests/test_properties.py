@@ -1,13 +1,13 @@
-"""Property tests: file-format round trips, the conflict list, and the
-coupling count and landscape of each factoring step, on small generated
-inputs."""
+"""Property tests: file-format round trips, the enumerated energies, the
+conflict list, and the coupling count and landscape of each factoring step,
+on small generated inputs."""
 
 import math
 
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from quboreduce import Gate, GateList, Graph, QuboMatrix, coupling_count
+from quboreduce import Gate, GateList, Graph, QuboMatrix, coupling_count, qubo
 from quboreduce.circuits import _GATE_FIELDS, format_gate_list, parse_gate_list
 from quboreduce.factoring import (
     dense_mirror,
@@ -18,6 +18,8 @@ from quboreduce.factoring import (
     verify_equivalence,
 )
 from quboreduce.graphs import all_pairs, format_edge_list, parse_edge_list
+
+from conftest import assert_bitwise_reference
 
 SMALL = settings(max_examples=60, deadline=None)
 
@@ -50,6 +52,16 @@ def penalty_qubos(draw, scales=st.just(1)):
     for i, j in all_pairs(n):
         q[i, j] = scale * draw(st.sampled_from((0, 3, 3, 3, 2)))
     return q
+
+
+@st.composite
+def dyadic_qubos(draw):
+    # Numerators over one drawn power of two, subnormal steps included, so
+    # that most draws sum exactly in float64; small ints and a -0.0 offset
+    # ride along.
+    scale = draw(st.integers(-1074, 40))
+    dyadic = st.integers(-2**12, 2**12).map(lambda m: math.ldexp(m, scale))
+    return draw(qubos(dyadic | st.integers(-50, 50) | st.just(-0.0)))
 
 
 @st.composite
@@ -97,6 +109,13 @@ def test_qubo_json_round_trip(q):
         return m.n, type(m.offset), m.offset, [(k, type(v), v) for k, v in m.entries()]
 
     assert typed(QuboMatrix.loads(q.dumps())) == typed(q)
+
+
+@SMALL
+@given(dyadic_qubos())
+def test_all_energies_matches_the_in_order_reference_bitwise(q):
+    event("integral" if q.is_integral else "exact floats" if qubo._sums_exact(q) else "in-order floats")
+    assert_bitwise_reference(q)
 
 
 @SMALL

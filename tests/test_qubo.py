@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import random
+import sys
+import tracemalloc
 from collections.abc import Sequence
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,11 @@ from quboreduce import factoring, qubo
 from quboreduce.factoring import FactoringReport, FactoringStep, is_conflicting, verify_equivalence
 from quboreduce.qubo import ENUMERATION_GUARD, all_energies, bits_from_index, index_from_bits
 
-from conftest import random_float_qubo, random_qubo, reference_spectrum
+from conftest import assert_bitwise_reference, random_float_qubo, random_qubo, reference_all_energies, reference_spectrum
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import as_float  # noqa: E402
 
 
 def dense_energy(q: QuboMatrix, x) -> float:
@@ -249,6 +256,55 @@ class TestMinEnergyOverAncillas:
         with pytest.raises(CapacityError):
             min_energy_over_ancillas(q, 2, [0, 0])
 
+    def test_matches_one_energy_call_per_extension(self):
+        # Values and types: ints past int64 stay exact ints, and an offset of
+        # -0.0 survives an extension with no active coefficient.
+        rng = random.Random(23)
+        values = (
+            lambda: rng.randint(-5, 5),
+            lambda: rng.uniform(-5, 5),
+            lambda: rng.choice((rng.randint(-3, 3), rng.randint(-12, 12) / 4, 0.1)),
+            lambda: rng.choice((-1, 1)) * rng.randint(2**62, 2**70),
+        )
+        for t in range(400):
+            value = values[t % len(values)]
+            n = rng.randint(1, 9)
+            base_n = rng.randint(0, n)
+            q_mod = QuboMatrix(n, offset=rng.choice((0, -0.0, 0.0, value())))
+            for _ in range(rng.randint(0, n * (n + 1) // 2)):
+                q_mod[rng.randrange(n), rng.randrange(n)] = value()
+            x = [rng.randint(0, 1) for _ in range(base_n)]
+            got = min_energy_over_ancillas(q_mod, base_n, x)
+            expected = reference_min_energy_over_ancillas(q_mod, base_n, x)
+            assert (type(got), repr(got)) == (type(expected), repr(expected)), t
+
+    @pytest.mark.parametrize("entries, offset, best", [
+        ({(1, 1): 1, (2, 2): 1, (1, 2): -2}, -0.0, "-0.0"),
+        ({(1, 1): 1.5, (2, 2): 1, (1, 2): -2.5}, 0, "0"),
+    ], ids=["-0.0-before-0.0", "0-before-0.0"])
+    def test_first_of_equal_minima_wins(self, entries, offset, best):
+        # Ancilla assignment 0 (no active coefficient) ties with 3 (0.0).
+        q_mod = QuboMatrix(3, entries, offset)
+        assert repr(min_energy_over_ancillas(q_mod, 1, [1])) == best
+        assert repr(reference_min_energy_over_ancillas(q_mod, 1, [1])) == best
+
+    def test_guard_counts_ancillas_only(self):
+        q_mod = QuboMatrix(ENUMERATION_GUARD + 6, {(0, 0): -1, (0, 28): 2, (28, 29): -4, (29, 29): 1, (3, 29): 5})
+        xs = ([1, 0, 0, 1] + [0] * 24, [0] * 28)
+        assert [min_energy_over_ancillas(q_mod, 28, x) for x in xs] == [-1, -3]
+        assert [reference_min_energy_over_ancillas(q_mod, 28, x) for x in xs] == [-1, -3]
+
+
+def reference_min_energy_over_ancillas(q_mod: QuboMatrix, base_n: int, x) -> float:
+    """min_energy_over_ancillas as one energy call per ancilla assignment."""
+    num_anc = q_mod.n - base_n
+    best = None
+    for a in range(1 << num_anc):
+        e = energy(q_mod, tuple(x) + bits_from_index(a, num_anc))
+        if best is None or e < best:
+            best = e
+    return best
+
 
 class TestAllEnergies:
     def test_matches_pointwise_evaluation(self):
@@ -281,6 +337,59 @@ class TestAllEnergies:
                 order = np.lexsort((np.arange(expected.size), expected))
                 assert [index_from_bits(e.bits) for e in spectrum(q)] == order.tolist()
 
+    @pytest.mark.parametrize("value", [
+        lambda rng: float(rng.randint(-9, 9)),
+        lambda rng: rng.randint(-20, 20) / 4,
+        lambda rng: rng.choice((2.5, 3.5, -2.5, -3.5)),
+        lambda rng: rng.randint(-3, 3) * 5e-324,
+        lambda rng: rng.choice((rng.randint(-5, 5), rng.randint(-8, 8) / 8)),
+    ], ids=["integer-valued", "quarters", "2.5-3.5", "5e-324", "mixed"])
+    @pytest.mark.parametrize("offset", [-0.0, 0.0, 0, 1.5])
+    def test_exact_floats_match_reference_bitwise(self, value, offset):
+        # These sums are exact, so all_energies may add them in any order; the
+        # result must still be the in-order reference, down to -0.0 on the
+        # assignments with no active coefficient.
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            q = QuboMatrix(n, offset=offset)
+            for _ in range(rng.randint(0, n * (n + 1))):
+                q[rng.randrange(n), rng.randrange(n)] = value(rng)
+            assert_bitwise_reference(q)
+
+    def test_float_max_clique_matches_reference_bitwise(self):
+        q = as_float(max_clique_qubo(sample_graph(17, 60, 23), 3))
+        assert qubo._sums_exact(q)
+        assert_bitwise_reference(q)
+
+    @pytest.mark.parametrize("entries, doubled", [
+        ({(0, 0): 2.0**52, (1, 1): 2.0**52 - 3, (1, 2): 2.0, (2, 2): 1.0}, False),
+        ({(0, 0): 2.0**51, (1, 1): 2.0**51 - 1.5, (1, 2): 0.5, (2, 2): 1.0}, False),
+        ({(0, 0): 2.0**52, (1, 1): 2.0**52 - 4, (1, 2): 2.0, (2, 2): 1.0}, True),
+    ], ids=["at-2**53", "halves-at-2**53", "below"])
+    def test_float_sums_reaching_2_53_add_in_order(self, entries, doubled, monkeypatch):
+        # The bound counts numerators over the largest denominator: 2**52 in
+        # halves is 2**53 of them.
+        calls = []
+        fill = qubo._fill_by_doubling
+        monkeypatch.setattr(qubo, "_fill_by_doubling", lambda *args: calls.append(fill(*args)))
+        q = QuboMatrix(3, entries, offset=0.0)
+        assert_bitwise_reference(q)
+        assert bool(calls) == doubled
+
+    @pytest.mark.parametrize("value", [lambda k: k % 7 - 3, lambda k: (k % 7 - 3) / 4, lambda k: 1 / (k + 3)],
+                             ids=["int", "dyadic", "in-order"])
+    def test_fills_no_second_array(self, value):
+        n = 20
+        q = QuboMatrix(n, {(k % n, (3 * k) % n): value(k) for k in range(40)})
+        tracemalloc.start()
+        try:
+            energies = all_energies(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < energies.nbytes * 9 // 8
+
     @pytest.mark.parametrize("entries, offset", [
         ({(0, 0): 2**62, (1, 1): 2**62, (0, 1): 1}, 0),
         ({(0, 0): 10**29}, 0),
@@ -300,17 +409,6 @@ class TestAllEnergies:
         assert energies.dtype == np.int64
         assert energies.tolist() == [energy(q, bits_from_index(m, 3)) for m in range(8)]
         assert energies.max() == 2**62 - 2
-
-
-def reference_all_energies(q: QuboMatrix) -> np.ndarray:
-    """all_energies with one 2^n mask per stored coefficient."""
-    idx = np.arange(1 << q.n, dtype=np.int64)
-    dtype = np.int64 if q.is_integral else np.float64
-    energies = np.full(1 << q.n, q.offset, dtype=dtype)
-    for (i, j), v in q._entries.items():
-        both = ((idx >> i) & (idx >> j) & 1).astype(bool)
-        energies[both] += v
-    return energies
 
 
 def _above_guard_report():
