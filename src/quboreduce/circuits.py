@@ -8,7 +8,10 @@ routing) and every gate occupies one time step on each operand qubit; depth is
 the ASAP schedule length of the qubit-dependency DAG.  A ``CostSchedule`` fixes
 one cost layer's gate order; ``build_circuit`` emits gates from it and
 ``schedule_metrics`` reads the CNOT count and depth off it without building
-any.
+any.  ``Gate`` is immutable, so ``build_circuit`` shares equal gates: one
+CNOT object per pair stands at both ends of its CNOT-RZ-CNOT in every layer,
+and layers with the same gamma (or beta) are one list of gates spliced in
+again.  ``depth`` is one pass over the gates that branches on their arity.
 
 Angle convention: RZ(theta) = diag(exp(-i theta/2), exp(+i theta/2)), gamma
 multiplies the cost layer and beta the mixer.
@@ -83,6 +86,8 @@ class QaoaParams:
             raise ParameterError(f"layer count must be positive, got {self.p}")
         if len(self.gammas) != self.p or len(self.betas) != self.p:
             raise ParameterError("need exactly p gammas and p betas")
+        if not all(math.isfinite(a) for a in (*self.gammas, *self.betas)):
+            raise ParameterError(f"QAOA angles must be finite, got gammas {self.gammas} and betas {self.betas}")
 
     @classmethod
     def constant(cls, p: int, gamma: float = 0.5, beta: float = 0.5) -> "QaoaParams":
@@ -154,38 +159,50 @@ def cost_schedule(q: QuboMatrix, order: str = "ascending") -> CostSchedule:
     return CostSchedule(q.n, ising, tuple(sorted(ising.h)), tuple(pairs))
 
 
-def append_cost_layer(c: GateList, schedule: CostSchedule, gamma: float) -> None:
-    """Diagonal phase layer exp(-i gamma H_C) up to global phase.  ``c`` has
-    ``schedule.n`` qubits; the schedule's operands are in range by
-    construction, so its gates skip ``GateList.append``'s range check."""
+def _cost_layer(schedule: CostSchedule, gamma: float, cnots: Sequence[Gate]) -> list[Gate]:
+    """Diagonal phase layer exp(-i gamma H_C) up to global phase, with
+    ``cnots[m]`` the CNOT of ``schedule.pairs[m]`` at both ends of its
+    triple.  The schedule's operands are in range by construction, so the
+    gates skip ``GateList.append``'s range check."""
     h, couplings = schedule.ising.h, schedule.ising.couplings
-    add = c.gates.append
-    for i in schedule.h_support:
-        add(Gate("RZ", (i,), 2 * gamma * h[i]))
-    for i, k in schedule.pairs:
-        add(Gate("CNOT", (i, k)))
-        add(Gate("RZ", (k,), 2 * gamma * couplings[(i, k)]))
-        add(Gate("CNOT", (i, k)))
+    gates = [Gate("RZ", (i,), 2 * gamma * h[i]) for i in schedule.h_support]
+    for pair, cnot in zip(schedule.pairs, cnots):
+        gates += (cnot, Gate("RZ", (pair[1],), 2 * gamma * couplings[pair]), cnot)
+    return gates
+
+
+def _pair_cnots(schedule: CostSchedule) -> list[Gate]:
+    return [Gate("CNOT", pair) for pair in schedule.pairs]
 
 
 def build_cost_layer(q: QuboMatrix, gamma: float, order: str = "ascending") -> GateList:
-    c = GateList(q.n)
-    append_cost_layer(c, cost_schedule(q, order), gamma)
-    return c
+    schedule = cost_schedule(q, order)
+    return GateList(q.n, _cost_layer(schedule, gamma, _pair_cnots(schedule)))
+
+
+def _angle_key(angle: float) -> tuple:
+    # Equal keys give equal gates: 0.0 == -0.0, but 2 * -0.0 * h prints as -0.
+    return type(angle), angle, math.copysign(1.0, angle)
 
 
 def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = "ascending") -> GateList:
     """Full QAOA circuit: H on every qubit, then p alternating cost and mixer
-    layers."""
+    layers.  Each distinct gamma's cost layer and each distinct beta's mixer
+    is built once and spliced in wherever it recurs."""
     schedule = cost_schedule(q, order)
-    c = GateList(q.n)
-    add = c.gates.append
-    for qb in range(q.n):
-        add(Gate("H", (qb,)))
-    for layer in range(params.p):
-        append_cost_layer(c, schedule, params.gammas[layer])
-        for qb in range(q.n):
-            add(Gate("RX", (qb,), 2 * params.betas[layer]))
+    cnots = _pair_cnots(schedule)
+    c = GateList(q.n, [Gate("H", (qb,)) for qb in range(q.n)])
+    cost_layers: dict[tuple, list[Gate]] = {}
+    mixers: dict[tuple, list[Gate]] = {}
+    for gamma, beta in zip(params.gammas, params.betas):
+        key = _angle_key(gamma)
+        if key not in cost_layers:
+            cost_layers[key] = _cost_layer(schedule, gamma, cnots)
+        c.gates += cost_layers[key]
+        key = _angle_key(beta)
+        if key not in mixers:
+            mixers[key] = [Gate("RX", (qb,), 2 * beta) for qb in range(q.n)]
+        c.gates += mixers[key]
     return c
 
 
@@ -213,16 +230,19 @@ def cnot_count(c: GateList) -> int:
 
 
 def depth(c: GateList) -> int:
-    """ASAP schedule length: gates on disjoint qubits share a time step."""
+    """ASAP schedule length: gates on disjoint qubits share a time step.  A
+    one-qubit gate adds 1 to its qubit's frontier; a two-qubit gate sets
+    both of its frontiers to the larger plus 1."""
     frontier = [0] * c.n
-    total = 0
     for g in c.gates:
-        t = 1 + max(frontier[qb] for qb in g.qubits)
-        for qb in g.qubits:
-            frontier[qb] = t
-        if t > total:
-            total = t
-    return total
+        qubits = g.qubits
+        if len(qubits) == 1:
+            frontier[qubits[0]] += 1
+        else:
+            i, k = qubits
+            a, b = frontier[i], frontier[k]
+            frontier[i] = frontier[k] = (a if a > b else b) + 1
+    return max(frontier, default=0)
 
 
 _INV_SQRT2 = 1 / np.sqrt(2)
@@ -281,13 +301,24 @@ def basis_phase(c: GateList, x: Sequence[int], cost_only: bool = False) -> compl
 #    the kind, its operands and its angle if any ("H q", "RX q angle",
 #    "RZ q angle", "CNOT q1 q2").  Angles carry 17 significant digits.
 
+def _gate_line(g: Gate) -> str:
+    line = g.kind
+    for qb in g.qubits:
+        line = f"{line} {qb}"
+    return line if g.angle is None else f"{line} {g.angle:.17g}"
+
+
 def format_gate_list(c: GateList) -> str:
+    # Each distinct gate object is formatted once.  The memo is keyed by
+    # object, not value: Gate(..., 0.0) == Gate(..., -0.0), yet they print
+    # differently.
+    memo: dict[int, str] = {}
     lines = [f"qubits {c.n}"]
     for g in c.gates:
-        line = g.kind
-        for qb in g.qubits:
-            line = f"{line} {qb}"
-        lines.append(line if g.angle is None else f"{line} {g.angle:.17g}")
+        line = memo.get(id(g))
+        if line is None:
+            line = memo[id(g)] = _gate_line(g)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from quboreduce import Graph, QuboMatrix, SpectrumEntry, complement, max_clique_qubo
+from quboreduce import GateList, Graph, QuboMatrix, SpectrumEntry, complement, max_clique_qubo
 from quboreduce.qubo import all_energies, bits_from_index
 
 # Six-vertex demo instance used across the suite.  The clique penalty couples
@@ -83,3 +83,29 @@ def reference_spectrum(q: QuboMatrix) -> list[SpectrumEntry]:
     order = np.argsort(energies, kind="stable")
     cast = int if q.is_integral else float
     return [SpectrumEntry(bits_from_index(int(m), q.n), cast(energies[m])) for m in order]
+
+
+def reference_depth(c: GateList) -> int:
+    """ASAP depth with a generator max() over each gate's operands: the
+    ``circuits.depth`` that the arity-branched pass replaced."""
+    frontier = [0] * c.n
+    total = 0
+    for g in c.gates:
+        t = 1 + max(frontier[qb] for qb in g.qubits)
+        for qb in g.qubits:
+            frontier[qb] = t
+        if t > total:
+            total = t
+    return total
+
+
+def reference_format_gate_list(c: GateList) -> str:
+    """The gate-list text with every gate formatted anew: the
+    ``circuits.format_gate_list`` that memoises by gate object replaced."""
+    lines = [f"qubits {c.n}"]
+    for g in c.gates:
+        line = g.kind
+        for qb in g.qubits:
+            line = f"{line} {qb}"
+        lines.append(line if g.angle is None else f"{line} {g.angle:.17g}")
+    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.factoring import default_z, factoring_trajectory
 from quboreduce.qubo import bits_from_index
 
-from conftest import random_float_qubo, random_qubo
+from conftest import random_float_qubo, random_qubo, reference_depth, reference_format_gate_list
 
 
 class TestQuboToIsing:
@@ -100,6 +100,35 @@ class TestBuildCircuit:
         with pytest.raises(ParameterError):
             QaoaParams(2, (0.1,), (0.2, 0.3))
 
+    @pytest.mark.parametrize("gammas, betas", [
+        ((float("nan"),), (0.5,)),
+        ((0.5,), (float("inf"),)),
+        ((0.5, float("-inf")), (0.5, 0.5)),
+        ((0.5, 0.5), (0.5, float("nan"))),
+    ])
+    def test_rejects_non_finite_angles(self, gammas, betas):
+        # A non-finite angle would print as "nan" or "inf", which
+        # parse_gate_list rejects.
+        with pytest.raises(ParameterError, match="finite"):
+            QaoaParams(len(gammas), gammas, betas)
+
+    def test_equal_gates_are_one_object(self, demo_qubo, demo_factored):
+        # Pins the sharing, as test_fills_no_second_array pins all_energies'
+        # memory: a constant p-layer circuit holds one H and one RX object
+        # per qubit, one RZ per h term, and one CNOT and one RZ per pair, each
+        # object at every place its gate recurs.
+        rng = random.Random(5)
+        for q in [demo_qubo, demo_factored, QuboMatrix(1)] + [random_qubo(rng, rng.randint(1, 9)) for _ in range(10)]:
+            schedule = cost_schedule(q)
+            c = build_circuit(q, QaoaParams.constant(3))
+            distinct = 2 * q.n + len(schedule.h_support) + 2 * len(schedule.pairs)
+            assert len({id(g) for g in c.gates}) == distinct
+            assert len(c.gates) == q.n + 3 * (len(schedule.h_support) + 3 * len(schedule.pairs) + q.n)
+            # With three distinct gammas and betas, only the CNOTs recur.
+            c = build_circuit(q, QaoaParams(3, (0.1, 0.2, 0.3), (0.4, 0.5, 0.6)))
+            distinct = q.n + len(schedule.pairs) + 3 * (len(schedule.h_support) + len(schedule.pairs) + q.n)
+            assert len({id(g) for g in c.gates}) == distinct
+
 
 def reference_circuit(q, params, order):
     """``build_circuit``'s gates added through the range-checked GateList
@@ -121,24 +150,55 @@ def reference_circuit(q, params, order):
     return c
 
 
+def reference_qubos(rng):
+    qubos = [random_qubo(rng, rng.randint(1, 9)) for _ in range(20)]
+    qubos += [random_float_qubo(rng, rng.randint(1, 9)) for _ in range(20)]
+    for s in builtin_settings(seeds=(0,)):
+        if s.setting == 0:
+            q = build_problem_qubo(s)
+            qubos += factoring_trajectory(q, 29, default_z(q))[0][::7]
+    return qubos
+
+
+def assert_matches_reference(q, params, order):
+    c = build_circuit(q, params, order)
+    ref = reference_circuit(q, params, order)
+    assert c == ref
+    text = format_gate_list(c)
+    assert text == reference_format_gate_list(ref)
+    assert depth(c) == reference_depth(ref)
+    return text
+
+
 class TestBuildCircuitMatchesReference:
     @pytest.mark.parametrize("order", ["ascending", "packed"])
     def test_random_and_builtin_qubos(self, order):
         rng = random.Random(21)
-        qubos = [random_qubo(rng, rng.randint(1, 9)) for _ in range(20)]
-        qubos += [random_float_qubo(rng, rng.randint(1, 9)) for _ in range(20)]
-        for s in builtin_settings(seeds=(0,)):
-            if s.setting == 0:
-                q = build_problem_qubo(s)
-                qubos += factoring_trajectory(q, 29, default_z(q))[0][::7]
-        for q in qubos:
+        for q in reference_qubos(rng):
             p = rng.randint(1, 3)
             gammas, betas = ([rng.uniform(-2, 2) for _ in range(p)] for _ in range(2))
-            params = QaoaParams(p, tuple(gammas), tuple(betas))
-            c = build_circuit(q, params, order)
-            ref = reference_circuit(q, params, order)
-            assert c == ref
-            assert format_gate_list(c) == format_gate_list(ref)
+            assert_matches_reference(q, QaoaParams(p, tuple(gammas), tuple(betas)), order)
+
+    @pytest.mark.parametrize("params", [
+        QaoaParams.constant(1),
+        QaoaParams.constant(2),
+        QaoaParams.constant(3),
+        # Repeated angles that are not all equal.
+        QaoaParams(3, (0.3, -1.1, 0.3), (0.7, 0.7, -0.2)),
+        # 0.0 == -0.0, but 2 * -0.0 * h prints as -0: the layers must not
+        # share their gates.
+        QaoaParams(2, (0.0, -0.0), (0.0, -0.0)),
+        QaoaParams(2, (-0.0, 0.0), (-0.0, 0.0)),
+    ], ids=["constant-1", "constant-2", "constant-3", "repeated", "zero-then-negative-zero",
+            "negative-zero-then-zero"])
+    def test_constant_repeated_and_signed_zero_angles(self, params):
+        rng = random.Random(22)
+        for q in reference_qubos(rng):
+            for order in ("ascending", "packed"):
+                text = assert_matches_reference(q, params, order)
+                if 0.0 in params.gammas:
+                    # The mixer on -0.0 prints as RX q -0.
+                    assert " -0\n" in text
 
 
 class TestDepth:
@@ -191,13 +251,14 @@ class TestDepth:
 
 
 def reference_metrics(q, p, order):
-    c = build_circuit(q, QaoaParams.constant(p), order)
-    return cnot_count(c), depth(c)
+    c = reference_circuit(q, QaoaParams.constant(p), order)
+    return cnot_count(c), reference_depth(c)
 
 
 class TestScheduleMetrics:
-    """``schedule_metrics`` against the CNOT count and depth of the gate list
-    that ``build_circuit`` emits from the same schedule."""
+    """``schedule_metrics`` against the CNOT count and reference depth of
+    the gate list ``build_circuit`` emits from the same schedule, as
+    ``reference_circuit`` builds it gate by gate."""
 
     @staticmethod
     def assert_matches_reference(q):

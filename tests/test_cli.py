@@ -1,15 +1,22 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quboreduce import Graph, QuboMatrix, factor_out, graph_isomorphism_qubo
+from quboreduce import Graph, QaoaParams, QuboMatrix, build_circuit, depth, factor_out, graph_isomorphism_qubo
+from quboreduce.circuits import format_gate_list
 from quboreduce.cli import main
 from quboreduce.experiments import builtin_settings, format_records_csv, run_sweep
 from quboreduce.graphs import format_edge_list, permute_vertices
 from quboreduce.qubo import ENUMERATION_GUARD
 
 from conftest import DEMO_EDGES, random_float_qubo, random_qubo, reference_spectrum
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -119,6 +126,36 @@ def test_circuit_command(tmp_path, demo_qubo, capsys):
     assert main(["circuit", "--qubo", str(q_path), "--p", "3", "--out", str(out)]) == 0
     assert out.read_text().startswith("qubits 6\n")
     assert "cnots=54" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--gamma", "nan"], ["--beta", "inf"], ["--gamma=-inf"]])
+def test_circuit_rejects_non_finite_angles(tmp_path, demo_qubo, capsys, flags):
+    q_path = tmp_path / "q.json"
+    q_path.write_text(demo_qubo.dumps())
+    out = tmp_path / "circuit.txt"
+    assert main(["circuit", "--qubo", str(q_path), *flags, "--out", str(out)]) == 2
+    assert "error: QAOA angles must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, demo_qubo):
+    # `python -m quboreduce` from a checkout with src/ on the path, exit
+    # codes included.
+    q_path = tmp_path / "q.json"
+    q_path.write_text(demo_qubo.dumps())
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "quboreduce", "circuit", "--qubo", str(q_path), *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    done = run("--p", "2")
+    assert done.returncode == 0
+    assert done.stdout == format_gate_list(build_circuit(demo_qubo, QaoaParams.constant(2)))
+    assert done.stderr == "cnots=36 depth=%d\n" % depth(build_circuit(demo_qubo, QaoaParams.constant(2)))
+    done = run("--gamma", "nan")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
 
 
 def test_sweep_and_pareto_commands(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from quboreduce import Gate, GateList, Graph, QuboMatrix, coupling_count, qubo
-from quboreduce.circuits import _GATE_FIELDS, format_gate_list, parse_gate_list
+from quboreduce.circuits import _GATE_FIELDS, depth, format_gate_list, parse_gate_list
 from quboreduce.factoring import (
     dense_mirror,
     factor_out,
@@ -19,7 +19,7 @@ from quboreduce.factoring import (
 )
 from quboreduce.graphs import all_pairs, format_edge_list, parse_edge_list
 
-from conftest import assert_bitwise_reference
+from conftest import assert_bitwise_reference, reference_depth, reference_format_gate_list
 
 SMALL = settings(max_examples=60, deadline=None)
 
@@ -78,6 +78,28 @@ def gate_lists(draw):
     return c
 
 
+@st.composite
+def shared_gate_lists(draw):
+    # Gates added through the GateList methods, then placed again at drawn
+    # positions, so that one object can stand at several places, as in
+    # build_circuit's lists; or all of them read back by parse_gate_list, one
+    # object per line.  0.0 and -0.0 are drawn often: equal, yet printed
+    # differently.
+    n = draw(st.integers(1, 6))
+    pool = GateList(n)
+    kinds = [kind for kind, (operands, _) in _GATE_FIELDS.items() if operands <= n]
+    angles = st.sampled_from((0.0, -0.0)) | st.floats(allow_nan=False, allow_infinity=False)
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        operands, takes_angle = _GATE_FIELDS[kind]
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=operands, max_size=operands, unique=True))
+        getattr(pool, kind.lower())(*qubits, *([draw(angles)] if takes_angle else []))
+    positions = st.lists(st.integers(0, len(pool.gates) - 1), max_size=40) if pool.gates else st.just([])
+    c = GateList(n, [pool.gates[k] for k in draw(positions)])
+    if draw(st.booleans()):
+        c = parse_gate_list(reference_format_gate_list(c))
+    return c
+
+
 _INTS = st.integers(-10**6, 10**6)
 _FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 # Quarters add exactly in float64, so the energies is_conflicting compares
@@ -99,6 +121,13 @@ def test_gate_list_round_trip(c):
     assert restored == c
     signs = [[math.copysign(1, g.angle) for g in m.gates if g.angle is not None] for m in (restored, c)]
     assert signs[0] == signs[1]
+
+
+@SMALL
+@given(shared_gate_lists())
+def test_depth_and_format_match_references(c):
+    assert depth(c) == reference_depth(c)
+    assert format_gate_list(c) == reference_format_gate_list(c)
 
 
 @SMALL
