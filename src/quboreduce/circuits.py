@@ -29,6 +29,9 @@ from .qubo import CapacityError, ParameterError, QuboMatrix, index_from_bits
 
 STATEVECTOR_GUARD = 20
 
+# The gamma and beta of every layer when none are given.
+DEFAULT_ANGLE = 0.5
+
 # Operand and angle counts of each gate kind; two operands must be distinct.
 _GATE_FIELDS = {"H": (1, 0), "CNOT": (2, 0), "RX": (1, 1), "RZ": (1, 1)}
 
@@ -62,18 +65,6 @@ class GateList:
             raise ParameterError(f"gate operands {gate.qubits} out of range for n={self.n}")
         self.gates.append(gate)
 
-    def h(self, q: int) -> None:
-        self.append(Gate("H", (q,)))
-
-    def rx(self, q: int, angle: float) -> None:
-        self.append(Gate("RX", (q,), angle))
-
-    def rz(self, q: int, angle: float) -> None:
-        self.append(Gate("RZ", (q,), angle))
-
-    def cnot(self, control: int, target: int) -> None:
-        self.append(Gate("CNOT", (control, target)))
-
 
 @dataclass(frozen=True)
 class QaoaParams:
@@ -90,7 +81,7 @@ class QaoaParams:
             raise ParameterError(f"QAOA angles must be finite, got gammas {self.gammas} and betas {self.betas}")
 
     @classmethod
-    def constant(cls, p: int, gamma: float = 0.5, beta: float = 0.5) -> "QaoaParams":
+    def constant(cls, p: int, gamma: float = DEFAULT_ANGLE, beta: float = DEFAULT_ANGLE) -> "QaoaParams":
         return cls(p, (gamma,) * p, (beta,) * p)
 
 
@@ -119,27 +110,26 @@ def qubo_to_ising(q: QuboMatrix) -> IsingForm:
     return IsingForm(h, jj, c)
 
 
-def _coupling_rounds(pairs: list[tuple[int, int]], order: str) -> list[tuple[int, int]]:
-    if order == "ascending":
-        return pairs
-    if order == "packed":
-        # Greedy matching: emit rounds of couplings on pairwise-disjoint qubits.
-        remaining = list(pairs)
-        out = []
-        while remaining:
-            used: set[int] = set()
-            round_pairs = []
-            rest = []
-            for i, k in remaining:
-                if i in used or k in used:
-                    rest.append((i, k))
-                else:
-                    round_pairs.append((i, k))
-                    used.update((i, k))
-            out.extend(round_pairs)
-            remaining = rest
-        return out
-    raise ParameterError(f"unknown coupling order {order!r}")
+def _packed(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    # Greedy matching: emit rounds of couplings on pairwise-disjoint qubits.
+    remaining = pairs
+    out = []
+    while remaining:
+        used: set[int] = set()
+        rest = []
+        for i, k in remaining:
+            if i in used or k in used:
+                rest.append((i, k))
+            else:
+                out.append((i, k))
+                used.update((i, k))
+        remaining = rest
+    return out
+
+
+DEFAULT_ORDER = "ascending"
+# Coupling-pair orders of a cost layer by name, each applied to the sorted pairs.
+COUPLING_ORDERS = {DEFAULT_ORDER: lambda pairs: pairs, "packed": _packed}
 
 
 class CostSchedule(NamedTuple):
@@ -153,9 +143,11 @@ class CostSchedule(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
 
-def cost_schedule(q: QuboMatrix, order: str = "ascending") -> CostSchedule:
+def cost_schedule(q: QuboMatrix, order: str = DEFAULT_ORDER) -> CostSchedule:
+    if order not in COUPLING_ORDERS:
+        raise ParameterError(f"unknown coupling order {order!r}")
     ising = qubo_to_ising(q)
-    pairs = _coupling_rounds(sorted(ising.couplings), order)
+    pairs = COUPLING_ORDERS[order](sorted(ising.couplings))
     return CostSchedule(q.n, ising, tuple(sorted(ising.h)), tuple(pairs))
 
 
@@ -175,8 +167,8 @@ def _pair_cnots(schedule: CostSchedule) -> list[Gate]:
     return [Gate("CNOT", pair) for pair in schedule.pairs]
 
 
-def build_cost_layer(q: QuboMatrix, gamma: float, order: str = "ascending") -> GateList:
-    schedule = cost_schedule(q, order)
+def build_cost_layer(q: QuboMatrix, gamma: float) -> GateList:
+    schedule = cost_schedule(q)
     return GateList(q.n, _cost_layer(schedule, gamma, _pair_cnots(schedule)))
 
 
@@ -185,7 +177,7 @@ def _angle_key(angle: float) -> tuple:
     return type(angle), angle, math.copysign(1.0, angle)
 
 
-def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = "ascending") -> GateList:
+def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = DEFAULT_ORDER) -> GateList:
     """Full QAOA circuit: H on every qubit, then p alternating cost and mixer
     layers.  Each distinct gamma's cost layer and each distinct beta's mixer
     is built once and spliced in wherever it recurs."""

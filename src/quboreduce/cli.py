@@ -16,10 +16,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import QaoaParams, build_circuit, cnot_count, depth, format_gate_list
+from .circuits import (
+    COUPLING_ORDERS,
+    DEFAULT_ANGLE,
+    DEFAULT_ORDER,
+    QaoaParams,
+    build_circuit,
+    cnot_count,
+    depth,
+    format_gate_list,
+)
 from .encoders import PROBLEMS, encode
 from .experiments import (
     DEFAULT_MAX_ANCILLAS,
+    DEFAULT_P_VALUES,
     DEFAULT_PENALTY,
     DEFAULT_SEEDS,
     ParetoPoint,
@@ -205,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="builtin seed (default 0)")
     p.add_argument("--ancillas", type=int, help="ancilla budget, as a sweep row's num_ancillas (default 0)")
     p.add_argument("--p", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--order", choices=("ascending", "packed"), default="ascending")
+    p.add_argument("--gamma", type=float, default=DEFAULT_ANGLE)
+    p.add_argument("--beta", type=float, default=DEFAULT_ANGLE)
+    p.add_argument("--order", choices=tuple(COUPLING_ORDERS), default=DEFAULT_ORDER)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_circuit)
 
@@ -216,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting-index", type=int)
     p.add_argument("--seeds", type=int, nargs="+", default=DEFAULT_SEEDS)
     p.add_argument("--max-ancillas", type=int, default=DEFAULT_MAX_ANCILLAS)
-    p.add_argument("--p", type=int, nargs="+", default=[1, 2, 3])
+    p.add_argument("--p", type=int, nargs="+", default=DEFAULT_P_VALUES)
     p.add_argument("--z", type=int_or_float, help="explicit penalty weight")
     p.add_argument("--penalty", type=int, default=DEFAULT_PENALTY)
     p.add_argument("--out", help="output CSV (default stdout)")
@@ -230,8 +240,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options that take a float.  argparse reads a value such as -1e-3 or -inf as
+# an option, so main passes a float value to these as --opt=VALUE.
+_FLOAT_OPTIONS = ("--gamma", "--beta", "--z")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    joined: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in _FLOAT_OPTIONS and _is_float(arg):
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    args = build_parser().parse_args(joined)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

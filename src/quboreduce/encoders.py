@@ -1,7 +1,8 @@
 """QUBO encoders for five graph optimization problems.
 
-Each encoder emits an integer-valued :class:`QuboMatrix` when the penalty
-weight is an integer.  Double sums over variable pairs are taken over
+Each encoder takes the penalty weight ``a`` (the sweep's default is
+``experiments.DEFAULT_PENALTY``) and emits an integer-valued QuboMatrix when
+``a`` is an integer.  Double sums over variable pairs are taken over
 unordered distinct pairs, each counted once, matching the upper-triangular
 storage convention.
 
@@ -72,7 +73,7 @@ def _penalty_qubo(layout: VariableLayout, a, violates) -> QuboMatrix:
     return q
 
 
-def max_clique_qubo(g: Graph, a=3) -> QuboMatrix:
+def max_clique_qubo(g: Graph, a) -> QuboMatrix:
     """Reward -1 per selected vertex; penalty ``a`` per selected non-edge."""
     _check_penalty(a)
     return _penalty_qubo(VariableLayout(g.v), a, lambda i, _j, k, _l: not g.has_edge(i, k))
@@ -88,7 +89,7 @@ def _positions_adjacent(j: int, l: int, v: int) -> bool:
     return d == 1 or d == v - 1
 
 
-def hamilton_cycle_qubo(g: Graph, a=3) -> QuboMatrix:
+def hamilton_cycle_qubo(g: Graph, a) -> QuboMatrix:
     """Variables x[vertex, position]; penalties forbid reuse of a vertex or
     position and consecutive tour positions without a connecting edge."""
     _check_penalty(a)
@@ -104,7 +105,7 @@ def graph_coloring_layout(g: Graph, k: int) -> VariableLayout:
     return VariableLayout(g.v, k)
 
 
-def graph_coloring_qubo(g: Graph, k: int, a=3) -> QuboMatrix:
+def graph_coloring_qubo(g: Graph, k: int, a) -> QuboMatrix:
     """Variables x[vertex, color]; penalties forbid two colors on one vertex
     and equal colors on adjacent vertices."""
     _check_penalty(a)
@@ -115,7 +116,7 @@ def graph_coloring_qubo(g: Graph, k: int, a=3) -> QuboMatrix:
     )
 
 
-def vertex_cover_qubo(g: Graph, a=3) -> QuboMatrix:
+def vertex_cover_qubo(g: Graph, a) -> QuboMatrix:
     """Expansion of a*(1-x_u)(1-x_v) per edge plus +1 per selected vertex.
 
     The constant from the product expansion lands in the offset: a*|E|.
@@ -133,7 +134,7 @@ def graph_isomorphism_layout(g1: Graph) -> VariableLayout:
     return VariableLayout(g1.v, g1.v)
 
 
-def graph_isomorphism_qubo(g1: Graph, g2: Graph, a=3) -> QuboMatrix:
+def graph_isomorphism_qubo(g1: Graph, g2: Graph, a) -> QuboMatrix:
     """Variables x[i, j] mapping vertex i of the first graph to vertex j of the
     second; penalties enforce a bijection and matching edge structure.
 

@@ -8,10 +8,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .circuits import GateList, QaoaParams, build_circuit, cost_schedule, schedule_metrics
+from .circuits import DEFAULT_ORDER, GateList, QaoaParams, build_circuit, cost_schedule, schedule_metrics
 from .encoders import PROBLEMS, encode
 from .factoring import factor_out, factoring_trajectory
 from .graphs import permute_vertices, sample_graph, sample_permutation
@@ -30,6 +30,7 @@ _COLORS = 3
 DEFAULT_PENALTY = 3
 DEFAULT_SEEDS = (0, 1, 2, 3)
 DEFAULT_MAX_ANCILLAS = 29
+DEFAULT_P_VALUES = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def build_problem_qubo(setting: ProblemSetting) -> QuboMatrix:
 def run_sweep(
     setting: ProblemSetting,
     max_ancillas: int,
-    p_values: Sequence[int] = (1, 2, 3),
+    p_values: Sequence[int] = DEFAULT_P_VALUES,
     z: float | None = None,
 ) -> list[SweepRecord]:
     """One record per (ancilla budget, p), factoring with penalty ``z``
@@ -139,11 +140,11 @@ def sweep_circuit(
     setting: ProblemSetting,
     num_ancillas: int,
     params: QaoaParams,
-    order: str = "ascending",
+    order: str = DEFAULT_ORDER,
 ) -> GateList:
     """The gate list behind the default-z sweep rows at one ancilla budget:
-    the circuit of the matrix those rows measure.  In ``ascending`` order
-    its CNOT count and depth are the row's for ``params.p`` layers."""
+    the circuit of the matrix those rows measure.  In the default order its
+    CNOT count and depth are the row's for ``params.p`` layers."""
     q_mod, _ = factor_out(build_problem_qubo(setting), num_ancillas)
     return build_circuit(q_mod, params, order)
 
@@ -164,7 +165,7 @@ def pareto_front(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
     return front
 
 
-CSV_HEADER = ("problem", "setting", "seed", "num_ancillas", "p", "qubits", "couplings", "cnots", "depth")
+CSV_HEADER = tuple(f.name for f in fields(SweepRecord))
 
 
 def format_records_csv(records: Iterable[SweepRecord]) -> str:

@@ -15,7 +15,9 @@ available separately as :func:`is_conflicting` for validation.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .qubo import (
     ParameterError,
     QuboMatrix,
     _check_json,
+    _finite,
     _grid_index,
     all_energies,
     coupling_count,
@@ -72,6 +75,7 @@ class FactoringReport:
             _check_json("base_n", base_n, int)
             _check_json("final_n", final_n, int)
             _check_json("z", z, (int, float))
+            _check_z(z)
             if not isinstance(raw, list) or not all(isinstance(s, dict) for s in raw):
                 raise ParameterError("report steps must be a list of objects")
             if len(raw) != final_n - base_n:
@@ -181,12 +185,24 @@ def get_most_sym_qubits(a: np.ndarray, cl) -> FactoringStep:
     return FactoringStep(n, i, j, tuple(k for k in syms if k not in (i, j)))
 
 
+def _check_z(z) -> None:
+    if not (_finite(z) and z > 0):
+        raise ParameterError(f"penalty z must be positive and finite, got {z}")
+
+
+def _step_possible(q: QuboMatrix) -> bool:
+    """Whether some coupled pair has at least four couplings on each of its
+    qubits: its own and three to shared qubits, the least a step takes."""
+    couplings = [k for k in q._entries if k[0] != k[1]]
+    degree = Counter(chain.from_iterable(couplings))
+    return any(degree[i] >= 4 and degree[j] >= 4 for i, j in couplings)
+
+
 def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
     """Append one ancilla qubit and move the shared couplings of ``pair`` onto
     it, adding the OR-consistency penalty of weight ``z``."""
     i, j = pair
-    if not z > 0:
-        raise ParameterError(f"penalty z must be positive, got {z}")
+    _check_z(z)
     syms = frozenset(syms)
     if i in syms or j in syms:
         raise ParameterError("syms must exclude the factored pair")
@@ -195,12 +211,12 @@ def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
             raise ParameterError(f"qubit {k} does not share identical nonzero couplings")
     a = q.n
     out = q.copy(q.n + 1)
-    out.add(i, i, z)
-    out.add(j, j, z)
+    out[i, i] += z
+    out[j, j] += z
     out[a, a] = z
     out[i, a] = -2 * z
     out[j, a] = -2 * z
-    out.add(i, j, 2 * z)
+    out[i, j] += 2 * z
     for k in syms:
         out[k, a] = q[i, k]
         out[i, k] = 0
@@ -224,11 +240,10 @@ def factoring_trajectory(
         raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
     if z is None:
         z = default_z(q)
-    if not z > 0:
-        raise ParameterError(f"penalty z must be positive, got {z}")
+    _check_z(z)
     report = FactoringReport(q.n, q.n, z)
     trajectory = [q]
-    if not num_ancillas or not coupling_count(q):
+    if not num_ancillas or not _step_possible(q):
         return trajectory, report  # no step to take: skip the mirror
     mirror = dense_mirror(q, num_ancillas, z)
     for _ in range(num_ancillas):

@@ -109,9 +109,6 @@ class QuboMatrix:
     def __getitem__(self, key: tuple[int, int]) -> float:
         return self._entries.get(self._key(*key), 0)
 
-    def add(self, i: int, j: int, delta: float) -> None:
-        self[i, j] += delta
-
     def entries(self) -> Iterator[tuple[tuple[int, int], float]]:
         """Stored (pair, coefficient) items, sorted by (i, j)."""
         return iter(sorted(self._entries.items()))
@@ -131,10 +128,8 @@ class QuboMatrix:
     def __repr__(self) -> str:
         return f"QuboMatrix(n={self.n}, entries={len(self._entries)}, offset={self.offset})"
 
-    def copy(self, n: int | None = None) -> "QuboMatrix":
-        """Copy, optionally enlarging to ``n`` qubits (trailing isolated qubits)."""
-        if n is None:
-            n = self.n
+    def copy(self, n: int) -> "QuboMatrix":
+        """Copy enlarged to ``n`` qubits (trailing isolated qubits)."""
         if n < self.n:
             raise ParameterError("copy cannot shrink a matrix")
         out = QuboMatrix(n, offset=self.offset)

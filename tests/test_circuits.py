@@ -20,7 +20,7 @@ from quboreduce import (
     energy,
     qubo_to_ising,
 )
-from quboreduce.circuits import cost_schedule, format_gate_list, parse_gate_list, schedule_metrics
+from quboreduce.circuits import cost_schedule, evolve, format_gate_list, parse_gate_list, schedule_metrics
 from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.factoring import default_z, factoring_trajectory
 from quboreduce.qubo import bits_from_index
@@ -94,6 +94,13 @@ class TestBuildCircuit:
         b = build_circuit(demo_qubo, QaoaParams.constant(2), order="packed")
         assert sorted(map(repr, a.gates)) == sorted(map(repr, b.gates))
 
+    @pytest.mark.parametrize("order", ["descending", "Ascending", ""])
+    def test_rejects_unknown_coupling_order(self, demo_qubo, order):
+        with pytest.raises(ParameterError, match="unknown coupling order"):
+            cost_schedule(demo_qubo, order)
+        with pytest.raises(ParameterError, match="unknown coupling order"):
+            build_circuit(demo_qubo, QaoaParams.constant(1), order)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ParameterError):
             QaoaParams(0, (), ())
@@ -131,22 +138,22 @@ class TestBuildCircuit:
 
 
 def reference_circuit(q, params, order):
-    """``build_circuit``'s gates added through the range-checked GateList
-    methods, as it added them before it skipped that check."""
+    """``build_circuit``'s gates added through the range-checked
+    ``GateList.append``, as it added them before it skipped that check."""
     schedule = cost_schedule(q, order)
     h, couplings = schedule.ising.h, schedule.ising.couplings
     c = GateList(q.n)
     for qb in range(q.n):
-        c.h(qb)
+        c.append(Gate("H", (qb,)))
     for gamma, beta in zip(params.gammas, params.betas):
         for i in schedule.h_support:
-            c.rz(i, 2 * gamma * h[i])
+            c.append(Gate("RZ", (i,), 2 * gamma * h[i]))
         for i, k in schedule.pairs:
-            c.cnot(i, k)
-            c.rz(k, 2 * gamma * couplings[(i, k)])
-            c.cnot(i, k)
+            c.append(Gate("CNOT", (i, k)))
+            c.append(Gate("RZ", (k,), 2 * gamma * couplings[(i, k)]))
+            c.append(Gate("CNOT", (i, k)))
         for qb in range(q.n):
-            c.rx(qb, 2 * beta)
+            c.append(Gate("RX", (qb,), 2 * beta))
     return c
 
 
@@ -208,16 +215,16 @@ class TestDepth:
     def test_parallel_single_qubit_gates(self):
         c = GateList(5)
         for qb in range(5):
-            c.h(qb)
+            c.append(Gate("H", (qb,)))
         assert depth(c) == 1
 
     def test_dependency_chain(self):
         c = GateList(2)
-        c.h(0)
-        c.h(1)
-        c.cnot(0, 1)
-        c.rz(1, 0.3)
-        c.cnot(0, 1)
+        c.append(Gate("H", (0,)))
+        c.append(Gate("H", (1,)))
+        c.append(Gate("CNOT", (0, 1)))
+        c.append(Gate("RZ", (1,), 0.3))
+        c.append(Gate("CNOT", (0, 1)))
         assert depth(c) == 4
 
     def test_removing_a_gate_never_increases_depth(self):
@@ -305,6 +312,57 @@ class TestScheduleMetrics:
             schedule_metrics(cost_schedule(QuboMatrix(1, {(0, 0): 1})), p)
 
 
+def kron_reference(c, state):
+    """``evolve`` by dense matrices: each gate a Kronecker product over all
+    qubits, qubit k acting on bit k of the index (qubit 0 is the last factor)."""
+    eye, flip = np.eye(2), np.array([[0, 1], [1, 0]])
+
+    def full(ops):
+        m = np.eye(1)
+        for k in reversed(range(c.n)):
+            m = np.kron(m, ops.get(k, eye))
+        return m
+
+    for g in c.gates:
+        if g.kind == "CNOT":
+            ctrl, tgt = g.qubits
+            u = full({ctrl: np.diag([1, 0])}) + full({ctrl: np.diag([0, 1]), tgt: flip})
+        elif g.kind == "H":
+            u = full({g.qubits[0]: np.array([[1, 1], [1, -1]]) / np.sqrt(2)})
+        else:
+            cos, sin = np.cos(g.angle / 2), np.sin(g.angle / 2)
+            rot = [[cos, -1j * sin], [-1j * sin, cos]] if g.kind == "RX" else np.diag([cos - 1j * sin, cos + 1j * sin])
+            u = full({g.qubits[0]: np.array(rot)})
+        state = u @ state
+    return state
+
+
+class TestEvolve:
+    @pytest.mark.parametrize("q", [
+        QuboMatrix(1, {(0, 0): -1}),
+        QuboMatrix(2, {(0, 0): 1, (0, 1): -2, (1, 1): 0.5}),
+        QuboMatrix(3, {(0, 0): -1, (0, 1): 2, (0, 2): 1.5, (1, 2): -3, (2, 2): 0.5}, offset=4),
+    ], ids=["n1", "n2", "n3"])
+    def test_full_circuit_matches_kronecker_reference(self, q):
+        gammas, betas = (0.3, -0.7), (0.4, 1.1)
+        c = build_circuit(q, QaoaParams(2, gammas, betas))
+        start = np.zeros(1 << q.n, dtype=complex)
+        start[0] = 1
+        state = evolve(c, start)
+        assert np.allclose(state, kron_reference(c, start), atol=1e-12)
+        # It is the QAOA state: uniform superposition, then per layer the
+        # phase exp(-i gamma E(x)) and exp(-i beta X) on every qubit, up to
+        # one global phase.
+        energies = np.array([energy(q, bits_from_index(m, q.n)) for m in range(1 << q.n)])
+        expected = np.full(1 << q.n, (1 << q.n) ** -0.5, dtype=complex)
+        for gamma, beta in zip(gammas, betas):
+            mixer = np.eye(1)
+            for _ in range(q.n):
+                mixer = np.kron(mixer, [[np.cos(beta), -1j * np.sin(beta)], [-1j * np.sin(beta), np.cos(beta)]])
+            expected = mixer @ (np.exp(-1j * gamma * energies) * expected)
+        assert abs(np.vdot(expected, state)) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestBasisPhase:
     def test_empty_circuit(self):
         assert basis_phase(GateList(3), [0, 1, 0]) == 1
@@ -312,7 +370,7 @@ class TestBasisPhase:
     def test_rz_phase_ratio(self):
         theta = 0.7
         c = GateList(1)
-        c.rz(0, theta)
+        c.append(Gate("RZ", (0,), theta))
         ratio = basis_phase(c, [1]) / basis_phase(c, [0])
         assert ratio == pytest.approx(cmath.exp(1j * theta))
 
@@ -341,7 +399,7 @@ class TestBasisPhase:
 
     def test_cost_only_rejects_mixer_gates(self):
         c = GateList(1)
-        c.rx(0, 0.2)
+        c.append(Gate("RX", (0,), 0.2))
         with pytest.raises(ParameterError):
             basis_phase(c, [0], cost_only=True)
 
@@ -387,10 +445,10 @@ class TestGateValidation:
 
     def test_operands_in_range(self):
         c = GateList(2)
-        for add in (lambda: c.h(2), lambda: c.rx(-1, 0.5), lambda: c.rz(2, 0.5), lambda: c.cnot(0, 2),
-                    lambda: c.cnot(-1, 1), lambda: c.append(Gate("H", (5,)))):
+        for gate in (Gate("H", (2,)), Gate("RX", (-1,), 0.5), Gate("RZ", (2,), 0.5), Gate("CNOT", (0, 2)),
+                     Gate("CNOT", (-1, 1)), Gate("H", (5,))):
             with pytest.raises(ParameterError):
-                add()
+                c.append(gate)
         assert c.gates == []
 
 
@@ -403,10 +461,10 @@ class TestGateListFormat:
 
     def test_header_and_lines(self):
         c = GateList(2)
-        c.h(0)
-        c.rz(1, 0.5)
-        c.cnot(0, 1)
-        c.rx(1, 0.1)
+        c.append(Gate("H", (0,)))
+        c.append(Gate("RZ", (1,), 0.5))
+        c.append(Gate("CNOT", (0, 1)))
+        c.append(Gate("RX", (1,), 0.1))
         text = format_gate_list(c)
         assert text.splitlines()[0] == "qubits 2"
         assert "RZ 1 0.5" in text
@@ -431,6 +489,8 @@ class TestGateListFormat:
         "qubits 2\nH 2\n",
         "qubits 2\nRZ -1 0.5\n",
         "qubits 2\nCNOT 0 2\n",
+        "qubits 2\nCZ 0 1\n",
+        "qubits 2\nh 0\n",
     ])
     def test_rejects_malformed_line(self, text):
         with pytest.raises(ParameterError):

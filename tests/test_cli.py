@@ -7,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from quboreduce import Graph, QaoaParams, QuboMatrix, build_circuit, depth, factor_out, graph_isomorphism_qubo
+from quboreduce import (
+    Graph,
+    QaoaParams,
+    QuboMatrix,
+    build_circuit,
+    depth,
+    factor_out,
+    graph_isomorphism_qubo,
+    vertex_cover_qubo,
+)
 from quboreduce.circuits import format_gate_list
 from quboreduce.cli import main
 from quboreduce.experiments import builtin_settings, format_records_csv, run_sweep
@@ -135,6 +144,39 @@ def test_circuit_rejects_non_finite_angles(tmp_path, demo_qubo, capsys, flags):
     out = tmp_path / "circuit.txt"
     assert main(["circuit", "--qubo", str(q_path), *flags, "--out", str(out)]) == 2
     assert "error: QAOA angles must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, value, expected", [
+    (["circuit", "--gamma"], "-1e-3", "cnots=18"),
+    (["circuit", "--beta"], "-2.5E-1", "cnots=18"),
+    (["circuit", "--gamma"], "-inf", "error: QAOA angles must be finite"),
+    (["circuit", "--beta"], "-inf", "error: QAOA angles must be finite"),
+    (["factor", "--z"], "-1e-3", "error: penalty z must be positive and finite, got -0.001"),
+    (["factor", "--z"], "-2.5E-1", "error: penalty z must be positive and finite, got -0.25"),
+    (["factor", "--z"], "-inf", "error: penalty z must be positive and finite, got -inf"),
+])
+def test_float_options_take_negative_values_in_exponent_form(tmp_path, demo_qubo, capsys, command, value, expected):
+    q_path, out = tmp_path / "q.json", tmp_path / "out"
+    q_path.write_text(demo_qubo.dumps())
+    rc = main([command[0], "--qubo", str(q_path), command[1], value, "--out", str(out)])
+    assert capsys.readouterr().err.startswith(expected)
+    assert rc == (0 if expected.startswith("cnots") else 2)
+    if rc == 0:
+        gamma, beta = (float(value), 0.5) if command[1] == "--gamma" else (0.5, float(value))
+        assert out.read_text() == format_gate_list(build_circuit(demo_qubo, QaoaParams.constant(1, gamma, beta)))
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("z", ["inf", "-inf", "nan", "Infinity"])
+@pytest.mark.parametrize("factors", [False, True], ids=["vertex-cover", "demo"])
+def test_factor_rejects_non_finite_z(tmp_path, demo_qubo, capsys, z, factors):
+    q = demo_qubo if factors else vertex_cover_qubo(Graph(4, frozenset({(0, 1), (1, 2), (2, 3)})), 3)
+    q_path, out = tmp_path / "q.json", tmp_path / "out.json"
+    q_path.write_text(q.dumps())
+    assert main(["factor", "--qubo", str(q_path), "--z", z, "--out", str(out), "--report", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith("error: penalty z must be positive and finite")
     assert not out.exists()
 
 
@@ -288,6 +330,30 @@ def test_encode_rejects_edge_line_with_three_fields(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty edge-list input"),
+    ("\n  \n", "empty edge-list input"),
+    ("3 1\n0 x\n", "malformed edge list: invalid literal for int() with base 10: 'x'"),
+    ("3 1\n0 1.0\n", "malformed edge list: invalid literal for int() with base 10: '1.0'"),
+    ("3.0 1\n0 1\n", "malformed edge list: invalid literal for int() with base 10: '3.0'"),
+], ids=["empty", "blank-lines", "letter", "float-field", "float-header"])
+def test_malformed_edge_list_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    assert main(["encode", "--problem", "max_clique", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: --graph {path}: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--problem", "max_clique", "--penalty", "0"], "penalty weight must be positive, got 0"),
+    (["--problem", "vertex_cover", "--penalty", "-3"], "penalty weight must be positive, got -3"),
+    (["--problem", "graph_coloring", "--k", "0"], "color count must be positive, got 0"),
+])
+def test_encode_rejects_bad_penalty_or_color_count(demo_graph_file, capsys, flags, message):
+    assert main(["encode", "--graph", str(demo_graph_file), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_rejects_nonpositive_z(capsys):
     rc = main([
         "sweep", "--problem", "vertex_cover", "--setting-index", "0", "--seeds", "0",
@@ -325,6 +391,23 @@ def test_malformed_qubo_json_exits_2(tmp_path, capsys, command, field, value):
     q_path.write_text(json.dumps(data))
     assert main([command, "--qubo", str(q_path), "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "circuit", "factor"])
+@pytest.mark.parametrize("doc", [
+    "[2, 0, []]",
+    '"n"',
+    '{"n": 2, "offset": 0, "entries": {"0": [0, 0, -1]}}',
+    '{"n": 2, "offset": 0, "entries": [[0, 0]]}',
+    '{"n": 2, "offset": 0, "entries": [[0, 0, -1, 1]]}',
+    '{"n": 2, "offset": 0, "entries": [7]}',
+], ids=["top-level-list", "top-level-string", "entries-object", "entry-of-2", "entry-of-4", "entry-number"])
+def test_malformed_qubo_json_structure_exits_2(tmp_path, capsys, command, doc):
+    q_path = tmp_path / "q.json"
+    q_path.write_text(doc)
+    assert main([command, "--qubo", str(q_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --qubo {q_path}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def _verify(paths):
@@ -376,6 +459,11 @@ def demo_report_files(tmp_path, demo_qubo):
     ("steps.0.syms", [0, 2, 2, 5]),
     ("steps.0.syms", [0, 2]),
     ("steps.0.syms", []),
+    ("z", float("inf")),
+    ("z", float("-inf")),
+    ("z", float("nan")),
+    ("z", 0),
+    ("z", -9),
 ])
 def test_malformed_report_json_exits_2(demo_report_files, capsys, path, value):
     report_path = demo_report_files[2]

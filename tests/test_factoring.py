@@ -270,6 +270,11 @@ class TestEnhance:
         with pytest.raises(ParameterError):
             enhance(demo_qubo, (1, 4), {0, 2, 5}, 0)
 
+    @pytest.mark.parametrize("z", [float("inf"), float("-inf"), float("nan"), 10**400])
+    def test_rejects_non_finite_z(self, demo_qubo, z):
+        with pytest.raises(ParameterError, match="must be positive and finite"):
+            enhance(demo_qubo, (1, 4), {0, 2, 5}, z)
+
 
 class TestFactorOut:
     def test_demo_instance(self, demo_qubo, demo_factored):
@@ -330,10 +335,12 @@ class TestFactorOut:
         assert factoring_trajectory(q, 20)[1] == explicit[1]
         assert factor_out(q, 20, 3)[0].dumps() != explicit[0].dumps()
 
-    @pytest.mark.parametrize("budget, chain", [(29, False), (0, True)], ids=["diagonal-only", "budget-0"])
+    @pytest.mark.parametrize("budget, chain", [(29, False), (0, True), (29, True)],
+                             ids=["diagonal-only", "budget-0", "chain-budget-29"])
     def test_builds_no_mirror_when_no_step_is_possible(self, monkeypatch, budget, chain):
-        # The mirror of these 3,000 qubits would take 72 MB; with no coupling
-        # or no budget the loop cannot take a step.
+        # The mirror of these 3,000 qubits would take 72 MB.  The loop cannot
+        # take a step with no budget, nor with no coupled pair of qubits that
+        # have four couplings each; a chain's qubits have at most two.
         n = 3000
         q = QuboMatrix(n, {(i, i): -1 for i in range(n)})
         if chain:
@@ -353,6 +360,28 @@ class TestFactorOut:
         # default_z is 0 here, and the z > 0 check still applies to it.
         with pytest.raises(ParameterError):
             factor_out(QuboMatrix(3), 2)
+
+    def test_mirror_is_built_when_one_pair_can_step(self, monkeypatch):
+        # Qubits 0 and 1 share couplings to 2, 3 and 4: four couplings each.
+        q = QuboMatrix(5, {(0, 1): 5, **{(i, k): 2 for i in (0, 1) for k in (2, 3, 4)}})
+        built = []
+        monkeypatch.setattr(factoring, "dense_mirror", lambda *args: built.append(args) or dense_mirror(*args))
+        _, report = factoring_trajectory(q, 3)
+        assert len(built) == 1 and report.steps == [FactoringStep(5, 0, 1, (2, 3, 4))]
+        q[0, 1] = 0  # no coupled pair is left with four couplings on each qubit
+        assert factoring_trajectory(q, 3)[1].steps == [] and len(built) == 1
+
+    @pytest.mark.parametrize("z", [float("inf"), float("-inf"), float("nan"), 10**400])
+    def test_rejects_non_finite_z(self, demo_qubo, z):
+        vertex_cover = vertex_cover_qubo(sample_graph(30, 131, seed=0), 3)
+        for q in (demo_qubo, vertex_cover):  # one that factors, one that does not
+            with pytest.raises(ParameterError, match="must be positive and finite"):
+                factoring_trajectory(q, 5, z)
+
+    @pytest.mark.parametrize("z", ["Infinity", "-Infinity", "NaN", "0", "-5", "1" + "0" * 400])
+    def test_report_rejects_z_the_loop_rejects(self, z):
+        with pytest.raises(ParameterError, match="must be positive and finite"):
+            FactoringReport.loads('{"base_n": 4, "final_n": 4, "z": %s, "steps": []}' % z)
 
     @pytest.mark.parametrize("z", [0, -1])
     def test_rejects_nonpositive_z_when_nothing_factors(self, z):
@@ -402,14 +431,14 @@ class TestVerifyEquivalence:
     def test_changed_diagonal_breaks_valid_energies(self, demo_qubo):
         # Valid assignments with x3 = 1 cost one more; the minimum has x3 = 0.
         q_mod, report = factor_out(demo_qubo, 1, 9)
-        q_mod.add(3, 3, 1)
+        q_mod[3, 3] += 1
         verdict = verify_equivalence(demo_qubo, q_mod, report)
         assert verdict == VerificationVerdict(False, True, True)
 
     def test_changed_diagonal_breaks_minimum(self, demo_qubo):
         # The unique minimum (1, 0, 1, 0, 0, 1) has x0 = 1, so it rises from -3 to -2.
         q_mod, report = factor_out(demo_qubo, 1, 9)
-        q_mod.add(0, 0, 1)
+        q_mod[0, 0] += 1
         verdict = verify_equivalence(demo_qubo, q_mod, report)
         assert verdict == VerificationVerdict(False, True, False)
 

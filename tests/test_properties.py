@@ -80,7 +80,7 @@ def gate_lists(draw):
 
 @st.composite
 def shared_gate_lists(draw):
-    # Gates added through the GateList methods, then placed again at drawn
+    # Gates added through GateList.append, then placed again at drawn
     # positions, so that one object can stand at several places, as in
     # build_circuit's lists; or all of them read back by parse_gate_list, one
     # object per line.  0.0 and -0.0 are drawn often: equal, yet printed
@@ -92,7 +92,7 @@ def shared_gate_lists(draw):
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
         operands, takes_angle = _GATE_FIELDS[kind]
         qubits = draw(st.lists(st.integers(0, n - 1), min_size=operands, max_size=operands, unique=True))
-        getattr(pool, kind.lower())(*qubits, *([draw(angles)] if takes_angle else []))
+        pool.append(Gate(kind, tuple(qubits), draw(angles) if takes_angle else None))
     positions = st.lists(st.integers(0, len(pool.gates) - 1), max_size=40) if pool.gates else st.just([])
     c = GateList(n, [pool.gates[k] for k in draw(positions)])
     if draw(st.booleans()):
