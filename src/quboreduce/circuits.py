@@ -7,11 +7,15 @@ layers contains exactly 2*C*p CNOT gates.  Connectivity is all-to-all (no
 routing) and every gate occupies one time step on each operand qubit; depth is
 the ASAP schedule length of the qubit-dependency DAG.  A ``CostSchedule`` fixes
 one cost layer's gate order; ``build_circuit`` emits gates from it and
-``schedule_metrics`` reads the CNOT count and depth off it without building
-any.  ``Gate`` is immutable, so ``build_circuit`` shares equal gates: one
-CNOT object per pair stands at both ends of its CNOT-RZ-CNOT in every layer,
-and layers with the same gamma (or beta) are one list of gates spliced in
-again.  ``depth`` is one pass over the gates that branches on their arity.
+``schedule_metrics`` reads the CNOT count and depth of every requested layer
+count off it in one frontier pass, without building any.  A sweep reads the
+schedule off the factoring loop's dense mirror block (``_block_schedule``),
+with the same float operations as the spin form, so it builds no
+``IsingForm``.  ``Gate`` is immutable, so ``build_circuit`` shares equal
+gates: one CNOT object per pair stands at both ends of its CNOT-RZ-CNOT in
+every layer, and layers with the same gamma (or beta) are one list of gates
+spliced in again.  ``depth`` is one pass over the gates that branches on
+their arity.
 
 Angle convention: RZ(theta) = diag(exp(-i theta/2), exp(+i theta/2)), gamma
 multiplies the cost layer and beta the mixer.
@@ -138,25 +142,45 @@ class CostSchedule(NamedTuple):
     coupling pair in emission order."""
 
     n: int
-    ising: IsingForm
     h_support: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
 
 
-def cost_schedule(q: QuboMatrix, order: str = DEFAULT_ORDER) -> CostSchedule:
+def _ising_schedule(q: QuboMatrix, order: str) -> tuple[IsingForm, CostSchedule]:
     if order not in COUPLING_ORDERS:
         raise ParameterError(f"unknown coupling order {order!r}")
     ising = qubo_to_ising(q)
     pairs = COUPLING_ORDERS[order](sorted(ising.couplings))
-    return CostSchedule(q.n, ising, tuple(sorted(ising.h)), tuple(pairs))
+    return ising, CostSchedule(q.n, tuple(sorted(ising.h)), tuple(pairs))
 
 
-def _cost_layer(schedule: CostSchedule, gamma: float, cnots: Sequence[Gate]) -> list[Gate]:
+def cost_schedule(q: QuboMatrix, order: str = DEFAULT_ORDER) -> CostSchedule:
+    return _ising_schedule(q, order)[1]
+
+
+def _block_schedule(a: np.ndarray) -> CostSchedule:
+    """The default-order :func:`cost_schedule` of the matrix whose dense
+    symmetric form is ``a``, read off the array without a spin form.
+
+    ``qubo_to_ising`` takes row r's h as 0.0 minus each of the row's terms in
+    column order, a/4 off the diagonal and a/2 on it; this is the same
+    sequence of float operations, and each zero cell subtracts +0.0, which
+    changes no value.  float64 holds ``a``'s ints exactly below 2**53, and
+    dtype object does Python's own arithmetic.  Every nonzero cell above the
+    diagonal is a coupling, in ascending (i, j) order."""
+    w = a / 4
+    np.fill_diagonal(w, a.diagonal() / 2)
+    h = np.subtract.accumulate(np.hstack((np.zeros((len(a), 1), dtype=w.dtype), w)), axis=1)[:, -1]
+    i, k = np.nonzero(np.triu(a, 1))
+    return CostSchedule(len(a), tuple(np.nonzero(h)[0].tolist()), tuple(zip(i.tolist(), k.tolist())))
+
+
+def _cost_layer(schedule: CostSchedule, ising: IsingForm, gamma: float, cnots: Sequence[Gate]) -> list[Gate]:
     """Diagonal phase layer exp(-i gamma H_C) up to global phase, with
     ``cnots[m]`` the CNOT of ``schedule.pairs[m]`` at both ends of its
     triple.  The schedule's operands are in range by construction, so the
     gates skip ``GateList.append``'s range check."""
-    h, couplings = schedule.ising.h, schedule.ising.couplings
+    h, couplings = ising.h, ising.couplings
     gates = [Gate("RZ", (i,), 2 * gamma * h[i]) for i in schedule.h_support]
     for pair, cnot in zip(schedule.pairs, cnots):
         gates += (cnot, Gate("RZ", (pair[1],), 2 * gamma * couplings[pair]), cnot)
@@ -168,8 +192,8 @@ def _pair_cnots(schedule: CostSchedule) -> list[Gate]:
 
 
 def build_cost_layer(q: QuboMatrix, gamma: float) -> GateList:
-    schedule = cost_schedule(q)
-    return GateList(q.n, _cost_layer(schedule, gamma, _pair_cnots(schedule)))
+    ising, schedule = _ising_schedule(q, DEFAULT_ORDER)
+    return GateList(q.n, _cost_layer(schedule, ising, gamma, _pair_cnots(schedule)))
 
 
 def _angle_key(angle: float) -> tuple:
@@ -181,7 +205,7 @@ def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = DEFAULT_ORDER)
     """Full QAOA circuit: H on every qubit, then p alternating cost and mixer
     layers.  Each distinct gamma's cost layer and each distinct beta's mixer
     is built once and spliced in wherever it recurs."""
-    schedule = cost_schedule(q, order)
+    ising, schedule = _ising_schedule(q, order)
     cnots = _pair_cnots(schedule)
     c = GateList(q.n, [Gate("H", (qb,)) for qb in range(q.n)])
     cost_layers: dict[tuple, list[Gate]] = {}
@@ -189,7 +213,7 @@ def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = DEFAULT_ORDER)
     for gamma, beta in zip(params.gammas, params.betas):
         key = _angle_key(gamma)
         if key not in cost_layers:
-            cost_layers[key] = _cost_layer(schedule, gamma, cnots)
+            cost_layers[key] = _cost_layer(schedule, ising, gamma, cnots)
         c.gates += cost_layers[key]
         key = _angle_key(beta)
         if key not in mixers:
@@ -198,23 +222,26 @@ def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = DEFAULT_ORDER)
     return c
 
 
-def schedule_metrics(schedule: CostSchedule, p: int) -> tuple[int, int]:
-    """(CNOT count, depth) of ``build_circuit``'s p-layer circuit, read off
-    the schedule without building a gate.  Depth runs ASAP on per-qubit
-    frontiers: H sets each to 1, each RZ on the h support and each RX adds
-    1, and a pair's CNOT-RZ-CNOT sets both of its qubits to their maximum
-    plus 3."""
-    if p < 1:
-        raise ParameterError(f"layer count must be positive, got {p}")
+def schedule_metrics(schedule: CostSchedule, p_values: Sequence[int]) -> list[tuple[int, int]]:
+    """(CNOT count, depth) of ``build_circuit``'s p-layer circuit for each p
+    of ``p_values``, in that order, read off the schedule without building a
+    gate.  Depth runs ASAP on per-qubit frontiers: H sets each to 1, each RZ
+    on the h support and each RX adds 1, and a pair's CNOT-RZ-CNOT sets both
+    of its qubits to their maximum plus 3.  The p-layer circuit is a prefix
+    of the (p+1)-layer one, so one pass to the largest p reads every depth."""
+    if any(p < 1 for p in p_values):
+        raise ParameterError(f"layer counts must be positive, got {list(p_values)}")
     frontier = [1] * schedule.n
-    for _ in range(p):
+    depths = [1]  # depths[p] after p layers
+    for _ in range(max(p_values, default=0)):
         for i in schedule.h_support:
             frontier[i] += 1
         for i, k in schedule.pairs:
             a, b = frontier[i], frontier[k]
             frontier[i] = frontier[k] = (a if a > b else b) + 3  # faster than max() here
         frontier = [t + 1 for t in frontier]
-    return 2 * len(schedule.pairs) * p, max(frontier)
+        depths.append(max(frontier))
+    return [(2 * len(schedule.pairs) * p, depths[p]) for p in p_values]
 
 
 def cnot_count(c: GateList) -> int:

@@ -241,8 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Options that take a float.  argparse reads a value such as -1e-3 or -inf as
-# an option, so main passes a float value to these as --opt=VALUE.
+# an option, so main passes a float value to these, or to any abbreviation of
+# them, as --opt=VALUE; argparse then resolves the abbreviation, or rejects an
+# ambiguous one, as it does without a value.
 _FLOAT_OPTIONS = ("--gamma", "--beta", "--z")
+
+
+def _is_float_option(arg: str) -> bool:
+    return len(arg) > 2 and any(name.startswith(arg) for name in _FLOAT_OPTIONS)
 
 
 def _is_float(text: str) -> bool:
@@ -256,7 +262,7 @@ def _is_float(text: str) -> bool:
 def main(argv: list[str] | None = None) -> int:
     joined: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if joined and joined[-1] in _FLOAT_OPTIONS and _is_float(arg):
+        if joined and _is_float_option(joined[-1]) and _is_float(arg):
             joined[-1] += f"={arg}"
         else:
             joined.append(arg)

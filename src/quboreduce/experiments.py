@@ -11,11 +11,19 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .circuits import DEFAULT_ORDER, GateList, QaoaParams, build_circuit, cost_schedule, schedule_metrics
+from .circuits import (
+    DEFAULT_ORDER,
+    GateList,
+    QaoaParams,
+    _block_schedule,
+    build_circuit,
+    cost_schedule,
+    schedule_metrics,
+)
 from .encoders import PROBLEMS, encode
-from .factoring import factor_out, factoring_trajectory
+from .factoring import _factoring_loop, factor_out
 from .graphs import permute_vertices, sample_graph, sample_permutation
-from .qubo import ParameterError, QuboMatrix, coupling_count
+from .qubo import ParameterError, QuboMatrix
 
 # (v, e) per problem, three settings each; graph coloring uses K colors.
 _SETTINGS_TABLE = {
@@ -102,19 +110,21 @@ def run_sweep(
     z: float | None = None,
 ) -> list[SweepRecord]:
     """One record per (ancilla budget, p), factoring with penalty ``z``
-    (no ``z`` means ``default_z``).  Each distinct trajectory matrix gets one
-    cost schedule, from which every p's CNOT count and depth are read
-    without building a gate list; budgets beyond the available structure
-    repeat the saturated matrix's metrics."""
+    (no ``z`` means ``default_z``).  Each distinct trajectory matrix's cost
+    schedule is read off the dense mirror block the factoring loop searched
+    (or built from the matrix when the loop keeps no mirror), and every p's
+    CNOT count and depth come from one frontier pass over it, without a
+    gate list; budgets beyond the available structure repeat the saturated
+    matrix's metrics."""
     if any(p < 1 for p in p_values):
         raise ParameterError(f"layer counts must be positive, got {list(p_values)}")
     if len(set(p_values)) != len(p_values):
         raise ParameterError(f"duplicate layer counts in {list(p_values)}")
-    trajectory, _ = factoring_trajectory(build_problem_qubo(setting), max_ancillas, z)
+    _, steps = _factoring_loop(build_problem_qubo(setting), max_ancillas, z)
     metrics = []
-    for m in trajectory:
-        schedule = cost_schedule(m)
-        metrics.append((m.n, coupling_count(m), [schedule_metrics(schedule, p) for p in p_values]))
+    for m, block in steps:
+        schedule = cost_schedule(m) if block is None else _block_schedule(block)
+        metrics.append((m.n, len(schedule.pairs), schedule_metrics(schedule, p_values)))
 
     records = []
     for budget in range(max_ancillas + 1):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -230,43 +231,65 @@ def default_z(q: QuboMatrix):
     return sum(abs(v) for _, v in q.entries())
 
 
-def factoring_trajectory(
-    q: QuboMatrix, num_ancillas: int, z=None
-) -> tuple[list[QuboMatrix], FactoringReport]:
-    """Repeatedly factor the largest shared structure until no eligible pair
-    remains or the ancilla budget is exhausted.  trajectory[k] is the matrix
-    after k ancillas.  No ``z`` means :func:`default_z` of ``q``."""
+def _factoring_loop(
+    q: QuboMatrix, num_ancillas: int, z
+) -> tuple[FactoringReport, Iterator[tuple[QuboMatrix, np.ndarray | None]]]:
+    """The factoring loop, checked and started: its report, which gains each
+    step as the loop takes it, and an iterator over the trajectory.  No ``z``
+    means :func:`default_z` of ``q``.
+
+    The iterator yields each trajectory matrix with the leading ``(n, n)``
+    block of the dense mirror that holds it, or with None when the loop
+    builds no mirror (no budget, or no pair that could step).  The block is
+    a view that the next step overwrites, so read it before advancing the
+    iterator."""
     if num_ancillas < 0:
         raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
     if z is None:
         z = default_z(q)
     _check_z(z)
     report = FactoringReport(q.n, q.n, z)
-    trajectory = [q]
+    return report, _mirrored_steps(q, num_ancillas, report)
+
+
+def _mirrored_steps(q: QuboMatrix, num_ancillas: int, report: FactoringReport):
     if not num_ancillas or not _step_possible(q):
-        return trajectory, report  # no step to take: skip the mirror
+        yield q, None  # no step to take: skip the mirror
+        return
+    z = report.z
     mirror = dense_mirror(q, num_ancillas, z)
+    current = q
     for _ in range(num_ancillas):
-        current = trajectory[-1]
         a = mirror[: current.n, : current.n]
+        yield current, a
         cl = get_conflict_list(a)
         if not len(cl):
-            break
+            return
         step = get_most_sym_qubits(a, cl)
         if len(step.syms) < 3:
-            break
-        nxt = enhance(current, (step.i, step.j), step.syms, z)
-        # enhance changes only these cells; copy them from the matrix it built.
+            return
+        current = enhance(current, (step.i, step.j), step.syms, z)
+        # enhance changes only these distinct cells; copy them from the
+        # matrix it built, one assignment per triangle.
         i, j, c = step.i, step.j, step.ancilla
-        cells = [(i, i), (j, j), (c, c), (i, c), (j, c), (i, j)]
-        for k in step.syms:
-            cells += [(k, c), (i, k), (j, k)]
-        for r, s in cells:
-            mirror[r, s] = mirror[s, r] = nxt[r, s]
-        trajectory.append(nxt)
+        rows = [i, j, c, i, j, i] + [r for k in step.syms for r in (k, i, j)]
+        cols = [i, j, c, c, c, j] + [s for k in step.syms for s in (c, k, k)]
+        values = np.array([current[r, s] for r, s in zip(rows, cols)], dtype=mirror.dtype)
+        mirror[rows, cols] = values
+        mirror[cols, rows] = values
         report.steps.append(step)
-        report.final_n = nxt.n
-    return trajectory, report
+        report.final_n = current.n
+    yield current, mirror[: current.n, : current.n]
+
+
+def factoring_trajectory(
+    q: QuboMatrix, num_ancillas: int, z=None
+) -> tuple[list[QuboMatrix], FactoringReport]:
+    """Repeatedly factor the largest shared structure until no eligible pair
+    remains or the ancilla budget is exhausted.  trajectory[k] is the matrix
+    after k ancillas.  No ``z`` means :func:`default_z` of ``q``."""
+    report, steps = _factoring_loop(q, num_ancillas, z)
+    return [m for m, _ in steps], report
 
 
 def factor_out(q: QuboMatrix, num_ancillas: int, z=None) -> tuple[QuboMatrix, FactoringReport]:

@@ -111,7 +111,7 @@ class QuboMatrix:
 
     def entries(self) -> Iterator[tuple[tuple[int, int], float]]:
         """Stored (pair, coefficient) items, sorted by (i, j)."""
-        return iter(sorted(self._entries.items()))
+        return iter(sorted(self._entries.items(), key=operator.itemgetter(0)))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from quboreduce import GateList, Graph, QuboMatrix, SpectrumEntry, complement, max_clique_qubo
-from quboreduce.qubo import all_energies, bits_from_index
+from quboreduce.circuits import cost_schedule, schedule_metrics
+from quboreduce.experiments import DEFAULT_P_VALUES, SweepRecord, build_problem_qubo
+from quboreduce.factoring import factoring_trajectory
+from quboreduce.qubo import all_energies, bits_from_index, coupling_count
 
 # Six-vertex demo instance used across the suite.  The clique penalty couples
 # every non-edge with weight 3; factoring the (1, 4) pair with its three
@@ -109,3 +112,22 @@ def reference_format_gate_list(c: GateList) -> str:
             line = f"{line} {qb}"
         lines.append(line if g.angle is None else f"{line} {g.angle:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def reference_sweep(setting, max_ancillas, p_values=DEFAULT_P_VALUES, z=None) -> list[SweepRecord]:
+    """``run_sweep`` as it was before it read schedules off the factoring
+    mirror: one ``cost_schedule`` per trajectory matrix, built from the
+    matrix's spin form, one frontier pass per p, and the couplings counted
+    on the matrix."""
+    trajectory, _ = factoring_trajectory(build_problem_qubo(setting), max_ancillas, z)
+    metrics = []
+    for m in trajectory:
+        schedule = cost_schedule(m)
+        metrics.append((m.n, coupling_count(m), [schedule_metrics(schedule, [p])[0] for p in p_values]))
+    records = []
+    for budget in range(max_ancillas + 1):
+        qubits, couplings, per_p = metrics[min(budget, len(metrics) - 1)]
+        for p, (cnots, depth) in zip(p_values, per_p):
+            records.append(SweepRecord(setting.problem, setting.setting, setting.seed, budget, p,
+                                       qubits, couplings, cnots, depth))
+    return records

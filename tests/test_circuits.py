@@ -20,9 +20,16 @@ from quboreduce import (
     energy,
     qubo_to_ising,
 )
-from quboreduce.circuits import cost_schedule, evolve, format_gate_list, parse_gate_list, schedule_metrics
+from quboreduce.circuits import (
+    _block_schedule,
+    cost_schedule,
+    evolve,
+    format_gate_list,
+    parse_gate_list,
+    schedule_metrics,
+)
 from quboreduce.experiments import build_problem_qubo, builtin_settings
-from quboreduce.factoring import default_z, factoring_trajectory
+from quboreduce.factoring import _factoring_loop, default_z, dense_mirror, factoring_trajectory
 from quboreduce.qubo import bits_from_index
 
 from conftest import random_float_qubo, random_qubo, reference_depth, reference_format_gate_list
@@ -141,7 +148,8 @@ def reference_circuit(q, params, order):
     """``build_circuit``'s gates added through the range-checked
     ``GateList.append``, as it added them before it skipped that check."""
     schedule = cost_schedule(q, order)
-    h, couplings = schedule.ising.h, schedule.ising.couplings
+    ising = qubo_to_ising(q)
+    h, couplings = ising.h, ising.couplings
     c = GateList(q.n)
     for qb in range(q.n):
         c.append(Gate("H", (qb,)))
@@ -271,8 +279,10 @@ class TestScheduleMetrics:
     def assert_matches_reference(q):
         for order in ("ascending", "packed"):
             schedule = cost_schedule(q, order)
-            for p in (1, 2, 3):
-                assert schedule_metrics(schedule, p) == reference_metrics(q, p, order)
+            expected = {p: reference_metrics(q, p, order) for p in (1, 2, 3)}
+            # Every p from one pass, in the caller's order.
+            for p_values in ((1, 2, 3), (3, 1), (2,), (3, 2, 1), (1,)):
+                assert schedule_metrics(schedule, p_values) == [expected[p] for p in p_values]
 
     def test_matches_reference_on_builtin_trajectories(self):
         settings = [s for s in builtin_settings(seeds=(0,)) if s.setting == 0]
@@ -308,8 +318,41 @@ class TestScheduleMetrics:
 
     @pytest.mark.parametrize("p", [0, -2])
     def test_rejects_nonpositive_p(self, p):
-        with pytest.raises(ParameterError):
-            schedule_metrics(cost_schedule(QuboMatrix(1, {(0, 0): 1})), p)
+        schedule = cost_schedule(QuboMatrix(1, {(0, 0): 1}))
+        for p_values in ([p], [1, p], [p, 3]):
+            with pytest.raises(ParameterError):
+                schedule_metrics(schedule, p_values)
+
+    def test_no_layer_counts_give_no_metrics(self):
+        assert schedule_metrics(cost_schedule(QuboMatrix(2, {(0, 1): 1})), ()) == []
+
+
+class TestBlockSchedule:
+    """The schedule ``run_sweep`` reads off a dense mirror block against
+    ``cost_schedule`` of the matrix the block holds."""
+
+    def test_every_builtin_trajectory_matrix(self):
+        # Every builtin instance has a pair that could step, so every one of
+        # its trajectory matrices is read off the mirror.
+        for s in builtin_settings():
+            _, steps = _factoring_loop(build_problem_qubo(s), 29, None)
+            for m, block in steps:
+                assert block is not None
+                assert _block_schedule(block) == cost_schedule(m)
+
+    @pytest.mark.parametrize("entries, h_support", [
+        # h0 = 0.0 - (-2)/2 - 4/4 cancels, with the diagonal halved.
+        ({(0, 0): -2, (0, 1): 4}, (1,)),
+        # 0.0 - 1.0 - 2**60 + 2**60 is 0 only left to right: a pairwise sum
+        # over the row's eight columns keeps the 1.0.
+        ({(0, 0): 2.0, (0, 2): 2.0**62, (0, 3): -(2.0**62), (7, 7): 1.0}, (2, 3, 7)),
+    ], ids=["diagonal-halved", "column-order"])
+    def test_h_support_drops_rows_that_cancel(self, entries, h_support):
+        q = QuboMatrix(8, entries)
+        mirror = dense_mirror(q, 0, 1.0)
+        assert mirror.dtype == np.float64
+        assert cost_schedule(q).h_support == h_support
+        assert _block_schedule(mirror) == cost_schedule(q)
 
 
 def kron_reference(c, state):

@@ -169,6 +169,42 @@ def test_float_options_take_negative_values_in_exponent_form(tmp_path, demo_qubo
         assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, gamma, beta", [
+    ("--gam", "-1e-3", -1e-3, 0.5),
+    ("--g", "-1e-3", -1e-3, 0.5),
+    ("--bet", "-2.5E-1", 0.5, -0.25),
+    ("--b", "-inf", None, None),
+])
+def test_abbreviated_float_options_take_negative_values(tmp_path, demo_qubo, capsys, option, value, gamma, beta):
+    # argparse resolves a unique prefix of an option name; the value must
+    # reach the option it resolves to.
+    q_path, out = tmp_path / "q.json", tmp_path / "out"
+    q_path.write_text(demo_qubo.dumps())
+    rc = main(["circuit", "--qubo", str(q_path), option, value, "--out", str(out)])
+    err = capsys.readouterr().err
+    if gamma is None:
+        assert (rc, err.startswith("error: QAOA angles must be finite")) == (2, True)
+        assert not out.exists()
+    else:
+        assert (rc, err.startswith("cnots=18")) == (0, True)
+        assert out.read_text() == format_gate_list(build_circuit(demo_qubo, QaoaParams.constant(1, gamma, beta)))
+
+
+@pytest.mark.parametrize("command, option", [
+    (["encode", "--problem", "max_clique", "--graph", "g.txt"], "--g"),  # --graph or --graph2
+    (["circuit", "--qubo", "q.json"], "--s"),  # --setting-index or --seed
+])
+def test_ambiguous_option_prefix_exits_2(tmp_path, demo_qubo, capsys, command, option):
+    (tmp_path / "q.json").write_text(demo_qubo.dumps())
+    (tmp_path / "g.txt").write_text(format_edge_list(Graph(6, frozenset(DEMO_EDGES))))
+    command = [str(tmp_path / a) if a in ("q.json", "g.txt") else a for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, option, "-1e-3", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "ambiguous option" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("z", ["inf", "-inf", "nan", "Infinity"])
 @pytest.mark.parametrize("factors", [False, True], ids=["vertex-cover", "demo"])
 def test_factor_rejects_non_finite_z(tmp_path, demo_qubo, capsys, z, factors):

@@ -1,3 +1,6 @@
+import hashlib
+from itertools import chain
+
 import pytest
 
 from quboreduce import (
@@ -19,7 +22,21 @@ from quboreduce.experiments import (
 from quboreduce.factoring import default_z, factoring_trajectory
 from quboreduce.qubo import coupling_count
 
-from conftest import DEMO_EDGES
+from conftest import DEMO_EDGES, reference_sweep
+
+# sha256 of the CSV of run_sweep(s, 29) over every builtin_settings() entry,
+# in order: every sweep row's qubits, couplings, CNOTs and depth.
+BUILTIN_SWEEP_CSV_SHA256 = "a8ea8d5d926190965e67d6cd1d994ba54404f24635f3e239e5356a90fd3eac2a"
+
+
+@pytest.fixture(scope="module")
+def builtin_sweeps():
+    return [(s, run_sweep(s, 29)) for s in builtin_settings()]
+
+
+def test_builtin_sweep_csv_is_pinned(builtin_sweeps):
+    text = format_records_csv(chain.from_iterable(records for _, records in builtin_sweeps))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_SWEEP_CSV_SHA256
 
 
 def demo_setting(**overrides):
@@ -149,9 +166,28 @@ class TestRunSweep:
         def unreachable(*args):
             raise AssertionError("factored before checking p")
 
-        monkeypatch.setattr(experiments, "factoring_trajectory", unreachable)
+        monkeypatch.setattr(experiments, "_factoring_loop", unreachable)
         with pytest.raises(ParameterError):
             run_sweep(demo_setting(), 1, p_values=p_values)
+
+    def test_matches_reference_on_every_builtin_instance(self, builtin_sweeps):
+        assert len(builtin_sweeps) == 60
+        for s, records in builtin_sweeps:
+            assert records == reference_sweep(s, 29)
+
+    @pytest.mark.parametrize("setting, budget, p_values, z", [
+        (demo_setting(v=8, e=10, seed=5), 0, (1, 2, 3), None),  # no budget: no mirror
+        (demo_setting(v=3, e=3, seed=0), 4, (2, 1), None),  # no step possible: no mirror
+        (demo_setting(v=8, e=10, seed=5), 6, (3, 1), 5),
+        (ProblemSetting("hamilton_cycles", 4, 5, seed=0), 6, (2,), None),
+        (demo_setting(penalty=5e-324, seed=3), 2, (1, 3), None),
+        (demo_setting(penalty=2**60, seed=9115), 2, (3, 2, 1), None),  # dtype-object mirror
+    ])
+    def test_matches_reference_on_small_instances(self, setting, budget, p_values, z):
+        assert run_sweep(setting, budget, p_values, z) == reference_sweep(setting, budget, p_values, z)
+
+    def test_no_layer_counts_give_no_rows(self):
+        assert run_sweep(demo_setting(v=8, e=10, seed=5), 3, ()) == []
 
     def test_rejects_duplicate_p(self):
         with pytest.raises(ParameterError):

@@ -4,12 +4,13 @@ on small generated inputs."""
 
 import math
 
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from quboreduce import Gate, GateList, Graph, QuboMatrix, coupling_count, qubo
-from quboreduce.circuits import _GATE_FIELDS, depth, format_gate_list, parse_gate_list
+from quboreduce.circuits import _GATE_FIELDS, _block_schedule, cost_schedule, depth, format_gate_list, parse_gate_list
 from quboreduce.factoring import (
+    _factoring_loop,
     dense_mirror,
     factor_out,
     factoring_trajectory,
@@ -105,6 +106,8 @@ _FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 # Quarters add exactly in float64, so the energies is_conflicting compares
 # carry no rounding.
 _QUARTERS = st.integers(-400, 400).map(lambda k: k / 4)
+# Ints past 2**53, which only a dtype-object mirror holds exactly.
+_HUGE_INTS = st.integers(2**53, 2**70) | st.integers(-(2**70), -(2**53))
 
 
 @SMALL
@@ -176,3 +179,26 @@ def test_factoring_at_default_z_preserves_the_landscape(q):
     assume(report.steps)
     event("float" if not q.is_integral else "integer")
     assert verify_equivalence(q, q_mod, report).all_ok
+
+
+@SMALL
+@given(
+    # Small ints let a row's h cancel to exactly 0.
+    qubos(st.integers(-4, 4) | _INTS | _FLOATS | _HUGE_INTS | st.sampled_from((5e-324, -5e-324)))
+    | dyadic_qubos()
+    | penalty_qubos(st.sampled_from((1, 0.25, 1.5, 2**60))),
+    st.integers(1, 40),
+)
+@example(QuboMatrix(2, {(0, 1): 5e-324}), 1)  # stored, though its quarter is 0.0
+@example(QuboMatrix(3, {(0, 1): 2**60 + 1, (1, 1): -3, (1, 2): 0.1}), 1)
+def test_block_schedule_is_the_cost_schedule(q, z):
+    # The h support and pairs read off a dense mirror block equal those of
+    # the matrix's spin form: for a fresh mirror of q and for every block the
+    # factoring loop searched.
+    mirror = dense_mirror(q, 0, z)
+    event(f"mirror dtype {mirror.dtype}")
+    assert _block_schedule(mirror) == cost_schedule(q)
+    _, steps = _factoring_loop(q, 4, z)
+    for m, block in steps:
+        if block is not None:
+            assert _block_schedule(block) == cost_schedule(m)
