@@ -24,6 +24,7 @@ multiplies the cost layer and beta the mixer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -86,6 +87,8 @@ class QaoaParams:
 
     @classmethod
     def constant(cls, p: int, gamma: float = DEFAULT_ANGLE, beta: float = DEFAULT_ANGLE) -> "QaoaParams":
+        if p > sys.maxsize:
+            raise ParameterError(f"layer count must be at most {sys.maxsize}, got {p}")
         return cls(p, (gamma,) * p, (beta,) * p)
 
 

@@ -112,19 +112,20 @@ def run_sweep(
     """One record per (ancilla budget, p), factoring with penalty ``z``
     (no ``z`` means ``default_z``).  Each distinct trajectory matrix's cost
     schedule is read off the dense mirror block the factoring loop searched
-    (or built from the matrix when the loop keeps no mirror), and every p's
-    CNOT count and depth come from one frontier pass over it, without a
-    gate list; budgets beyond the available structure repeat the saturated
-    matrix's metrics."""
+    (or built from the base matrix when the loop keeps no mirror), and every
+    p's CNOT count and depth come from one frontier pass over it, without a
+    gate list or a sparse matrix; budgets beyond the available structure
+    repeat the saturated matrix's metrics."""
     if any(p < 1 for p in p_values):
         raise ParameterError(f"layer counts must be positive, got {list(p_values)}")
     if len(set(p_values)) != len(p_values):
         raise ParameterError(f"duplicate layer counts in {list(p_values)}")
-    _, steps = _factoring_loop(build_problem_qubo(setting), max_ancillas, z)
+    q = build_problem_qubo(setting)
+    _, blocks = _factoring_loop(q, max_ancillas, z)
     metrics = []
-    for m, block in steps:
-        schedule = cost_schedule(m) if block is None else _block_schedule(block)
-        metrics.append((m.n, len(schedule.pairs), schedule_metrics(schedule, p_values)))
+    for block in blocks:
+        schedule = cost_schedule(q) if block is None else _block_schedule(block)
+        metrics.append((schedule.n, len(schedule.pairs), schedule_metrics(schedule, p_values)))
 
     records = []
     for budget in range(max_ancillas + 1):

@@ -15,10 +15,10 @@ available separately as :func:`is_conflicting` for validation.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -121,17 +121,16 @@ def dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
     search; a step removes at least one coupling, so at most
     ``coupling_count(q)`` rows and columns are added.
 
-    float64 holds every int up to 2**53 exactly, and with it Python's own
-    sums and comparisons.  When an int coefficient or an int ``z`` could push
-    a partial sum past that, the array holds the Python numbers themselves
-    (dtype object).  Each step adds at most 9|z| to sum |coefficients|.
+    float64 does Python's own float arithmetic at any size, but holds ints
+    exactly only up to 2**53.  When the int coefficients and the int cells an
+    int ``z`` adds (at most 9|z| a step) could push a partial sum past that,
+    the array holds the Python numbers themselves (dtype object).
     """
     items = list(q.entries())
     values = [v for _, v in items]
     room = min(num_ancillas, coupling_count(q))
-    floats_only = all(isinstance(v, float) for v in values + [z])
-    bound = 2 * (sum(abs(v) for v in values) + 9 * abs(z) * room)
-    dtype = np.float64 if floats_only or bound < 2**53 else object
+    ints = sum(abs(v) for v in values if isinstance(v, int)) + (9 * abs(z) * room if isinstance(z, int) else 0)
+    dtype = np.float64 if 2 * ints < 2**53 else object
     a = np.zeros((q.n + room, q.n + room), dtype=dtype)
     if items:
         rows, cols = np.array([k for k, _ in items]).T
@@ -199,6 +198,16 @@ def _step_possible(q: QuboMatrix) -> bool:
     return any(degree[i] >= 4 and degree[j] >= 4 for i, j in couplings)
 
 
+def _step_cells(read, i: int, j: int, a: int, syms, z) -> list:
+    """The ``((r, s), value)`` writes, in :func:`enhance`'s order, of the step
+    factoring ``(i, j)`` onto ancilla ``a``, old cells read as ``read((r, s))``."""
+    cells = [((i, i), read((i, i)) + z), ((j, j), read((j, j)) + z), ((a, a), z)]
+    cells += [((i, a), -2 * z), ((j, a), -2 * z), ((i, j), read((i, j)) + 2 * z)]
+    for k in syms:
+        cells += [((k, a), read((i, k))), ((i, k), 0), ((j, k), 0)]
+    return cells
+
+
 def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
     """Append one ancilla qubit and move the shared couplings of ``pair`` onto
     it, adding the OR-consistency penalty of weight ``z``."""
@@ -210,18 +219,9 @@ def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
     for k in syms:
         if q[i, k] == 0 or q[i, k] != q[j, k]:
             raise ParameterError(f"qubit {k} does not share identical nonzero couplings")
-    a = q.n
     out = q.copy(q.n + 1)
-    out[i, i] += z
-    out[j, j] += z
-    out[a, a] = z
-    out[i, a] = -2 * z
-    out[j, a] = -2 * z
-    out[i, j] += 2 * z
-    for k in syms:
-        out[k, a] = q[i, k]
-        out[i, k] = 0
-        out[j, k] = 0
+    for cell, value in _step_cells(q.__getitem__, i, j, q.n, syms, z):
+        out[cell] = value
     return out
 
 
@@ -231,18 +231,16 @@ def default_z(q: QuboMatrix):
     return sum(abs(v) for _, v in q.entries())
 
 
-def _factoring_loop(
-    q: QuboMatrix, num_ancillas: int, z
-) -> tuple[FactoringReport, Iterator[tuple[QuboMatrix, np.ndarray | None]]]:
+def _factoring_loop(q: QuboMatrix, num_ancillas: int, z) -> tuple[FactoringReport, Iterator[np.ndarray | None]]:
     """The factoring loop, checked and started: its report, which gains each
     step as the loop takes it, and an iterator over the trajectory.  No ``z``
     means :func:`default_z` of ``q``.
 
-    The iterator yields each trajectory matrix with the leading ``(n, n)``
-    block of the dense mirror that holds it, or with None when the loop
-    builds no mirror (no budget, or no pair that could step).  The block is
-    a view that the next step overwrites, so read it before advancing the
-    iterator."""
+    The loop keeps only the dense mirror, writing each step's cells into both
+    triangles, and yields its leading ``(n, n)`` block per trajectory matrix,
+    or one None when it builds no mirror (no budget, or no pair that could
+    step).  A block is a view that the next step overwrites, so read it
+    before advancing the iterator."""
     if num_ancillas < 0:
         raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
     if z is None:
@@ -254,32 +252,31 @@ def _factoring_loop(
 
 def _mirrored_steps(q: QuboMatrix, num_ancillas: int, report: FactoringReport):
     if not num_ancillas or not _step_possible(q):
-        yield q, None  # no step to take: skip the mirror
+        yield None  # no step to take: skip the mirror
         return
-    z = report.z
-    mirror = dense_mirror(q, num_ancillas, z)
-    current = q
-    for _ in range(num_ancillas):
-        a = mirror[: current.n, : current.n]
-        yield current, a
+    mirror = dense_mirror(q, num_ancillas, report.z)
+    for n in range(q.n, q.n + num_ancillas):
+        a = mirror[:n, :n]
+        yield a
         cl = get_conflict_list(a)
         if not len(cl):
             return
         step = get_most_sym_qubits(a, cl)
         if len(step.syms) < 3:
             return
-        current = enhance(current, (step.i, step.j), step.syms, z)
-        # enhance changes only these distinct cells; copy them from the
-        # matrix it built, one assignment per triangle.
-        i, j, c = step.i, step.j, step.ancilla
-        rows = [i, j, c, i, j, i] + [r for k in step.syms for r in (k, i, j)]
-        cols = [i, j, c, c, c, j] + [s for k in step.syms for s in (c, k, k)]
-        values = np.array([current[r, s] for r, s in zip(rows, cols)], dtype=mirror.dtype)
-        mirror[rows, cols] = values
-        mirror[cols, rows] = values
+        for (r, s), value in _step_cells(mirror.item, step.i, step.j, n, step.syms, report.z):
+            mirror[r, s] = mirror[s, r] = value
         report.steps.append(step)
-        report.final_n = current.n
-    yield current, mirror[: current.n, : current.n]
+        report.final_n = n + 1
+    yield mirror[: report.final_n, : report.final_n]
+
+
+def _replayed(q: QuboMatrix, num_ancillas: int, z) -> tuple[FactoringReport, Iterator[QuboMatrix]]:
+    """The factoring loop's report and its trajectory, replayed through
+    :func:`enhance`, which checks each step's shared couplings again."""
+    report, blocks = _factoring_loop(q, num_ancillas, z)
+    deque(blocks, maxlen=0)
+    return report, accumulate(report.steps, lambda m, s: enhance(m, (s.i, s.j), s.syms, report.z), initial=q)
 
 
 def factoring_trajectory(
@@ -288,14 +285,14 @@ def factoring_trajectory(
     """Repeatedly factor the largest shared structure until no eligible pair
     remains or the ancilla budget is exhausted.  trajectory[k] is the matrix
     after k ancillas.  No ``z`` means :func:`default_z` of ``q``."""
-    report, steps = _factoring_loop(q, num_ancillas, z)
-    return [m for m, _ in steps], report
+    report, trajectory = _replayed(q, num_ancillas, z)
+    return list(trajectory), report
 
 
 def factor_out(q: QuboMatrix, num_ancillas: int, z=None) -> tuple[QuboMatrix, FactoringReport]:
     """The last matrix of :func:`factoring_trajectory`, with its report."""
-    trajectory, report = factoring_trajectory(q, num_ancillas, z)
-    return trajectory[-1], report
+    report, trajectory = _replayed(q, num_ancillas, z)
+    return deque(trajectory, maxlen=1)[0], report
 
 
 def is_conflicting(q: QuboMatrix, i: int, j: int) -> bool:

@@ -1,5 +1,6 @@
 import cmath
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +114,11 @@ class TestBuildCircuit:
             QaoaParams(0, (), ())
         with pytest.raises(ParameterError):
             QaoaParams(2, (0.1,), (0.2, 0.3))
+
+    def test_constant_rejects_a_layer_count_past_maxsize(self):
+        # (gamma,) * p overflows before allocating anything.
+        with pytest.raises(ParameterError, match="layer count"):
+            QaoaParams.constant(sys.maxsize + 1)
 
     @pytest.mark.parametrize("gammas, betas", [
         ((float("nan"),), (0.5,)),
@@ -333,11 +339,16 @@ class TestBlockSchedule:
 
     def test_every_builtin_trajectory_matrix(self):
         # Every builtin instance has a pair that could step, so every one of
-        # its trajectory matrices is read off the mirror.
+        # its trajectory matrices is read off the mirror.  zip reads each
+        # block before the loop advances.
         for s in builtin_settings():
-            _, steps = _factoring_loop(build_problem_qubo(s), 29, None)
-            for m, block in steps:
+            q = build_problem_qubo(s)
+            z = default_z(q)
+            trajectory, _ = factoring_trajectory(q, 29, z)
+            _, blocks = _factoring_loop(q, 29, z)
+            for m, block in zip(trajectory, blocks, strict=True):
                 assert block is not None
+                assert np.array_equal(block, dense_mirror(m, 0, z))
                 assert _block_schedule(block) == cost_schedule(m)
 
     @pytest.mark.parametrize("entries, h_support", [

@@ -283,6 +283,16 @@ def test_circuit_rejects_bad_instance(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p", [str(sys.maxsize + 1), "100000000000000000000"])
+def test_circuit_rejects_p_past_maxsize(tmp_path, demo_qubo, capsys, p):
+    # Larger than any tuple, so the angles are never allocated.
+    q_path, out = tmp_path / "q.json", tmp_path / "circuit.txt"
+    q_path.write_text(demo_qubo.dumps())
+    assert main(["circuit", "--qubo", str(q_path), "--p", p, "--out", str(out)]) == 2
+    assert f"error: layer count must be at most {sys.maxsize}, got {p}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--p", "0"], ["--p", "-2"], ["--p", "2", "2"], ["--seeds", "0", "0"]])
 def test_sweep_rejects_bad_p_or_seeds(tmp_path, capsys, flags):
     out = tmp_path / "sweep.csv"

@@ -260,6 +260,18 @@ class TestEnhance:
             if not (bits[0] and bits[1]):
                 assert min_energy_over_ancillas(out, 2, bits) == energy(q, bits)
 
+    def test_write_order(self):
+        # Float energies add coefficients in insertion order, so the order of
+        # the writes is part of the result: updates keep their place, new
+        # cells append, zeroed cells go, and the syms run in frozenset order.
+        q = QuboMatrix(6, {(0, 0): -1, (1, 1): -1, (2, 5): 1})
+        for k in (2, 3, 4):
+            q[0, k] = q[1, k] = k
+        out = enhance(q, (0, 1), (4, 2, 3), 7)
+        assert list(out._entries) == [
+            (0, 0), (1, 1), (2, 5), (6, 6), (0, 6), (1, 6), (0, 1), (2, 6), (3, 6), (4, 6),
+        ]
+
     def test_rejects_bad_syms(self, demo_qubo):
         with pytest.raises(ParameterError):
             enhance(demo_qubo, (1, 4), {1, 2}, 3)
@@ -576,7 +588,9 @@ class TestSearchesMatchOracles:
         ((-1.0, -2.25), (2.5, 3.5, 3.5), 7, np.float64),
         ((-1.0, -2.25), (2.5, 3.5, 3.5), 2**55 + 1, object),
         ((-1, -(2**59) - 3), (2**60 + 1, 2**60 + 1, float(2**60), 3), 2**54 + 3, object),
-    ], ids=["ints-and-floats", "int-z-on-floats", "huge-int-z-on-floats", "ints-above-2**53"])
+        # 1e17 + 5 rounds to a multiple of 16, in float64 as in Python.
+        ((-1e17, -1e17 - 16.0), (2e17 + 48.0, 2e17 + 48.0, 2.5e17), 5, np.float64),
+    ], ids=["ints-and-floats", "int-z-on-floats", "huge-int-z-on-floats", "ints-above-2**53", "int-z-on-huge-floats"])
     def test_random_matrices(self, diagonal, couplings, z, dtype):
         # Penalty-shaped, so that most matrices take steps.
         rng = random.Random(11)
@@ -616,6 +630,11 @@ class TestSearchesMatchOracles:
         floats = QuboMatrix(2, {(0, 0): -1e300, (0, 1): 2.0})
         assert dense_mirror(floats, 29, 1e300).dtype == np.float64
         assert dense_mirror(floats, 29, 2**53).dtype == object
+        # Huge float cells with a small int z: only int cells count.
+        huge = QuboMatrix(8, {(0, 0): 2.0, (0, 2): 2.0**62, (0, 3): -(2.0**62)})
+        for z in (1, 1.0):
+            assert dense_mirror(huge, 0, z).dtype == np.float64
+        assert dense_mirror(QuboMatrix(3, {(0, 0): 3e15, (1, 2): 2e15}), 0, 3).dtype == np.float64
 
     def test_mirror_has_room_for_one_ancilla_per_coupling(self, demo_qubo):
         assert dense_mirror(demo_qubo, 29, 3).shape == (6 + 9, 6 + 9)

@@ -3,9 +3,10 @@
 Every function the benchmark's tracer wraps still exists: ``perfbench/spans.py``
 is imported read-only, so a deletion under ``src/`` that would break its
 ``Tracer.install`` fails here first.  The factoring loop calls the wrapped
-searches and ``enhance`` through the module, once per search and step, so the
-benchmark's factoring counts measure the loop.  The benchmark's own
-self-tests pass too.
+searches through the module, once per search, and ``factor_out`` replays the
+report through the module's ``enhance``, once per step, so the benchmark's
+factoring counts measure the loop.  The ``sweep`` pass runs the loop alone,
+so it calls no ``enhance``.  The benchmark's own self-tests pass too.
 """
 
 import importlib

@@ -4,6 +4,7 @@ on small generated inputs."""
 
 import math
 
+import numpy as np
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -194,11 +195,14 @@ def test_factoring_at_default_z_preserves_the_landscape(q):
 def test_block_schedule_is_the_cost_schedule(q, z):
     # The h support and pairs read off a dense mirror block equal those of
     # the matrix's spin form: for a fresh mirror of q and for every block the
-    # factoring loop searched.
+    # factoring loop searched, each the mirror of the matrix the report's
+    # replay builds.
     mirror = dense_mirror(q, 0, z)
     event(f"mirror dtype {mirror.dtype}")
     assert _block_schedule(mirror) == cost_schedule(q)
-    _, steps = _factoring_loop(q, 4, z)
-    for m, block in steps:
+    trajectory, _ = factoring_trajectory(q, 4, z)
+    _, blocks = _factoring_loop(q, 4, z)
+    for m, block in zip(trajectory, blocks, strict=True):
         if block is not None:
+            assert np.array_equal(block, dense_mirror(m, 0, z))
             assert _block_schedule(block) == cost_schedule(m)
