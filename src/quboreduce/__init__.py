@@ -21,11 +21,10 @@ from .encoders import (
     vertex_cover_qubo,
 )
 from .experiments import (
-    ParetoPoint,
     ProblemSetting,
     SweepRecord,
     builtin_settings,
-    pareto_front,
+    reduction_table,
     run_sweep,
 )
 from .factoring import (

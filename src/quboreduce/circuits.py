@@ -58,6 +58,8 @@ class Gate:
             )
         if operands == 2 and self.qubits[0] == self.qubits[1]:
             raise ParameterError(f"{self.kind} needs two distinct operands, got {self.qubits}")
+        if angles and not math.isfinite(self.angle):
+            raise ParameterError(f"{self.kind} angle must be finite, got {self.angle}")
 
 
 @dataclass
@@ -362,7 +364,5 @@ def parse_gate_list(text: str) -> GateList:
             angle = float(fields[operands]) if angles else None
         except ValueError as exc:
             raise ParameterError(f"gate line {ln!r}: {exc}") from exc
-        if angle is not None and not math.isfinite(angle):
-            raise ParameterError(f"gate line {ln!r} has a non-finite angle")
         c.append(Gate(kind, qubits, angle))
     return c

@@ -1,6 +1,5 @@
 """Command-line interface.
 
-Subcommands: encode, factor, verify, spectrum, circuit, sweep, pareto.
 File formats: edge-list text for graphs, JSON for QUBO matrices and factoring
 reports, line-oriented text for gate lists, flat CSV for sweeps.
 """
@@ -32,11 +31,10 @@ from .experiments import (
     DEFAULT_P_VALUES,
     DEFAULT_PENALTY,
     DEFAULT_SEEDS,
-    ParetoPoint,
     builtin_settings,
     format_records_csv,
-    pareto_front,
     parse_records_csv,
+    reduction_table,
     run_sweep,
     sweep_circuit,
 )
@@ -160,17 +158,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_pareto(args) -> int:
-    records = _read("--csv", args.csv, parse_records_csv)
-    lines = ["problem,setting,p,ancillas,couplings"]
-    groups: dict[tuple, list[ParetoPoint]] = {}
-    for r in records:
-        groups.setdefault((r.problem, r.setting, r.p), []).append(
-            ParetoPoint(r.num_ancillas, r.couplings)
-        )
-    for (problem, setting, p), points in sorted(groups.items()):
-        for pt in pareto_front(points):
-            lines.append(f"{problem},{setting},{p},{pt.ancillas},{pt.couplings}")
+def _cmd_table(args) -> int:
+    rows = reduction_table(_read("--csv", args.csv, parse_records_csv))
+    lines = [f"{'problem':<20} {'setting':>7} {'couplings':>10} {'depth':>7}"]
+    lines += [f"{problem:<20} {setting:>7} {c:>9.1f}% {d:>6.1f}%" for problem, setting, c, d in rows]
+    lines.append(f"{'paper, up to':<28} {49:>9.1f}% {41:>6.1f}%")
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -232,10 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("pareto", help="non-dominated (ancillas, couplings) points of a sweep CSV")
+    p = sub.add_parser("table", help="coupling and depth reductions of a sweep CSV, beside the paper's")
     p.add_argument("--csv", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_pareto)
+    p.set_defaults(func=_cmd_table)
 
     return parser
 

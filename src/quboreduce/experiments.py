@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -71,12 +71,6 @@ class SweepRecord:
     couplings: int
     cnots: int
     depth: int
-
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    ancillas: int
-    couplings: int
 
 
 def builtin_settings(
@@ -160,20 +154,24 @@ def sweep_circuit(
     return build_circuit(q_mod, params, order)
 
 
-def pareto_front(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
-    """Minimal non-dominated subset (minimize both coordinates), sorted by
-    ancilla count ascending."""
-    best: dict[int, int] = {}
-    for pt in points:
-        if pt.ancillas not in best or pt.couplings < best[pt.ancillas]:
-            best[pt.ancillas] = pt.couplings
-    front = []
-    lowest = math.inf
-    for anc in sorted(best):
-        if best[anc] < lowest:
-            front.append(ParetoPoint(anc, best[anc]))
-            lowest = best[anc]
-    return front
+def reduction_table(records: Iterable[SweepRecord]) -> list[tuple[str, int, float, float]]:
+    """``(problem, setting, couplings %, depth %)`` per (problem, setting),
+    sorted: how far the mean over seeds falls from each seed's smallest to
+    its largest ``num_ancillas``, in the rows at the largest p of
+    ``records``.  A zero mean at the smallest budget reads 0.0."""
+    records = sorted(records, key=lambda r: r.num_ancillas)
+    top_p = max((r.p for r in records), default=None)
+    groups: dict[tuple, dict[int, list[SweepRecord]]] = defaultdict(lambda: defaultdict(list))
+    for r in records:
+        if r.p == top_p:
+            groups[r.problem, r.setting][r.seed].append(r)
+
+    def fall(metric: str, seeds: dict) -> float:
+        before = sum(getattr(rows[0], metric) for rows in seeds.values()) / len(seeds)
+        after = sum(getattr(rows[-1], metric) for rows in seeds.values()) / len(seeds)
+        return 100 * (before - after) / before if before else 0.0
+
+    return [(*key, fall("couplings", seeds), fall("depth", seeds)) for key, seeds in sorted(groups.items())]
 
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRecord))

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines and the reduction percentage table.
+lines and the reduction percentage table; ``quboreduce table --csv
+sweep.csv`` prints the same table for a sweep CSV, beside the paper's.
 """
 
 import random
@@ -29,6 +30,7 @@ from quboreduce import (
     hamilton_cycle_qubo,
     max_clique_qubo,
     min_energy_over_ancillas,
+    reduction_table,
     run_sweep,
     sample_graph,
     spectrum,
@@ -168,23 +170,10 @@ def test_criterion_5_sweep_trends(full_sweep):
         if not all(a.depth >= b.depth for a, b in zip(rows, rows[1:]))
     )
 
-    # reduction percentage table, budget 29 vs baseline, p = 3, mean over seeds
-    def reductions(problem, setting):
-        first = [groups[(problem, setting, s, 3)][0] for s in range(4)]
-        last = [groups[(problem, setting, s, 3)][-1] for s in range(4)]
-        c0 = sum(r.couplings for r in first) / 4
-        c1 = sum(r.couplings for r in last) / 4
-        d0 = sum(r.depth for r in first) / 4
-        d1 = sum(r.depth for r in last) / 4
-        return 100 * (c0 - c1) / c0, 100 * (d0 - d1) / d0
-
-    print("\nreduction table (budget 29 vs baseline, p=3, mean over 4 seeds)")
-    print(f"{'problem':<20} {'setting':>7} {'couplings':>10} {'depth':>7}")
-    for problem, setting in sorted({(r.problem, r.setting) for r in full_sweep}):
-        dc, dd = reductions(problem, setting)
-        print(f"{problem:<20} {setting:>7} {dc:>9.1f}% {dd:>6.1f}%")
-
-    ham_c, ham_d = reductions("hamilton_cycles", 2)
+    # percent reductions, budget 29 vs baseline, p = 3, mean over seeds
+    table = reduction_table(full_sweep)
+    print("\nreduction table (problem, setting, couplings %, depth %)", *table, sep="\n")
+    [(_, _, ham_c, ham_d)] = [row for row in table if row[:2] == ("hamilton_cycles", 2)]
     thresholds_ok = ham_c >= 25 and ham_d >= 15
 
     elapsed = time.perf_counter() - start

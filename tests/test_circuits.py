@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 import sys
 
@@ -492,6 +493,10 @@ class TestGateValidation:
         ("CZ", (0, 1), None),
         ("rz", (0,), 0.5),
         ("", (), None),
+        # non-finite angle
+        ("RZ", (0,), math.inf),
+        ("RX", (1,), -math.inf),
+        ("RZ", (0,), math.nan),
     ])
     def test_rejects_malformed_gate(self, kind, qubits, angle):
         with pytest.raises(ParameterError):

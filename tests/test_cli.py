@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,13 +20,25 @@ from quboreduce import (
 )
 from quboreduce.circuits import format_gate_list
 from quboreduce.cli import main
-from quboreduce.experiments import builtin_settings, format_records_csv, run_sweep
+from quboreduce.experiments import (
+    builtin_settings,
+    format_records_csv,
+    parse_records_csv,
+    reduction_table,
+    run_sweep,
+)
 from quboreduce.graphs import format_edge_list, permute_vertices
 from quboreduce.qubo import ENUMERATION_GUARD
 
 from conftest import DEMO_EDGES, random_float_qubo, random_qubo, reference_spectrum
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
+
+
+def _src_env() -> dict:
+    # The environment of a `python -m quboreduce` run from a checkout, with src/ on the path.
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
 
 
 @pytest.fixture
@@ -147,6 +160,20 @@ def test_circuit_rejects_non_finite_angles(tmp_path, demo_qubo, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--gamma", "1e308"], "error: RZ angle must be finite, got -inf"),
+    (["--beta", "1e308"], "error: RX angle must be finite, got inf"),
+])
+def test_circuit_rejects_finite_angles_that_overflow(tmp_path, demo_qubo, capsys, flags, message):
+    # 2 * gamma * h and 2 * beta overflow although gamma and beta are finite.
+    q_path = tmp_path / "q.json"
+    q_path.write_text(demo_qubo.dumps())
+    out = tmp_path / "circuit.txt"
+    assert main(["circuit", "--qubo", str(q_path), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, value, expected", [
     (["circuit", "--gamma"], "-1e-3", "cnots=18"),
     (["circuit", "--beta"], "-2.5E-1", "cnots=18"),
@@ -221,11 +248,10 @@ def test_python_dash_m_runs_the_cli(tmp_path, demo_qubo):
     # codes included.
     q_path = tmp_path / "q.json"
     q_path.write_text(demo_qubo.dumps())
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
 
     def run(*args):
         return subprocess.run([sys.executable, "-m", "quboreduce", "circuit", "--qubo", str(q_path), *args],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=_src_env(), capture_output=True, text=True, timeout=120)
 
     done = run("--p", "2")
     assert done.returncode == 0
@@ -236,7 +262,7 @@ def test_python_dash_m_runs_the_cli(tmp_path, demo_qubo):
     assert done.stderr.startswith("error: ")
 
 
-def test_sweep_and_pareto_commands(tmp_path):
+def test_sweep_and_table_commands(tmp_path):
     csv_path = tmp_path / "sweep.csv"
     rc = main([
         "sweep", "--problem", "hamilton_cycles", "--setting-index", "0",
@@ -247,11 +273,45 @@ def test_sweep_and_pareto_commands(tmp_path):
     assert lines[0] == "problem,setting,seed,num_ancillas,p,qubits,couplings,cnots,depth"
     assert len(lines) == 1 + 4  # budgets 0..3
 
-    pareto_path = tmp_path / "pareto.csv"
-    assert main(["pareto", "--csv", str(csv_path), "--out", str(pareto_path)]) == 0
-    plines = pareto_path.read_text().splitlines()
-    assert plines[0] == "problem,setting,p,ancillas,couplings"
-    assert len(plines) >= 2
+    table_path = tmp_path / "table.txt"
+    assert main(["table", "--csv", str(csv_path), "--out", str(table_path)]) == 0
+    [(_, _, couplings, depth_fall)] = reduction_table(parse_records_csv(csv_path.read_text()))
+    assert couplings > 0
+    assert table_path.read_text() == (
+        "problem              setting  couplings   depth\n"
+        f"hamilton_cycles            0 {couplings:>9.1f}% {depth_fall:>6.1f}%\n"
+        "paper, up to                      49.0%   41.0%\n"
+    )
+
+
+def test_table_of_a_header_only_csv_has_no_rows(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text(format_records_csv([]))
+    assert main(["table", "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "problem              setting  couplings   depth",
+        "paper, up to                      49.0%   41.0%",
+    ]
+
+
+def test_pareto_is_an_unknown_command(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text(format_records_csv([]))
+    with pytest.raises(SystemExit) as exc:
+        main(["pareto", "--csv", str(csv_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'pareto'" in capsys.readouterr().err
+
+
+def test_help_lists_the_readme_commands():
+    block = README.read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("quboreduce ")}
+    done = subprocess.run([sys.executable, "-m", "quboreduce", "--help"], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    choices = re.search(r"\{([^}]*)\}", done.stdout).group(1).split(",")
+    assert len(set(choices)) == len(choices)
+    assert set(choices) == documented
 
 
 def test_circuit_of_builtin_instance_is_the_sweep_row(tmp_path, capsys):
@@ -307,11 +367,13 @@ def test_sweep_rejects_bad_p_or_seeds(tmp_path, capsys, flags):
     "max_clique,0,0,0,1,30,87,174",
     "max_clique,0,0,0,1,30,87,174,5,6",
 ])
-def test_pareto_rejects_malformed_csv_row(tmp_path, capsys, row):
+def test_table_rejects_malformed_csv_row(tmp_path, capsys, row):
     csv_path = tmp_path / "sweep.csv"
+    out = tmp_path / "table.txt"
     csv_path.write_text("problem,setting,seed,num_ancillas,p,qubits,couplings,cnots,depth\n" + row + "\n")
-    assert main(["pareto", "--csv", str(csv_path)]) == 2
+    assert main(["table", "--csv", str(csv_path), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_reports_error(capsys):
@@ -348,9 +410,9 @@ def test_encode_rejects_repeated_edge_line(tmp_path, capsys):
     ["verify", "--qubo", "BAD", "--modified", "MOD", "--report", "REPORT"],
     ["verify", "--qubo", "Q", "--modified", "BAD", "--report", "REPORT"],
     ["verify", "--qubo", "Q", "--modified", "MOD", "--report", "BAD"],
-    ["pareto", "--csv", "BAD"],
+    ["table", "--csv", "BAD"],
 ], ids=["encode-graph", "factor-qubo", "spectrum-qubo", "circuit-qubo", "verify-qubo", "verify-modified",
-        "verify-report", "pareto-csv"])
+        "verify-report", "table-csv"])
 def test_undecodable_input_file_exits_2(demo_report_files, capsys, command):
     q_path, mod_path, report_path = demo_report_files
     bad = q_path.parent / "bad.bin"

@@ -5,11 +5,11 @@ import pytest
 
 from quboreduce import (
     ParameterError,
-    ParetoPoint,
     ProblemSetting,
+    SweepRecord,
     builtin_settings,
     experiments,
-    pareto_front,
+    reduction_table,
     run_sweep,
 )
 from quboreduce.circuits import QaoaParams, build_circuit, cnot_count, depth
@@ -238,22 +238,59 @@ class TestSweepCircuit:
             sweep_circuit(demo_setting(), -1, QaoaParams.constant(1))
 
 
-class TestParetoFront:
-    def test_mutually_non_dominated(self):
-        pts = [ParetoPoint(0, 9), ParetoPoint(1, 8)]
-        assert pareto_front(pts) == pts
+def row(seed, budget, p, couplings, depth, problem="max_clique", setting=0):
+    return SweepRecord(problem, setting, seed, budget, p, 6 + budget, couplings, 2 * couplings * p, depth)
 
-    def test_equal_couplings_fewer_ancillas_wins(self):
-        assert pareto_front([ParetoPoint(0, 9), ParetoPoint(1, 9)]) == [ParetoPoint(0, 9)]
 
-    def test_dominated_point_dropped(self):
-        pts = [ParetoPoint(0, 9), ParetoPoint(1, 8), ParetoPoint(2, 8)]
-        assert pareto_front(pts) == [ParetoPoint(0, 9), ParetoPoint(1, 8)]
+class TestReductionTable:
+    def test_builtin_table(self, builtin_sweeps):
+        table = reduction_table(chain.from_iterable(records for _, records in builtin_sweeps))
+        assert [(problem, setting, round(c, 1), round(d, 1)) for problem, setting, c, d in table] == [
+            ("graph_coloring", 0, 17.1, 34.3),
+            ("graph_coloring", 1, 3.3, 9.4),
+            ("graph_coloring", 2, 25.0, 39.5),
+            ("graph_isomorphism", 0, 50.9, 40.4),
+            ("graph_isomorphism", 1, 51.4, 36.6),
+            ("graph_isomorphism", 2, 53.0, 36.3),
+            ("hamilton_cycles", 0, 31.1, 32.1),
+            ("hamilton_cycles", 1, 35.0, 43.6),
+            ("hamilton_cycles", 2, 37.0, 48.5),
+            ("max_clique", 0, 49.7, 31.6),
+            ("max_clique", 1, 36.3, 32.4),
+            ("max_clique", 2, 54.2, 30.4),
+            ("vertex_cover", 0, 0.0, 0.0),
+            ("vertex_cover", 1, 0.0, 0.0),
+            ("vertex_cover", 2, 0.0, 0.0),
+        ]
 
-    def test_idempotent(self):
-        pts = [ParetoPoint(a, c) for a, c in [(3, 5), (0, 9), (1, 7), (2, 7), (4, 5)]]
-        front = pareto_front(pts)
-        assert pareto_front(front) == front
+    def test_falls_of_the_means_over_seeds(self):
+        # Seed 0 falls 10 -> 5 and seed 1 stays at 30: the mean falls 20 -> 17.5,
+        # 12.5%, where the mean of the two falls would be 25%.  Rows come in
+        # any order.
+        records = [row(1, 2, 1, 30, 40), row(0, 2, 1, 5, 12), row(0, 0, 1, 10, 20), row(1, 0, 1, 30, 40)]
+        assert reduction_table(records) == [("max_clique", 0, 12.5, 100 * (30 - 26) / 30)]
+
+    def test_reads_the_largest_p_of_the_file(self):
+        records = [row(0, 0, 1, 10, 20), row(0, 1, 1, 5, 10), row(0, 0, 2, 10, 40), row(0, 1, 2, 5, 30)]
+        assert reduction_table(records) == [("max_clique", 0, 50.0, 25.0)]
+
+    def test_one_budget_reads_zero(self):
+        assert reduction_table([row(0, 3, 1, 10, 20), row(1, 3, 1, 12, 30)]) == [("max_clique", 0, 0.0, 0.0)]
+
+    def test_zero_couplings_at_the_smallest_budget_read_zero(self):
+        records = [row(0, 0, 1, 0, 1), row(0, 1, 1, 0, 1),
+                   row(0, 0, 1, 0, 2, setting=1), row(0, 4, 1, 0, 1, setting=1)]
+        assert reduction_table(records) == [("max_clique", 0, 0.0, 0.0), ("max_clique", 1, 0.0, 50.0)]
+
+    def test_one_row_per_problem_and_setting_in_order(self):
+        records = [row(0, 0, 1, 4, 8, "vertex_cover", 1), row(0, 0, 1, 4, 8, "max_clique", 2),
+                   row(0, 0, 1, 4, 8, "max_clique", 1)]
+        assert [key[:2] for key in reduction_table(records)] == [
+            ("max_clique", 1), ("max_clique", 2), ("vertex_cover", 1),
+        ]
+
+    def test_no_records_give_no_rows(self):
+        assert reduction_table([]) == []
 
 
 class TestCsvFormat:
