@@ -58,10 +58,7 @@ def _check_penalty(a) -> None:
 
 def _penalty_qubo(layout: VariableLayout, a, violates) -> QuboMatrix:
     """Reward -1 on every variable, then penalty ``a`` on each pair m1 < m2
-    whose cells (i, j) and (k, l) satisfy ``violates(i, j, k, l)``.
-
-    Entries go in diagonal first, then pairs in (m1, m2) order: energies
-    add float coefficients in insertion order."""
+    whose cells (i, j) and (k, l) satisfy ``violates(i, j, k, l)``."""
     q = QuboMatrix(layout.n)
     cells = [layout.unindex(m) for m in range(layout.n)]
     for m in range(layout.n):

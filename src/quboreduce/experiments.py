@@ -116,10 +116,8 @@ def run_sweep(
         raise ParameterError(f"duplicate layer counts in {list(p_values)}")
     q = build_problem_qubo(setting)
     _, blocks = _factoring_loop(q, max_ancillas, z)
-    metrics = []
-    for block in blocks:
-        schedule = cost_schedule(q) if block is None else _block_schedule(block)
-        metrics.append((schedule.n, len(schedule.pairs), schedule_metrics(schedule, p_values)))
+    schedules = [_block_schedule(block) for block in blocks] or [cost_schedule(q)]
+    metrics = [(s.n, len(s.pairs), schedule_metrics(s, p_values)) for s in schedules]
 
     records = []
     for budget in range(max_ancillas + 1):
@@ -197,8 +195,22 @@ def parse_records_csv(text: str) -> list[SweepRecord]:
         if None in row or None in row.values():
             raise ParameterError(f"CSV line {reader.line_num} needs {len(CSV_HEADER)} fields")
         try:
-            kwargs = {k: (int(v) if k in int_fields else v) for k, v in row.items()}
+            record = SweepRecord(**{k: (int(v) if k in int_fields else v) for k, v in row.items()})
+            _check_record(record)
         except ValueError as exc:
             raise ParameterError(f"CSV line {reader.line_num}: {exc}") from exc
-        out.append(SweepRecord(**kwargs))
+        out.append(record)
     return out
+
+
+def _check_record(r: SweepRecord) -> None:
+    """Reject a record that no sweep writes: an unknown problem, a negative
+    count, no qubit or layer, or CNOTs off the 2 * couplings * p law."""
+    if r.problem not in PROBLEMS:
+        raise ParameterError(f"unknown problem {r.problem!r}")
+    for name in ("setting", "num_ancillas", "p", "qubits", "couplings", "cnots", "depth"):
+        least = 1 if name in ("p", "qubits") else 0
+        if getattr(r, name) < least:
+            raise ParameterError(f"{name} must be at least {least}, got {getattr(r, name)}")
+    if r.cnots != 2 * r.couplings * r.p:
+        raise ParameterError(f"cnots {r.cnots} != 2 * couplings * p = {2 * r.couplings * r.p}")

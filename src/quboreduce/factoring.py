@@ -47,13 +47,16 @@ class FactoringStep:
 @dataclass
 class FactoringReport:
     base_n: int
-    final_n: int
     z: float
     steps: list[FactoringStep] = field(default_factory=list)
 
     @property
+    def final_n(self) -> int:
+        return self.base_n + len(self.steps)
+
+    @property
     def num_ancillas(self) -> int:
-        return self.final_n - self.base_n
+        return len(self.steps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,7 +101,7 @@ class FactoringReport:
                 raise ParameterError(
                     f"step {k} syms {list(step.syms)} are not three or more distinct earlier qubits outside the pair"
                 )
-        return cls(base_n, final_n, z, steps)
+        return cls(base_n, z, steps)
 
     @classmethod
     def loads(cls, text: str) -> "FactoringReport":
@@ -199,10 +202,15 @@ def _step_possible(q: QuboMatrix) -> bool:
 
 
 def _step_cells(read, i: int, j: int, a: int, syms, z) -> list:
-    """The ``((r, s), value)`` writes, in :func:`enhance`'s order, of the step
-    factoring ``(i, j)`` onto ancilla ``a``, old cells read as ``read((r, s))``."""
+    """The ``((r, s), value)`` writes of the step factoring ``(i, j)`` onto
+    ancilla ``a``, old cells read as ``read((r, s))``.  A cell that ``z``
+    makes non-finite raises ParameterError, as writing it to a QuboMatrix
+    would."""
     cells = [((i, i), read((i, i)) + z), ((j, j), read((j, j)) + z), ((a, a), z)]
     cells += [((i, a), -2 * z), ((j, a), -2 * z), ((i, j), read((i, j)) + 2 * z)]
+    for (r, s), value in cells:
+        if not _finite(value):
+            raise ParameterError(f"non-finite coefficient at {(min(r, s), max(r, s))}")
     for k in syms:
         cells += [((k, a), read((i, k))), ((i, k), 0), ((j, k), 0)]
     return cells
@@ -231,29 +239,28 @@ def default_z(q: QuboMatrix):
     return sum(abs(v) for _, v in q.entries())
 
 
-def _factoring_loop(q: QuboMatrix, num_ancillas: int, z) -> tuple[FactoringReport, Iterator[np.ndarray | None]]:
+def _factoring_loop(q: QuboMatrix, num_ancillas: int, z) -> tuple[FactoringReport, Iterator[np.ndarray]]:
     """The factoring loop, checked and started: its report, which gains each
     step as the loop takes it, and an iterator over the trajectory.  No ``z``
     means :func:`default_z` of ``q``.
 
     The loop keeps only the dense mirror, writing each step's cells into both
-    triangles, and yields its leading ``(n, n)`` block per trajectory matrix,
-    or one None when it builds no mirror (no budget, or no pair that could
-    step).  A block is a view that the next step overwrites, so read it
-    before advancing the iterator."""
+    triangles, and yields its leading ``(n, n)`` block per trajectory matrix.
+    It yields nothing when it builds no mirror (no budget, or no pair that
+    could step).  A block is a view that the next step overwrites, so read
+    it before advancing the iterator."""
     if num_ancillas < 0:
         raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
     if z is None:
         z = default_z(q)
     _check_z(z)
-    report = FactoringReport(q.n, q.n, z)
+    report = FactoringReport(q.n, z)
     return report, _mirrored_steps(q, num_ancillas, report)
 
 
 def _mirrored_steps(q: QuboMatrix, num_ancillas: int, report: FactoringReport):
     if not num_ancillas or not _step_possible(q):
-        yield None  # no step to take: skip the mirror
-        return
+        return  # no step to take: skip the mirror
     mirror = dense_mirror(q, num_ancillas, report.z)
     for n in range(q.n, q.n + num_ancillas):
         a = mirror[:n, :n]
@@ -267,7 +274,6 @@ def _mirrored_steps(q: QuboMatrix, num_ancillas: int, report: FactoringReport):
         for (r, s), value in _step_cells(mirror.item, step.i, step.j, n, step.syms, report.z):
             mirror[r, s] = mirror[s, r] = value
         report.steps.append(step)
-        report.final_n = n + 1
     yield mirror[: report.final_n, : report.final_n]
 
 

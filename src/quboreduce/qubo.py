@@ -211,11 +211,12 @@ class SpectrumEntry:
 
 
 def energy(q: QuboMatrix, x: Bits) -> float:
-    """Energy offset + sum_{i<=j} x_i x_j Q[i,j] of a binary assignment."""
+    """Energy offset + sum_{i<=j} x_i x_j Q[i,j] of a binary assignment, the
+    active coefficients added to the offset in (i, j) order."""
     if len(x) != q.n:
         raise DimensionError(f"solution length {len(x)} != n={q.n}")
     total = q.offset
-    for (i, j), v in q._entries.items():
+    for (i, j), v in q.entries():
         if x[i] and x[j]:
             total += v
     return total
@@ -246,14 +247,14 @@ def all_energies(q: QuboMatrix) -> np.ndarray:
     stored -- and then adds the energies ``[0, 2^k)`` of those lower bits.
     That is O(2^n) work in about n^2/2 array operations.
 
-    Doubling adds each energy's coefficients in another order than they
-    were stored.  It is used only where that cannot change a bit: for
-    integral matrices, and for float matrices whose offset and coefficients
-    are m/d with d a power of two and sum |m|*(D/d) < 2**53, D the largest
-    d, so that every partial sum is exact.  Every other float matrix adds
-    each coefficient, in insertion order, to the assignments with both of
-    its bits set.  Either way each energy is bitwise the offset plus its
-    active coefficients in insertion order.  That includes the sign of
+    Doubling adds each energy's coefficients in another order than (i, j).
+    It is used only where that cannot change a bit: for integral matrices,
+    and for float matrices whose offset and coefficients are m/d with d a
+    power of two and sum |m|*(D/d) < 2**53, D the largest d, so that every
+    partial sum is exact.  Every other float matrix adds each coefficient,
+    in (i, j) order, to the assignments with both of its bits set.  Either
+    way each energy is bitwise the offset plus its active coefficients in
+    (i, j) order, as :func:`energy` adds them.  That includes the sign of
     zero: an assignment with no active coefficient keeps the offset's zero,
     which is why each float term starts from -0.0; one whose active
     coefficients cancel reads +0.0.
@@ -271,7 +272,7 @@ def all_energies(q: QuboMatrix) -> np.ndarray:
     else:
         grid = energies.reshape((2,) * q.n)
         grid[...] = q.offset
-        for (i, j), v in q._entries.items():
+        for (i, j), v in q.entries():
             grid[_grid_index(q.n, ((i, 1), (j, 1)))] += v
     return energies
 
@@ -359,7 +360,7 @@ def min_energy_over_ancillas(q_mod: QuboMatrix, base_n: int, x: Bits) -> float:
     """Best energy of ``x`` extended by every possible ancilla assignment.
 
     One grid over the ancilla bits holds each extension's energy as a Python
-    number, adding the coefficients in insertion order, so the result is
+    number, adding the coefficients in (i, j) order, so the result is
     exactly :func:`energy` of the first best extension in ancilla index
     order (ints stay exact past int64).
     """
@@ -369,7 +370,7 @@ def min_energy_over_ancillas(q_mod: QuboMatrix, base_n: int, x: Bits) -> float:
     if num_anc > ENUMERATION_GUARD:
         raise CapacityError(f"{num_anc} ancillas exceed enumeration guard {ENUMERATION_GUARD}")
     grid = np.full((2,) * num_anc, q_mod.offset, dtype=object)
-    for (i, j), v in q_mod._entries.items():
+    for (i, j), v in q_mod.entries():
         if (i < base_n and not x[i]) or (j < base_n and not x[j]):
             continue
         grid[_grid_index(num_anc, ((k - base_n, 1) for k in (i, j) if k >= base_n))] += v

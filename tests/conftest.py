@@ -60,11 +60,11 @@ def random_float_qubo(rng: random.Random, n: int) -> QuboMatrix:
 
 def reference_all_energies(q: QuboMatrix) -> np.ndarray:
     """all_energies with one 2^n mask per stored coefficient, each added in
-    insertion order: the bitwise reference for both of its fill paths."""
+    (i, j) order: the bitwise reference for both of its fill paths."""
     idx = np.arange(1 << q.n, dtype=np.int64)
     dtype = np.int64 if q.is_integral else np.float64
     energies = np.full(1 << q.n, q.offset, dtype=dtype)
-    for (i, j), v in q._entries.items():
+    for (i, j), v in q.entries():
         both = ((idx >> i) & (idx >> j) & 1).astype(bool)
         energies[both] += v
     return energies

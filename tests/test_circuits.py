@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from quboreduce import (
     energy,
     qubo_to_ising,
 )
+from quboreduce import factoring
 from quboreduce.circuits import (
     _block_schedule,
     cost_schedule,
@@ -339,18 +341,19 @@ class TestBlockSchedule:
     ``cost_schedule`` of the matrix the block holds."""
 
     def test_every_builtin_trajectory_matrix(self):
-        # Every builtin instance has a pair that could step, so every one of
-        # its trajectory matrices is read off the mirror.  zip reads each
-        # block before the loop advances.
+        # Every builtin instance has a pair that could step, so the loop
+        # builds its mirror and yields one block per trajectory matrix.  zip
+        # reads each block before the loop advances.
         for s in builtin_settings():
             q = build_problem_qubo(s)
             z = default_z(q)
             trajectory, _ = factoring_trajectory(q, 29, z)
-            _, blocks = _factoring_loop(q, 29, z)
-            for m, block in zip(trajectory, blocks, strict=True):
-                assert block is not None
-                assert np.array_equal(block, dense_mirror(m, 0, z))
-                assert _block_schedule(block) == cost_schedule(m)
+            with patch.object(factoring, "dense_mirror", wraps=dense_mirror) as built:
+                _, blocks = _factoring_loop(q, 29, z)
+                for m, block in zip(trajectory, blocks, strict=True):
+                    assert np.array_equal(block, dense_mirror(m, 0, z))
+                    assert _block_schedule(block) == cost_schedule(m)
+            assert built.call_count == 1
 
     @pytest.mark.parametrize("entries, h_support", [
         # h0 = 0.0 - (-2)/2 - 4/4 cancels, with the diagonal halved.

@@ -21,6 +21,7 @@ from quboreduce import (
 from quboreduce.circuits import format_gate_list
 from quboreduce.cli import main
 from quboreduce.experiments import (
+    build_problem_qubo,
     builtin_settings,
     format_records_csv,
     parse_records_csv,
@@ -374,6 +375,52 @@ def test_table_rejects_malformed_csv_row(tmp_path, capsys, row):
     assert main(["table", "--csv", str(csv_path), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    # Rows that once printed "not_a_problem 0 200.0% 0.0%".
+    (["not_a_problem,0,0,0,1,30,-87,174,5", "not_a_problem,0,0,1,1,30,87,174,5"],
+     "CSV line 2: unknown problem 'not_a_problem'"),
+    (["max_clique,0,0,0,1,30,-87,174,5"], "CSV line 2: couplings must be at least 0, got -87"),
+    (["max_clique,0,0,0,1,30,87,174,5", "max_clique,0,0,1,1,30,87,173,5"],
+     "CSV line 3: cnots 173 != 2 * couplings * p = 174"),
+], ids=["unknown-problem", "negative-couplings", "cnot-law"])
+def test_table_rejects_rows_no_sweep_writes(tmp_path, capsys, rows, message):
+    csv_path = tmp_path / "sweep.csv"
+    out = tmp_path / "table.txt"
+    csv_path.write_text("\n".join(["problem,setting,seed,num_ancillas,p,qubits,couplings,cnots,depth", *rows, ""]))
+    assert main(["table", "--csv", str(csv_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --csv {csv_path}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "factor"])
+def test_z_that_overflows_a_cell_exits_2(tmp_path, capsys, command):
+    # -2z is -inf at the first ancilla, 30, of the pair (12, k).
+    out = tmp_path / "out"
+    if command == "sweep":
+        args = ["sweep", "--problem", "max_clique", "--setting-index", "0", "--seeds", "0",
+                "--max-ancillas", "3", "--p", "1"]
+    else:
+        setting = builtin_settings(seeds=[0])[0]  # max_clique setting 0, as the sweep
+        q_path = tmp_path / "q.json"
+        q_path.write_text(build_problem_qubo(setting).dumps())
+        args = ["factor", "--qubo", str(q_path), "--max-ancillas", "3", "--report", str(tmp_path / "r")]
+    assert main([*args, "--z", "1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: non-finite coefficient at (12, 30)\n"
+    assert not out.exists()
+
+
+def test_spectrum_does_not_depend_on_write_order(tmp_path, capsys):
+    # Equal matrices whose entries were written in two orders.
+    texts = []
+    for entries in ([[0, 0, 0.2], [0, 1, 0.1], [1, 1, 0.3]], [[0, 0, 0.2], [1, 1, 0.3], [0, 1, 0.1]]):
+        q_path = tmp_path / "q.json"
+        q_path.write_text(json.dumps({"n": 2, "offset": 0, "entries": entries}))
+        assert main(["spectrum", "--qubo", str(q_path)]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].splitlines() == ["00 0.0", "10 0.2", "01 0.3", "11 0.6000000000000001"]
 
 
 def test_missing_file_reports_error(capsys):

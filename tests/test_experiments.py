@@ -1,4 +1,5 @@
 import hashlib
+import re
 from itertools import chain
 
 import pytest
@@ -14,6 +15,7 @@ from quboreduce import (
 )
 from quboreduce.circuits import QaoaParams, build_circuit, cnot_count, depth
 from quboreduce.experiments import (
+    CSV_HEADER,
     build_problem_qubo,
     format_records_csv,
     parse_records_csv,
@@ -305,6 +307,31 @@ class TestCsvFormat:
     def test_rejects_wrong_header(self):
         with pytest.raises(ParameterError):
             parse_records_csv("a,b,c\n1,2,3\n")
+
+    def test_builtin_sweep_parses_to_its_records(self, builtin_sweeps):
+        records = list(chain.from_iterable(records for _, records in builtin_sweeps))
+        assert parse_records_csv(format_records_csv(records)) == records
+
+    @pytest.mark.parametrize("seed", [-7, 0, 2**70])
+    def test_any_integer_seed_is_read(self, seed):
+        [record] = parse_records_csv(format_records_csv([row(seed, 1, 2, 5, 9)]))
+        assert record.seed == seed
+
+    @pytest.mark.parametrize("line, message", [
+        ("not_a_problem,0,0,0,1,30,87,174,5", "unknown problem 'not_a_problem'"),
+        ("max_clique,-1,0,0,1,30,87,174,5", "setting must be at least 0, got -1"),
+        ("max_clique,0,0,-1,1,30,87,174,5", "num_ancillas must be at least 0, got -1"),
+        ("max_clique,0,0,0,1,30,-87,-174,5", "couplings must be at least 0, got -87"),
+        ("max_clique,0,0,0,1,30,0,-2,5", "cnots must be at least 0, got -2"),
+        ("max_clique,0,0,0,1,30,87,174,-5", "depth must be at least 0, got -5"),
+        ("max_clique,0,0,0,0,30,87,0,5", "p must be at least 1, got 0"),
+        ("max_clique,0,0,0,1,0,87,174,5", "qubits must be at least 1, got 0"),
+        ("max_clique,0,0,0,2,30,87,174,5", "cnots 174 != 2 * couplings * p = 348"),
+    ], ids=["problem", "setting", "num_ancillas", "couplings", "cnots", "depth", "p", "qubits", "cnot-law"])
+    def test_rejects_a_row_no_sweep_writes(self, line, message):
+        text = ",".join(CSV_HEADER) + "\nmax_clique,0,0,0,1,30,87,174,5\n" + line + "\n"
+        with pytest.raises(ParameterError, match=re.escape(f"CSV line 3: {message}")):
+            parse_records_csv(text)
 
 
 class TestGraphIsomorphismModes:

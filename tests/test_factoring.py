@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import itertools
 import random
+import re
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -31,7 +33,7 @@ from quboreduce import (
     verify_equivalence,
 )
 from quboreduce import factoring
-from quboreduce.experiments import build_problem_qubo, builtin_settings
+from quboreduce.experiments import build_problem_qubo, builtin_settings, run_sweep
 from quboreduce.factoring import (
     FactoringStep,
     VerificationVerdict,
@@ -100,7 +102,7 @@ def oracle_trajectory(q, num_ancillas, z):
             break
         trajectory.append(enhance(trajectory[-1], (step.i, step.j), step.syms, z))
         steps.append(step)
-    return trajectory, FactoringReport(q.n, trajectory[-1].n, z, steps)
+    return trajectory, FactoringReport(q.n, z, steps)
 
 
 def assert_searches_match_oracles(trajectory, z):
@@ -260,17 +262,27 @@ class TestEnhance:
             if not (bits[0] and bits[1]):
                 assert min_energy_over_ancillas(out, 2, bits) == energy(q, bits)
 
-    def test_write_order(self):
-        # Float energies add coefficients in insertion order, so the order of
-        # the writes is part of the result: updates keep their place, new
-        # cells append, zeroed cells go, and the syms run in frozenset order.
-        q = QuboMatrix(6, {(0, 0): -1, (1, 1): -1, (2, 5): 1})
-        for k in (2, 3, 4):
-            q[0, k] = q[1, k] = k
-        out = enhance(q, (0, 1), (4, 2, 3), 7)
-        assert list(out._entries) == [
-            (0, 0), (1, 1), (2, 5), (6, 6), (0, 6), (1, 6), (0, 1), (2, 6), (3, 6), (4, 6),
+    def test_energies_do_not_depend_on_syms_order(self):
+        # Float coefficients whose sums round, so an energy that followed the
+        # order of the writes would differ in its last bits; q is written in
+        # two orders too.
+        q = QuboMatrix(6, {(0, 0): -0.1, (1, 1): -0.2, (2, 5): 0.3, (5, 5): 0.7})
+        for k, v in zip((2, 3, 4), (0.1, 0.2, 0.3)):
+            q[0, k] = q[1, k] = v
+        reversed_q = QuboMatrix(6, reversed(list(q.entries())))
+        outs = [
+            enhance(m, (0, 1), syms, 0.7) for m in (q, reversed_q) for syms in itertools.permutations((2, 3, 4))
         ]
+        energies = [all_energies(out) for out in outs]
+        assert all(out == outs[0] for out in outs)
+        assert all(np.array_equal(e, energies[0]) for e in energies)
+        assert energies[0].tolist() == [energy(outs[0], bits_from_index(m, 7)) for m in range(1 << 7)]
+
+    def test_refuses_a_cell_that_z_makes_non_finite(self):
+        # Only (0, 1) overflows, written through the pair given as (1, 0).
+        q = QuboMatrix(2, {(0, 1): 1e308})
+        with pytest.raises(ParameterError, match=re.escape("non-finite coefficient at (0, 1)")):
+            enhance(q, (1, 0), (), 4e307)
 
     def test_rejects_bad_syms(self, demo_qubo):
         with pytest.raises(ParameterError):
@@ -331,6 +343,38 @@ class TestFactorOut:
         restored = FactoringReport.loads(report.dumps())
         assert restored == report
 
+    def test_every_builtin_report_round_trips(self):
+        for s in builtin_settings():
+            _, report = factor_out(build_problem_qubo(s), 29)
+            assert FactoringReport.loads(report.dumps()) == report
+
+    def test_report_size_is_its_steps(self, demo_qubo):
+        step = FactoringStep(6, 1, 4, (0, 2, 5))
+        report = FactoringReport(6, 3, [step])
+        assert (report.final_n, report.num_ancillas) == (7, 1)
+        with pytest.raises(TypeError):
+            FactoringReport(6, 9, 3, [step])  # no final_n to disagree with the steps
+        with pytest.raises(ParameterError, match="1 steps do not take 6 qubits to 9"):
+            FactoringReport.loads(report.dumps().replace('"final_n": 7', '"final_n": 9'))
+        # A 9-qubit matrix fails the size check against one step from 6 qubits.
+        with pytest.raises(ParameterError, match="report does not match"):
+            verify_equivalence(demo_qubo, QuboMatrix(9), report)
+
+    def test_z_that_overflows_a_cell_is_refused_as_enhance_refuses_it(self):
+        # The first step factors (12, k) onto ancilla 30, and -2z overflows.
+        [setting] = [s for s in builtin_settings(seeds=[0]) if s.problem == "max_clique" and s.setting == 0]
+        q = build_problem_qubo(setting)
+        [step] = factor_out(q, 1)[1].steps
+        message = re.escape("non-finite coefficient at (12, 30)")
+        for call in (
+            lambda: factor_out(q, 3, 1e308),
+            lambda: factoring_trajectory(q, 3, 1e308),
+            lambda: run_sweep(setting, 3, [1], 1e308),
+            lambda: enhance(q, (step.i, step.j), step.syms, 1e308),
+        ):
+            with pytest.raises(ParameterError, match=message):
+                call()
+
     def test_is_end_of_trajectory(self):
         q = max_clique_qubo(sample_graph(10, 18, seed=13), 3)
         trajectory, report = factoring_trajectory(q, 20, default_z(q))
@@ -365,8 +409,8 @@ class TestFactorOut:
         monkeypatch.setattr(factoring, "dense_mirror", no_mirror)
         trajectory, report = factoring_trajectory(q, budget, 5)
         assert len(trajectory) == 1 and trajectory[0] is q
-        assert report == FactoringReport(n, n, 5)
-        assert factor_out(q, budget) == (q, FactoringReport(n, n, default_z(q)))
+        assert report == FactoringReport(n, 5)
+        assert factor_out(q, budget) == (q, FactoringReport(n, default_z(q)))
 
     def test_omitted_z_of_zero_matrix_is_rejected(self):
         # default_z is 0 here, and the z > 0 check still applies to it.
@@ -460,7 +504,7 @@ class TestVerifyEquivalence:
         # ancilla is the OR of a base qubit and the first ancilla.
         z = default_z(demo_qubo)
         q_mod = enhance(enhance(demo_qubo, (1, 4), {0, 2, 5}, z), pair, set(), z)
-        report = FactoringReport(6, 8, z, [FactoringStep(6, 1, 4, (0, 2, 5)), FactoringStep(7, *pair, ())])
+        report = FactoringReport(6, z, [FactoringStep(6, 1, 4, (0, 2, 5)), FactoringStep(7, *pair, ())])
         verdict = verify_equivalence(demo_qubo, q_mod, report)
         assert verdict == reference_verify(demo_qubo, q_mod, report)
         assert verdict.all_ok
@@ -553,7 +597,7 @@ class TestLandscapePreservationProperty:
 class TestFactorStep:
     def test_returns_none_when_saturated(self):
         q = QuboMatrix(3, {(0, 0): -1, (1, 1): -1})
-        assert factoring_trajectory(q, 1, 5) == ([q], FactoringReport(3, 3, 5))
+        assert factoring_trajectory(q, 1, 5) == ([q], FactoringReport(3, 5))
 
     def test_needs_three_shared_qubits(self):
         # (0, 1) conflicts and shares qubits 2 and 3; a third, 4, makes it eligible.

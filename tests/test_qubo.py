@@ -413,7 +413,7 @@ class TestAllEnergies:
 
 def _above_guard_report():
     n = ENUMERATION_GUARD
-    return QuboMatrix(n), QuboMatrix(n + 1), FactoringReport(n, n + 1, 1, [FactoringStep(n, 0, 1, ())])
+    return QuboMatrix(n), QuboMatrix(n + 1), FactoringReport(n, 1, [FactoringStep(n, 0, 1, ())])
 
 
 @pytest.mark.parametrize("call", [
