@@ -151,16 +151,19 @@ def get_conflict_list(a: np.ndarray) -> np.ndarray:
     diagonal included, from row 0 down, the order the sparse entries run.
     """
     n = len(a)
-    # accumulate adds row by row, whatever the shape; sum may add pairwise.
-    z_row = np.zeros(n, dtype=a.dtype)
-    for rows in _blocks(n, n):
-        z_row = np.add.accumulate(np.vstack((z_row, np.minimum(a[rows], 0))), axis=0)[-1]
     found = []
-    for rows in _blocks(n, n):
-        block = a[rows]
-        hit = (block != 0) & (block > -z_row[rows, None] - z_row)
-        i, j = np.nonzero(np.triu(hit, rows.start + 1))
-        found.append(np.stack((i + rows.start, j), axis=1))
+    # Near the float64 limit a row sum may overflow to -inf, as a Python float
+    # sum does, so the pairs stay those the sparse search finds.
+    with np.errstate(over="ignore"):
+        # accumulate adds row by row, whatever the shape; sum may add pairwise.
+        z_row = np.zeros(n, dtype=a.dtype)
+        for rows in _blocks(n, n):
+            z_row = np.add.accumulate(np.vstack((z_row, np.minimum(a[rows], 0))), axis=0)[-1]
+        for rows in _blocks(n, n):
+            block = a[rows]
+            hit = (block != 0) & (block > -z_row[rows, None] - z_row)
+            i, j = np.nonzero(np.triu(hit, rows.start + 1))
+            found.append(np.stack((i + rows.start, j), axis=1))
     return np.concatenate(found) if found else np.empty((0, 2), dtype=np.intp)
 
 

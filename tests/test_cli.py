@@ -411,6 +411,21 @@ def test_z_that_overflows_a_cell_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_z_whose_row_sums_overflow_writes_only_the_summary(tmp_path):
+    # At 5e307 every cell is finite but a row sum is -inf.  A separate
+    # interpreter keeps Python's default warning filter, which prints.
+    setting = builtin_settings(seeds=[0])[0]  # max_clique setting 0
+    q = build_problem_qubo(setting)
+    q_path, out = tmp_path / "q.json", tmp_path / "out.json"
+    q_path.write_text(q.dumps())
+    done = subprocess.run([sys.executable, "-m", "quboreduce", "factor", "--qubo", str(q_path), "--z", "5e307",
+                           "--max-ancillas", "3", "--out", str(out)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == "ancillas=3 couplings=348->291\n"
+    assert out.read_text() == factor_out(q, 3, 5e307)[0].dumps() + "\n"
+
+
 def test_spectrum_does_not_depend_on_write_order(tmp_path, capsys):
     # Equal matrices whose entries were written in two orders.
     texts = []

@@ -375,6 +375,26 @@ class TestFactorOut:
             with pytest.raises(ParameterError, match=message):
                 call()
 
+    @pytest.mark.parametrize("budget", [3, 29])
+    def test_z_whose_row_sums_overflow_matches_the_oracles(self, budget):
+        # Every cell at z = 5e307 is finite, but two -2z cells in one row sum
+        # to -inf: the dense search must agree with Python float sums, and
+        # raise no overflow warning (the suite makes one an error).
+        [setting] = [s for s in builtin_settings(seeds=[0]) if s.problem == "max_clique" and s.setting == 0]
+        q, z = build_problem_qubo(setting), 5e307
+        trajectory, report = factoring_trajectory(q, budget, z)
+        assert (trajectory, report) == oracle_trajectory(q, budget, z)
+        assert len(report.steps) >= 3
+        assert factor_out(q, budget, z) == (trajectory[-1], report)
+        _, blocks = factoring._factoring_loop(q, budget, z)
+        read = 0
+        for m, block in zip(trajectory, blocks):
+            assert pairs(get_conflict_list(block)) == oracle_conflict_list(m)
+            read += 1
+        assert read == len(trajectory)
+        couplings = [r.couplings for r in run_sweep(setting, budget, [1], z)]
+        assert couplings[: len(trajectory)] == [coupling_count(m) for m in trajectory]
+
     def test_is_end_of_trajectory(self):
         q = max_clique_qubo(sample_graph(10, 18, seed=13), 3)
         trajectory, report = factoring_trajectory(q, 20, default_z(q))

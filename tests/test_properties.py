@@ -23,7 +23,7 @@ from quboreduce.factoring import (
 from quboreduce.graphs import all_pairs, format_edge_list, parse_edge_list
 from quboreduce.qubo import all_energies, bits_from_index, min_energy_over_ancillas
 
-from conftest import assert_bitwise_reference, reference_depth, reference_format_gate_list
+from conftest import assert_bitwise_reference, reference_depth, reference_format_gate_list, reference_spectrum
 
 SMALL = settings(max_examples=60, deadline=None)
 
@@ -263,3 +263,17 @@ def test_results_do_not_depend_on_write_order(pair, base_n):
     for m in range(1 << base_n):
         bits = bits_from_index(m, base_n)
         assert _bits_of(min_energy_over_ancillas(a, base_n, bits)) == _bits_of(min_energy_over_ancillas(b, base_n, bits))
+
+
+@SMALL
+@given(qubos(st.integers(-3, 3)), st.integers(0, 14) | st.integers(15, 54), st.integers(-(2**61), 2**61) | st.integers(-3, 3))
+def test_spectrum_order_is_the_int64_sort_at_every_scale(q, shift, offset):
+    # Small ints scaled by 2**shift: spans below 2**8, below 2**16 and past
+    # it, sorted as uint8, uint16 or int64 keys.  At most 21 cells of
+    # 3 * 2**54 and an offset of 2**61 keep every sum under the 2**62 bound.
+    scaled = QuboMatrix(q.n, ((k, v << shift) for k, v in q.entries()), offset)
+    energies = all_energies(scaled)
+    span = int(energies.max()) - int(energies.min())
+    event("uint8" if span < 2**8 else "uint16" if span < 2**16 else "int64")
+    entries = [(e.bits, e.energy, type(e.energy)) for e in spectrum(scaled)]
+    assert entries == [(e.bits, e.energy, type(e.energy)) for e in reference_spectrum(scaled)]

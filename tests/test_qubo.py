@@ -237,6 +237,79 @@ class TestSpectrumMatchesReference:
         assert [f.name for f in dataclasses.fields(SpectrumEntry)] == ["bits", "energy"]
 
 
+def _spanning(n: int, span: int, offset: int) -> QuboMatrix:
+    # Energies from offset (all zeros) to offset + span (all ones), with ties.
+    entries = {(0, 0): span - 2, (1, 2): 1, (n - 1, n - 1): 1} if span else {}
+    return QuboMatrix(n, entries, offset)
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    # The key dtype of each np.argsort call, and the traced peak as it starts.
+    calls = []
+    argsort = np.argsort
+
+    def recording_argsort(keys, kind):
+        calls.append((keys.dtype, tracemalloc.get_traced_memory()[1]))
+        return argsort(keys, kind=kind)
+
+    monkeypatch.setattr(np, "argsort", recording_argsort)
+    return calls
+
+
+class TestSpectrumSortKeys:
+    # An integral spectrum sorts energy - min as uint8 or uint16 keys when the
+    # span fits, else the int64 energies; the order must be the same.
+    @pytest.mark.parametrize("q, key_type", [
+        (_spanning(5, 0, 7), np.uint8),
+        (_spanning(5, 2**8 - 1, -3), np.uint8),
+        (_spanning(5, 2**8, 0), np.uint16),
+        (_spanning(5, 2**16 - 1, -40_000), np.uint16),
+        (_spanning(5, 2**16, 2), np.int64),
+        (QuboMatrix(1, {(0, 0): -3}, -5), np.uint8),
+        (QuboMatrix(1, {(0, 0): 2**16}, -1), np.int64),
+        (QuboMatrix(1), np.uint8),
+        (_spanning(6, 300, -(2**62 - 303)), np.uint16),
+        (_spanning(6, 300, 2**62 - 303), np.uint16),
+        (QuboMatrix(3, {(0, 0): 2**61, (1, 1): 2**61 - 4, (0, 1): 1, (2, 2): -1}, 1), np.int64),
+        (QuboMatrix(3, {(0, 0): -(2**61), (1, 1): 4 - 2**61, (0, 1): -1, (2, 2): 1}, -1), np.int64),
+    ], ids=["span0", "span255", "span256", "span65535", "span65536", "n1-negative", "n1-wide", "n1-zero",
+            "near-min-int", "near-max-int", "just-under-bound", "just-under-bound-negated"])
+    def test_order_matches_the_int64_sort(self, sorts, q, key_type):
+        sp = spectrum(q)
+        assert [k for k, _ in sorts] == [key_type]
+        assert typed(sp) == typed(reference_spectrum(q))
+
+    def test_float_signed_zero_ties_keep_their_order(self):
+        # -0.0 == 0.0 ties break by assignment index, whatever the sign.
+        q = QuboMatrix(4, {(0, 0): 0.5, (1, 1): -0.5, (2, 3): 0.25, (2, 2): -0.25}, offset=-0.0)
+        sp = spectrum(q)
+        ref = reference_spectrum(q)
+        assert typed(sp) == typed(ref)
+        assert [(e.bits, repr(e.energy)) for e in sp] == [(e.bits, repr(e.energy)) for e in ref]
+        zeros = [repr(e.energy) for e in sp if e.energy == 0]
+        assert "-0.0" in zeros and "0.0" in zeros
+
+    def test_builds_no_int64_keys(self, sorts):
+        # Up to the sort, spectrum holds the int64 energies E (512 KiB at 16
+        # qubits), the uint8 keys (E/8) and at most two cast buffers of 8192
+        # int64 values each (E/4) that np.subtract writes through: 1.375 E.
+        # An int64 temporary of energy - min, as (energies - low).astype(...)
+        # makes, adds E more, so 1.5 E separates the two.  The peak is read
+        # as the sort starts: the sort's own int64 result would hide it after.
+        q = QuboMatrix(16, {(k % 16, (5 * k) % 16): k % 5 - 2 for k in range(40)})
+        energies = all_energies(q)
+        assert int(energies.max()) - int(energies.min()) < 2**8
+        tracemalloc.start()
+        try:
+            spectrum(q)
+        finally:
+            tracemalloc.stop()
+        [(key_type, peak)] = sorts
+        assert key_type == np.uint8
+        assert peak < energies.nbytes * 3 // 2
+
+
 class TestMinEnergyOverAncillas:
     def test_no_ancillas_reduces_to_energy(self, demo_qubo):
         rng = random.Random(0)
