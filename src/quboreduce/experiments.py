@@ -115,8 +115,9 @@ def run_sweep(
     if len(set(p_values)) != len(p_values):
         raise ParameterError(f"duplicate layer counts in {list(p_values)}")
     q = build_problem_qubo(setting)
-    _, blocks = _factoring_loop(q, max_ancillas, z)
-    schedules = [_block_schedule(block) for block in blocks] or [cost_schedule(q)]
+    schedules = []
+    _factoring_loop(q, max_ancillas, z, lambda block: schedules.append(_block_schedule(block)))
+    schedules = schedules or [cost_schedule(q)]
     metrics = [(s.n, len(s.pairs), schedule_metrics(s, p_values)) for s in schedules]
 
     records = []

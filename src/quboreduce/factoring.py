@@ -29,6 +29,7 @@ from .qubo import (
     ParameterError,
     QuboMatrix,
     _check_json,
+    _check_not_bool,
     _finite,
     _grid_index,
     all_energies,
@@ -58,22 +59,13 @@ class FactoringReport:
     def num_ancillas(self) -> int:
         return len(self.steps)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "base_n": self.base_n,
-            "final_n": self.final_n,
-            "z": self.z,
-            "steps": [
-                {"ancilla": s.ancilla, "i": s.i, "j": s.j, "syms": sorted(s.syms)}
-                for s in self.steps
-            ],
-        }
-
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
+        steps = [{"ancilla": s.ancilla, "i": s.i, "j": s.j, "syms": sorted(s.syms)} for s in self.steps]
+        return json.dumps({"base_n": self.base_n, "final_n": self.final_n, "z": self.z, "steps": steps})
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "FactoringReport":
+    def loads(cls, text: str) -> "FactoringReport":
+        data = json.loads(text)
         try:
             base_n, final_n, z, raw = data["base_n"], data["final_n"], data["z"], data["steps"]
             _check_json("base_n", base_n, int)
@@ -103,10 +95,6 @@ class FactoringReport:
                 )
         return cls(base_n, z, steps)
 
-    @classmethod
-    def loads(cls, text: str) -> "FactoringReport":
-        return cls.from_json_dict(json.loads(text))
-
 
 # Rows per block in the searches, so that no temporary exceeds about 1 MB.
 _BLOCK_BYTES = 1 << 20
@@ -127,14 +115,18 @@ def dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
     float64 does Python's own float arithmetic at any size, but holds ints
     exactly only up to 2**53.  When the int coefficients and the int cells an
     int ``z`` adds (at most 9|z| a step) could push a partial sum past that,
-    the array holds the Python numbers themselves (dtype object).
+    the array holds the Python numbers themselves (dtype object).  An array
+    that numpy cannot allocate raises CapacityError.
     """
     items = list(q.entries())
     values = [v for _, v in items]
     room = min(num_ancillas, coupling_count(q))
     ints = sum(abs(v) for v in values if isinstance(v, int)) + (9 * abs(z) * room if isinstance(z, int) else 0)
     dtype = np.float64 if 2 * ints < 2**53 else object
-    a = np.zeros((q.n + room, q.n + room), dtype=dtype)
+    try:
+        a = np.zeros((q.n + room, q.n + room), dtype=dtype)
+    except (MemoryError, ValueError) as exc:  # ValueError: numpy's "array is too big"
+        raise CapacityError(f"the dense mirror of {q.n + room} qubits cannot be allocated: {exc}") from exc
     if items:
         rows, cols = np.array([k for k, _ in items]).T
         a[rows, cols] = values
@@ -192,6 +184,7 @@ def get_most_sym_qubits(a: np.ndarray, cl) -> FactoringStep:
 
 
 def _check_z(z) -> None:
+    _check_not_bool("penalty z", z)
     if not (_finite(z) and z > 0):
         raise ParameterError(f"penalty z must be positive and finite, got {z}")
 
@@ -224,6 +217,8 @@ def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
     it, adding the OR-consistency penalty of weight ``z``."""
     i, j = pair
     _check_z(z)
+    if i == j:
+        raise ParameterError(f"pair ({i}, {j}) is not two distinct qubits")
     syms = frozenset(syms)
     if i in syms or j in syms:
         raise ParameterError("syms must exclude the factored pair")
@@ -242,49 +237,48 @@ def default_z(q: QuboMatrix):
     return sum(abs(v) for _, v in q.entries())
 
 
-def _factoring_loop(q: QuboMatrix, num_ancillas: int, z) -> tuple[FactoringReport, Iterator[np.ndarray]]:
-    """The factoring loop, checked and started: its report, which gains each
-    step as the loop takes it, and an iterator over the trajectory.  No ``z``
+def _factoring_loop(q: QuboMatrix, num_ancillas: int, z, read=None) -> FactoringReport:
+    """Run the factoring loop to its end and return its report.  No ``z``
     means :func:`default_z` of ``q``.
 
     The loop keeps only the dense mirror, writing each step's cells into both
-    triangles, and yields its leading ``(n, n)`` block per trajectory matrix.
-    It yields nothing when it builds no mirror (no budget, or no pair that
-    could step).  A block is a view that the next step overwrites, so read
-    it before advancing the iterator."""
+    triangles.  ``read``, when given, is called with the mirror's leading
+    ``(n, n)`` block once per trajectory matrix, before the next step
+    overwrites it; it is not called when the loop builds no mirror (no
+    budget, or no pair that could step)."""
     if num_ancillas < 0:
         raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
     if z is None:
         z = default_z(q)
+        if not z:
+            raise ParameterError("the default z of a QUBO with no coefficients is 0, so a z must be given")
     _check_z(z)
     report = FactoringReport(q.n, z)
-    return report, _mirrored_steps(q, num_ancillas, report)
-
-
-def _mirrored_steps(q: QuboMatrix, num_ancillas: int, report: FactoringReport):
     if not num_ancillas or not _step_possible(q):
-        return  # no step to take: skip the mirror
-    mirror = dense_mirror(q, num_ancillas, report.z)
-    for n in range(q.n, q.n + num_ancillas):
+        return report  # no step to take: skip the mirror
+    mirror = dense_mirror(q, num_ancillas, z)
+    for n in range(q.n, q.n + num_ancillas + 1):
         a = mirror[:n, :n]
-        yield a
+        if read is not None:
+            read(a)
+        if n == q.n + num_ancillas:
+            break  # budget spent
         cl = get_conflict_list(a)
         if not len(cl):
-            return
+            break
         step = get_most_sym_qubits(a, cl)
         if len(step.syms) < 3:
-            return
-        for (r, s), value in _step_cells(mirror.item, step.i, step.j, n, step.syms, report.z):
+            break
+        for (r, s), value in _step_cells(mirror.item, step.i, step.j, n, step.syms, z):
             mirror[r, s] = mirror[s, r] = value
         report.steps.append(step)
-    yield mirror[: report.final_n, : report.final_n]
+    return report
 
 
 def _replayed(q: QuboMatrix, num_ancillas: int, z) -> tuple[FactoringReport, Iterator[QuboMatrix]]:
     """The factoring loop's report and its trajectory, replayed through
     :func:`enhance`, which checks each step's shared couplings again."""
-    report, blocks = _factoring_loop(q, num_ancillas, z)
-    deque(blocks, maxlen=0)
+    report = _factoring_loop(q, num_ancillas, z)
     return report, accumulate(report.steps, lambda m, s: enhance(m, (s.i, s.j), s.syms, report.z), initial=q)
 
 

@@ -80,6 +80,7 @@ class QuboMatrix:
     ):
         if n < 1:
             raise ParameterError(f"qubit count must be positive, got {n}")
+        _check_not_bool("offset", offset)
         if not _finite(offset):
             raise ParameterError("offset must be finite")
         self.n = n
@@ -99,6 +100,8 @@ class QuboMatrix:
 
     def __setitem__(self, key: tuple[int, int], value: float) -> None:
         k = self._key(*key)
+        if isinstance(value, bool):  # checked first: False == 0 would delete the entry
+            raise ParameterError(f"coefficient at {k} must be a number, got {value!r}")
         if value == 0:
             self._entries.pop(k, None)
             return
@@ -145,18 +148,13 @@ class QuboMatrix:
 
     # -- JSON file format: {"n": int, "offset": number, "entries": [[i, j, v], ...]}
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "offset": self.offset,
-            "entries": [[i, j, v] for (i, j), v in self.entries()],
-        }
-
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
+        entries = [[i, j, v] for (i, j), v in self.entries()]
+        return json.dumps({"n": self.n, "offset": self.offset, "entries": entries})
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "QuboMatrix":
+    def loads(cls, text: str) -> "QuboMatrix":
+        data = json.loads(text)
         try:
             n = data["n"]
             offset = data["offset"]
@@ -184,10 +182,6 @@ class QuboMatrix:
             q[i, j] = v
         return q
 
-    @classmethod
-    def loads(cls, text: str) -> "QuboMatrix":
-        return cls.from_json_dict(json.loads(text))
-
 
 def _finite(value) -> bool:
     # An int too large for a float (say 10**400) has no float value at all.
@@ -202,6 +196,12 @@ def _check_json(what: str, value, kinds: type | tuple[type, ...]) -> None:
     if isinstance(value, bool) or not isinstance(value, kinds):
         expected = "an integer" if kinds is int else "a number"
         raise ParameterError(f"{what} must be {expected}, got {value!r}")
+
+
+def _check_not_bool(what: str, value) -> None:
+    # A bool would be written to JSON as true/false, which the loaders refuse.
+    if isinstance(value, bool):
+        raise ParameterError(f"{what} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -342,17 +342,18 @@ class TestBlockSchedule:
 
     def test_every_builtin_trajectory_matrix(self):
         # Every builtin instance has a pair that could step, so the loop
-        # builds its mirror and yields one block per trajectory matrix.  zip
-        # reads each block before the loop advances.
+        # builds its mirror and reads one block per trajectory matrix.  Each
+        # is copied as it is read, before the next step overwrites it.
         for s in builtin_settings():
             q = build_problem_qubo(s)
             z = default_z(q)
             trajectory, _ = factoring_trajectory(q, 29, z)
+            blocks = []
             with patch.object(factoring, "dense_mirror", wraps=dense_mirror) as built:
-                _, blocks = _factoring_loop(q, 29, z)
-                for m, block in zip(trajectory, blocks, strict=True):
-                    assert np.array_equal(block, dense_mirror(m, 0, z))
-                    assert _block_schedule(block) == cost_schedule(m)
+                _factoring_loop(q, 29, z, lambda block: blocks.append(block.copy()))
+            for m, block in zip(trajectory, blocks, strict=True):
+                assert np.array_equal(block, dense_mirror(m, 0, z))
+                assert _block_schedule(block) == cost_schedule(m)
             assert built.call_count == 1
 
     @pytest.mark.parametrize("entries, h_support", [

@@ -244,6 +244,29 @@ def test_factor_rejects_non_finite_z(tmp_path, demo_qubo, capsys, z, factors):
     assert not out.exists()
 
 
+def test_factor_without_z_on_a_qubo_with_no_coefficients_asks_for_one(tmp_path, capsys):
+    # default_z is then 0, which no factoring takes; a given z works.
+    q_path, out = tmp_path / "q.json", tmp_path / "out.json"
+    q_path.write_text('{"n": 3, "offset": 5, "entries": []}')
+    assert main(["factor", "--qubo", str(q_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the default z of a QUBO with no coefficients is 0, so a z must be given\n"
+    assert not out.exists()
+    assert main(["factor", "--qubo", str(q_path), "--z", "1", "--out", str(out)]) == 0
+    assert out.read_text() == '{"n": 3, "offset": 5, "entries": []}\n'
+
+
+@pytest.mark.parametrize("n", [5 * 10**8, 4 * 10**9], ids=["memory-error", "array-too-big"])
+def test_factor_whose_mirror_cannot_be_allocated_exits_2(tmp_path, capsys, n):
+    # Qubits 0..5 are all coupled, so the loop needs the (n + 2)-square
+    # mirror, which no address space holds.
+    q_path, out = tmp_path / "q.json", tmp_path / "out.json"
+    q_path.write_text(QuboMatrix(n, {(i, k): 2 for i in range(6) for k in range(i + 1, 6)}).dumps())
+    assert main(["factor", "--qubo", str(q_path), "--max-ancillas", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: the dense mirror of {n + 2} qubits cannot be allocated: ")
+    assert not out.exists()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path, demo_qubo):
     # `python -m quboreduce` from a checkout with src/ on the path, exit
     # codes included.

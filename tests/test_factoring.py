@@ -42,7 +42,7 @@ from quboreduce.factoring import (
     is_conflicting,
 )
 from quboreduce.graphs import permute_vertices, sample_permutation
-from quboreduce.qubo import FLOAT_TOL, all_energies, bits_from_index
+from quboreduce.qubo import FLOAT_TOL, CapacityError, all_energies, bits_from_index
 
 from conftest import random_qubo
 
@@ -294,6 +294,12 @@ class TestEnhance:
         with pytest.raises(ParameterError):
             enhance(demo_qubo, (1, 4), {0, 2, 5}, 0)
 
+    def test_rejects_a_pair_of_one_qubit(self):
+        # No factoring step has i == j, and FactoringReport.loads refuses one.
+        q = QuboMatrix(3, {(1, 1): 2, (0, 1): 3, (0, 2): 3, (1, 2): 3})
+        with pytest.raises(ParameterError, match=re.escape("pair (1, 1) is not two distinct qubits")):
+            enhance(q, (1, 1), [0, 2], 1)
+
     @pytest.mark.parametrize("z", [float("inf"), float("-inf"), float("nan"), 10**400])
     def test_rejects_non_finite_z(self, demo_qubo, z):
         with pytest.raises(ParameterError, match="must be positive and finite"):
@@ -386,12 +392,9 @@ class TestFactorOut:
         assert (trajectory, report) == oracle_trajectory(q, budget, z)
         assert len(report.steps) >= 3
         assert factor_out(q, budget, z) == (trajectory[-1], report)
-        _, blocks = factoring._factoring_loop(q, budget, z)
-        read = 0
-        for m, block in zip(trajectory, blocks):
-            assert pairs(get_conflict_list(block)) == oracle_conflict_list(m)
-            read += 1
-        assert read == len(trajectory)
+        found = []
+        assert factoring._factoring_loop(q, budget, z, lambda a: found.append(pairs(get_conflict_list(a)))) == report
+        assert found == [oracle_conflict_list(m) for m in trajectory]
         couplings = [r.couplings for r in run_sweep(setting, budget, [1], z)]
         assert couplings[: len(trajectory)] == [coupling_count(m) for m in trajectory]
 
@@ -432,6 +435,18 @@ class TestFactorOut:
         assert report == FactoringReport(n, 5)
         assert factor_out(q, budget) == (q, FactoringReport(n, default_z(q)))
 
+    @pytest.mark.parametrize("n", [5 * 10**8, 4 * 10**9], ids=["memory-error", "array-too-big"])
+    def test_mirror_that_cannot_be_allocated_is_a_capacity_error(self, n):
+        # No address space holds either mirror, so numpy refuses it before it
+        # touches memory: with MemoryError at 5e8 qubits, and past about
+        # 1.07e9 with ValueError ("array is too big").  Qubits 0..5 are all
+        # coupled, so a step is possible and the loop builds the mirror.
+        q = QuboMatrix(n, {(i, k): 2 for i in range(6) for k in range(i + 1, 6)})
+        with pytest.raises(CapacityError, match=f"the dense mirror of {n + 2} qubits cannot be allocated"):
+            dense_mirror(q, 2, 3)
+        with pytest.raises(CapacityError):
+            factor_out(q, 2)
+
     def test_omitted_z_of_zero_matrix_is_rejected(self):
         # default_z is 0 here, and the z > 0 check still applies to it.
         with pytest.raises(ParameterError):
@@ -453,6 +468,17 @@ class TestFactorOut:
         for q in (demo_qubo, vertex_cover):  # one that factors, one that does not
             with pytest.raises(ParameterError, match="must be positive and finite"):
                 factoring_trajectory(q, 5, z)
+
+    def test_rejects_a_bool_z(self, demo_qubo):
+        # The report would hold "z": true, which FactoringReport.loads refuses.
+        for call in (
+            lambda: factor_out(demo_qubo, 2, True),
+            lambda: factoring_trajectory(demo_qubo, 2, True),
+            lambda: enhance(demo_qubo, (1, 4), {0, 2, 5}, True),
+            lambda: run_sweep(builtin_settings(seeds=[0])[0], 2, [1], True),
+        ):
+            with pytest.raises(ParameterError, match="penalty z must be a number, got True"):
+                call()
 
     @pytest.mark.parametrize("z", ["Infinity", "-Infinity", "NaN", "0", "-5", "1" + "0" * 400])
     def test_report_rejects_z_the_loop_rejects(self, z):

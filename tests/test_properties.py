@@ -198,22 +198,21 @@ def test_block_schedule_is_the_cost_schedule(q, z):
     # The h support and pairs read off a dense mirror block equal those of
     # the matrix's spin form: for a fresh mirror of q and for every block the
     # factoring loop searched, each the mirror of the matrix the report's
-    # replay builds.  The loop yields one block per trajectory matrix when it
-    # builds its mirror, and none when it does not.
+    # replay builds.  The loop reads one block per trajectory matrix when it
+    # builds its mirror, and none when it does not; each block is copied as
+    # it is read, before the next step overwrites it.
     mirror = dense_mirror(q, 0, z)
     event(f"mirror dtype {mirror.dtype}")
     assert _block_schedule(mirror) == cost_schedule(q)
     trajectory, _ = factoring_trajectory(q, 4, z)
+    blocks = []
     with patch.object(factoring, "dense_mirror", wraps=dense_mirror) as built:
-        _, blocks = _factoring_loop(q, 4, z)
-        read = 0
-        for m, block in zip(trajectory, blocks):
-            assert np.array_equal(block, dense_mirror(m, 0, z))
-            assert _block_schedule(block) == cost_schedule(m)
-            read += 1
-        assert next(blocks, None) is None
+        _factoring_loop(q, 4, z, lambda block: blocks.append(block.copy()))
+    for m, block in zip(trajectory, blocks):
+        assert np.array_equal(block, dense_mirror(m, 0, z))
+        assert _block_schedule(block) == cost_schedule(m)
     event(f"mirror built {built.called}")
-    assert (read, built.call_count) in ((0, 0), (len(trajectory), 1))
+    assert (len(blocks), built.call_count) in ((0, 0), (len(trajectory), 1))
 
 
 # Ints, floats whose sums round (0.1 + 0.2 != 0.3), and floats at the 1e17

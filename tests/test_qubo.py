@@ -70,6 +70,18 @@ class TestQuboMatrix:
         q[0, 1] = 10**300  # large, but a float exists
         assert q[0, 1] == 10**300
 
+    @pytest.mark.parametrize("entries, offset", [
+        ({(0, 0): True}, 0), ({(0, 1): False}, 0), ({}, True), ({}, False),
+    ], ids=["true-coefficient", "false-coefficient", "true-offset", "false-offset"])
+    def test_rejects_bools(self, entries, offset):
+        # dumps would write them as true/false, which loads refuses.
+        with pytest.raises(ParameterError, match="must be a number"):
+            QuboMatrix(2, entries, offset=offset)
+        q = QuboMatrix(2)
+        with pytest.raises(ParameterError, match="must be a number"):
+            q[1, 0] = True
+        assert len(q) == 0
+
     def test_rejects_out_of_range(self):
         q = QuboMatrix(2)
         with pytest.raises(ParameterError):
@@ -523,7 +535,7 @@ class TestJsonFormat:
 
     def test_rejects_non_finite(self):
         with pytest.raises((ParameterError, ValueError)):
-            QuboMatrix.from_json_dict({"n": 1, "offset": 0, "entries": [[0, 0, float("nan")]]})
+            QuboMatrix.loads('{"n": 1, "offset": 0, "entries": [[0, 0, NaN]]}')
 
     @pytest.mark.parametrize("doc", [
         '{"n": 1, "offset": 0, "entries": [[0, 0, 1%s]]}' % ("0" * 400),
