@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qubo import CapacityError, ParameterError, QuboMatrix, index_from_bits
+from .qubo import CapacityError, ParameterError, QuboMatrix, _grid_index, index_from_bits
 
 STATEVECTOR_GUARD = 20
 
@@ -272,32 +272,32 @@ def depth(c: GateList) -> int:
 _INV_SQRT2 = 1 / np.sqrt(2)
 
 
-def _apply_single(state: np.ndarray, qubit: int, u00, u01, u10, u11) -> None:
-    idx = np.arange(state.size)
-    lo = idx[(idx >> qubit) & 1 == 0]
-    hi = lo | (1 << qubit)
-    a, b = state[lo].copy(), state[hi].copy()
-    state[lo] = u00 * a + u01 * b
-    state[hi] = u10 * a + u11 * b
-
-
 def evolve(c: GateList, state: np.ndarray) -> np.ndarray:
-    """Dense statevector evolution of the full gate sequence."""
+    """Dense statevector evolution of the full gate sequence on the state's
+    ``(2,) * n`` grid.  Each gate acts on the two ``_grid_index`` views its
+    target bit splits: a one-qubit gate mixes them by its 2x2 matrix, and a
+    CNOT swaps them where its control bit is 1.  The trailing ``...`` keeps
+    a view writable when the gate fixes every axis."""
+    if state.shape != (1 << c.n,):
+        raise ParameterError(f"state of shape {state.shape} is not a vector of length 2**{c.n}")
     state = state.astype(complex, copy=True)
+    grid = state.reshape((2,) * c.n)
     for g in c.gates:
+        ctrl = [(g.qubits[0], 1)] if g.kind == "CNOT" else []
+        lo, hi = (grid[_grid_index(c.n, ctrl + [(g.qubits[-1], bit)]) + (...,)] for bit in (0, 1))
+        a, b = lo.copy(), hi.copy()
+        if g.kind == "CNOT":
+            lo[...], hi[...] = b, a
+            continue
         if g.kind == "H":
-            _apply_single(state, g.qubits[0], _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
+            u00, u01, u10, u11 = _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2
         elif g.kind == "RX":
             cos, sin = np.cos(g.angle / 2), np.sin(g.angle / 2)
-            _apply_single(state, g.qubits[0], cos, -1j * sin, -1j * sin, cos)
-        elif g.kind == "RZ":
-            _apply_single(state, g.qubits[0], np.exp(-1j * g.angle / 2), 0, 0, np.exp(1j * g.angle / 2))
-        elif g.kind == "CNOT":
-            ctrl, tgt = g.qubits
-            idx = np.arange(state.size)
-            on = idx[((idx >> ctrl) & 1 == 1) & ((idx >> tgt) & 1 == 0)]
-            flipped = on | (1 << tgt)
-            state[on], state[flipped] = state[flipped].copy(), state[on].copy()
+            u00, u01, u10, u11 = cos, -1j * sin, -1j * sin, cos
+        else:
+            u00, u01, u10, u11 = np.exp(-1j * g.angle / 2), 0, 0, np.exp(1j * g.angle / 2)
+        lo[...] = u00 * a + u01 * b
+        hi[...] = u10 * a + u11 * b
     return state
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .qubo import (
     CapacityError,
-    ENUMERATION_GUARD,
     FLOAT_TOL,
     ParameterError,
     QuboMatrix,
@@ -302,8 +301,6 @@ def is_conflicting(q: QuboMatrix, i: int, j: int) -> bool:
     """Exact semantic conflict test by exhaustive enumeration: every
     assignment with both bits set is strictly worse than its three
     neighbors differing only on bits i and j."""
-    if q.n > ENUMERATION_GUARD:
-        raise CapacityError(f"n={q.n} exceeds enumeration guard {ENUMERATION_GUARD}")
     if not (0 <= i < q.n and 0 <= j < q.n):
         raise ParameterError(f"index pair ({i}, {j}) out of range for n={q.n}")
     energies = all_energies(q).reshape((2,) * q.n)
@@ -336,11 +333,10 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
     """
     if q.n != report.base_n or q_mod.n != report.final_n:
         raise ParameterError("report does not match the supplied matrices")
-    if q_mod.n > ENUMERATION_GUARD:
-        raise CapacityError(f"n={q_mod.n} exceeds enumeration guard {ENUMERATION_GUARD}")
 
-    base_energies = all_energies(q)
+    # q_mod is the larger, so its all_energies refuses first, before any grid.
     mod_energies = all_energies(q_mod)
+    base_energies = all_energies(q)
     num_anc = q_mod.n - q.n
     # Assignment index packs base bits low, ancilla bits high.
     best_mod = mod_energies.reshape(1 << num_anc, 1 << q.n).min(axis=0)

@@ -100,8 +100,9 @@ class QuboMatrix:
 
     def __setitem__(self, key: tuple[int, int], value: float) -> None:
         k = self._key(*key)
-        if isinstance(value, bool):  # checked first: False == 0 would delete the entry
-            raise ParameterError(f"coefficient at {k} must be a number, got {value!r}")
+        # First, as False == 0 would delete the entry; formatting the label on every write is slow.
+        if isinstance(value, bool):
+            _check_not_bool(f"coefficient at {k}", value)
         if value == 0:
             self._entries.pop(k, None)
             return

@@ -102,6 +102,39 @@ def reference_depth(c: GateList) -> int:
     return total
 
 
+def reference_evolve(c: GateList, state: np.ndarray) -> np.ndarray:
+    """Statevector evolution by index arrays: the ``circuits.evolve`` that
+    the grid-view version replaced.  Each one-qubit gate builds the 2^n
+    indices with its qubit's bit 0 and their partners with bit 1; each CNOT
+    the indices with the control bit set and the target bit clear."""
+    inv_sqrt2 = 1 / np.sqrt(2)
+
+    def apply_single(state, qubit, u00, u01, u10, u11):
+        idx = np.arange(state.size)
+        lo = idx[(idx >> qubit) & 1 == 0]
+        hi = lo | (1 << qubit)
+        a, b = state[lo].copy(), state[hi].copy()
+        state[lo] = u00 * a + u01 * b
+        state[hi] = u10 * a + u11 * b
+
+    state = state.astype(complex, copy=True)
+    for g in c.gates:
+        if g.kind == "H":
+            apply_single(state, g.qubits[0], inv_sqrt2, inv_sqrt2, inv_sqrt2, -inv_sqrt2)
+        elif g.kind == "RX":
+            cos, sin = np.cos(g.angle / 2), np.sin(g.angle / 2)
+            apply_single(state, g.qubits[0], cos, -1j * sin, -1j * sin, cos)
+        elif g.kind == "RZ":
+            apply_single(state, g.qubits[0], np.exp(-1j * g.angle / 2), 0, 0, np.exp(1j * g.angle / 2))
+        elif g.kind == "CNOT":
+            ctrl, tgt = g.qubits
+            idx = np.arange(state.size)
+            on = idx[((idx >> ctrl) & 1 == 1) & ((idx >> tgt) & 1 == 0)]
+            flipped = on | (1 << tgt)
+            state[on], state[flipped] = state[flipped].copy(), state[on].copy()
+    return state
+
+
 def reference_format_gate_list(c: GateList) -> str:
     """The gate-list text with every gate formatted anew: the
     ``circuits.format_gate_list`` that memoises by gate object replaced."""

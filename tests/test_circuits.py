@@ -36,7 +36,13 @@ from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.factoring import _factoring_loop, default_z, dense_mirror, factoring_trajectory
 from quboreduce.qubo import bits_from_index
 
-from conftest import random_float_qubo, random_qubo, reference_depth, reference_format_gate_list
+from conftest import (
+    random_float_qubo,
+    random_qubo,
+    reference_depth,
+    reference_evolve,
+    reference_format_gate_list,
+)
 
 
 class TestQuboToIsing:
@@ -420,6 +426,83 @@ class TestEvolve:
                 mixer = np.kron(mixer, [[np.cos(beta), -1j * np.sin(beta)], [-1j * np.sin(beta), np.cos(beta)]])
             expected = mixer @ (np.exp(-1j * gamma * energies) * expected)
         assert abs(np.vdot(expected, state)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("c, shape", [
+        (GateList(3, [Gate("H", (2,))]), 4),
+        (GateList(2), 3),
+        (GateList(2, [Gate("CNOT", (0, 1))]), 8),
+        (GateList(1, [Gate("RZ", (0,), 0.5)]), 1),
+        (GateList(2, [Gate("H", (0,))]), (2, 2)),
+    ], ids=["short", "no-gates", "long", "one-amplitude", "not-a-vector"])
+    def test_rejects_state_of_wrong_shape(self, c, shape):
+        with pytest.raises(ParameterError, match=f"not a vector of length 2\\*\\*{c.n}"):
+            evolve(c, np.ones(shape))
+
+
+def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+
+
+def assert_bitwise(state, expected):
+    assert state.dtype == expected.dtype == complex
+    assert np.array_equal(state.view(np.uint64), expected.view(np.uint64))
+
+
+def random_gate(rng: random.Random, n: int) -> Gate:
+    kind = rng.choice(["H", "RX", "RZ", "CNOT"] if n > 1 else ["H", "RX", "RZ"])
+    if kind == "CNOT":
+        return Gate(kind, tuple(rng.sample(range(n), 2)))
+    return Gate(kind, (rng.randrange(n),), None if kind == "H" else rng.uniform(-2 * math.pi, 2 * math.pi))
+
+
+class TestEvolveMatchesReference:
+    """``evolve`` on grid views is bitwise the index-array evolution."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_gate_sequences(self, seed):
+        rng = random.Random(seed)
+        n = 1 + seed % 8
+        c = GateList(n, [random_gate(rng, n) for _ in range(rng.randint(1, 40))])
+        start = random_state(np.random.default_rng(seed), n)
+        assert_bitwise(evolve(c, start), reference_evolve(c, start))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_qaoa_circuits(self, seed):
+        rng = random.Random(seed)
+        n = 1 + seed
+        p = rng.randint(1, 3)
+        angles = tuple(rng.uniform(-3, 3) for _ in range(2 * p))
+        c = build_circuit(random_qubo(rng, n), QaoaParams(p, angles[:p], angles[p:]))
+        start = random_state(np.random.default_rng(seed), n)
+        assert_bitwise(evolve(c, start), reference_evolve(c, start))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("gate", [
+        lambda n: Gate("H", (0,)),
+        lambda n: Gate("H", (n - 1,)),
+        lambda n: Gate("RX", (0,), 0.9),
+        lambda n: Gate("RX", (n - 1,), -1.3),
+        lambda n: Gate("RZ", (0,), 2.1),
+        lambda n: Gate("RZ", (n - 1,), -0.4),
+    ], ids=["H-lowest", "H-highest", "RX-lowest", "RX-highest", "RZ-lowest", "RZ-highest"])
+    def test_one_qubit_gate_on_lowest_and_highest_qubit(self, gate, n):
+        c = GateList(n, [gate(n)])
+        start = random_state(np.random.default_rng(n), n)
+        assert_bitwise(evolve(c, start), reference_evolve(c, start))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("pair", [
+        lambda n: (0, n - 1),
+        lambda n: (n - 1, 0),
+        lambda n: (n // 2 - 1, n // 2),
+        lambda n: (n // 2, n // 2 - 1),
+    ], ids=["ctrl<tgt-outer", "ctrl>tgt-outer", "ctrl<tgt-inner", "ctrl>tgt-inner"])
+    def test_cnot_in_both_directions(self, pair, n):
+        c = GateList(n, [Gate("CNOT", pair(n))])
+        start = random_state(np.random.default_rng(n), n)
+        state = evolve(c, start)
+        assert_bitwise(state, reference_evolve(c, start))
+        assert not np.array_equal(state, start)
 
 
 class TestBasisPhase:

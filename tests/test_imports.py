@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and every
-module-level private function is used somewhere in the library.
+module-level private function and private constant is used somewhere in the
+library.
 
 ``__init__.py`` is skipped for imports: its imports are the package's
 re-exports.
@@ -78,3 +79,33 @@ def test_detects_unused_private_function():
 
 def test_no_unused_private_functions():
     assert unused_private_functions(SOURCES) == []
+
+
+def unused_private_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_NAME = ...`` constants that no library module refers
+    to outside their own assignment."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{name}: {target.id}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and target.id.startswith("_")
+        and not target.id.startswith("__")
+        and everywhere[target.id] == referenced_names(node)[target.id]
+    )
+
+
+def test_detects_unused_private_constant():
+    sources = {
+        "a.py": "_KEPT = 1\n_DEAD = 2\n_IMPORTED: int = 3\n_STRANDED = 1 / 2\n__all__ = []\nPUBLIC = 4\n",
+        "b.py": "from .a import _IMPORTED\nx = _KEPT\n_DEAD_TOO = _IMPORTED\n",
+    }
+    assert unused_private_constants(sources) == ["a.py: _DEAD", "a.py: _STRANDED", "b.py: _DEAD_TOO"]
+
+
+def test_no_unused_private_constants():
+    assert unused_private_constants(SOURCES) == []
