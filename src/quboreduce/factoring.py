@@ -31,6 +31,8 @@ from .qubo import (
     _check_not_bool,
     _finite,
     _grid_index,
+    _out_of_range,
+    _unique_keys,
     all_energies,
     coupling_count,
 )
@@ -64,7 +66,7 @@ class FactoringReport:
 
     @classmethod
     def loads(cls, text: str) -> "FactoringReport":
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
         try:
             base_n, final_n, z, raw = data["base_n"], data["final_n"], data["z"], data["steps"]
             _check_json("base_n", base_n, int)
@@ -117,8 +119,7 @@ def dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
     the array holds the Python numbers themselves (dtype object).  An array
     that numpy cannot allocate raises CapacityError.
     """
-    items = list(q.entries())
-    values = [v for _, v in items]
+    values = list(q._entries.values())
     room = min(num_ancillas, coupling_count(q))
     ints = sum(abs(v) for v in values if isinstance(v, int)) + (9 * abs(z) * room if isinstance(z, int) else 0)
     dtype = np.float64 if 2 * ints < 2**53 else object
@@ -126,8 +127,9 @@ def dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
         a = np.zeros((q.n + room, q.n + room), dtype=dtype)
     except (MemoryError, ValueError) as exc:  # ValueError: numpy's "array is too big"
         raise CapacityError(f"the dense mirror of {q.n + room} qubits cannot be allocated: {exc}") from exc
-    if items:
-        rows, cols = np.array([k for k, _ in items]).T
+    if values:
+        # Each cell is stored once, so the scatter needs no order.
+        rows, cols = np.array(list(q._entries)).T
         a[rows, cols] = values
         a[cols, rows] = values
     return a
@@ -196,6 +198,10 @@ def _step_possible(q: QuboMatrix) -> bool:
     return any(degree[i] >= 4 and degree[j] >= 4 for i, j in couplings)
 
 
+def _pair(r: int, s: int) -> tuple[int, int]:
+    return (r, s) if r <= s else (s, r)
+
+
 def _step_cells(read, i: int, j: int, a: int, syms, z) -> list:
     """The ``((r, s), value)`` writes of the step factoring ``(i, j)`` onto
     ancilla ``a``, old cells read as ``read((r, s))``.  A cell that ``z``
@@ -205,7 +211,7 @@ def _step_cells(read, i: int, j: int, a: int, syms, z) -> list:
     cells += [((i, a), -2 * z), ((j, a), -2 * z), ((i, j), read((i, j)) + 2 * z)]
     for (r, s), value in cells:
         if not _finite(value):
-            raise ParameterError(f"non-finite coefficient at {(min(r, s), max(r, s))}")
+            raise ParameterError(f"non-finite coefficient at {_pair(r, s)}")
     for k in syms:
         cells += [((k, a), read((i, k))), ((i, k), 0), ((j, k), 0)]
     return cells
@@ -213,7 +219,12 @@ def _step_cells(read, i: int, j: int, a: int, syms, z) -> list:
 
 def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
     """Append one ancilla qubit and move the shared couplings of ``pair`` onto
-    it, adding the OR-consistency penalty of weight ``z``."""
+    it, adding the OR-consistency penalty of weight ``z``.
+
+    Each index is range-checked once; the first pair read out of range is
+    named as ``q[r, s]`` names it: ``(i, k)`` then ``(j, k)`` for each sym in
+    turn, then ``(i, i)`` and ``(j, j)``.  The cells are read from the entry
+    dict and written through the matrix's one write rule."""
     i, j = pair
     _check_z(z)
     if i == j:
@@ -221,12 +232,24 @@ def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
     syms = frozenset(syms)
     if i in syms or j in syms:
         raise ParameterError("syms must exclude the factored pair")
+    n, entries = q.n, q._entries
+    i_in, j_in = 0 <= i < n, 0 <= j < n
     for k in syms:
-        if q[i, k] == 0 or q[i, k] != q[j, k]:
+        if not (i_in and 0 <= k < n):
+            raise _out_of_range(*_pair(i, k), n)
+        v = entries.get(_pair(i, k), 0)
+        if v == 0:
             raise ParameterError(f"qubit {k} does not share identical nonzero couplings")
-    out = q.copy(q.n + 1)
-    for cell, value in _step_cells(q.__getitem__, i, j, q.n, syms, z):
-        out[cell] = value
+        if not j_in:
+            raise _out_of_range(*_pair(j, k), n)
+        if v != entries.get(_pair(j, k), 0):
+            raise ParameterError(f"qubit {k} does not share identical nonzero couplings")
+    for r in (i, j):
+        if not 0 <= r < n:
+            raise _out_of_range(r, r, n)
+    out = q.copy(n + 1)
+    for (r, s), value in _step_cells(lambda rs: entries.get(_pair(*rs), 0), i, j, n, syms, z):
+        out._write(_pair(r, s), value)
     return out
 
 
@@ -302,7 +325,7 @@ def is_conflicting(q: QuboMatrix, i: int, j: int) -> bool:
     assignment with both bits set is strictly worse than its three
     neighbors differing only on bits i and j."""
     if not (0 <= i < q.n and 0 <= j < q.n):
-        raise ParameterError(f"index pair ({i}, {j}) out of range for n={q.n}")
+        raise _out_of_range(i, j, q.n)
     energies = all_energies(q).reshape((2,) * q.n)
     corners = ((1, 1), (0, 1), (1, 0), (0, 0))
     both, *others = (energies[_grid_index(q.n, ((i, a), (j, b)))] for a, b in corners)

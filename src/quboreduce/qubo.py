@@ -95,7 +95,7 @@ class QuboMatrix:
         if i > j:
             i, j = j, i
         if i < 0 or j >= self.n:
-            raise ParameterError(f"index pair ({i}, {j}) out of range for n={self.n}")
+            raise _out_of_range(i, j, self.n)
         return (i, j)
 
     def __setitem__(self, key: tuple[int, int], value: float) -> None:
@@ -103,12 +103,17 @@ class QuboMatrix:
         # First, as False == 0 would delete the entry; formatting the label on every write is slow.
         if isinstance(value, bool):
             _check_not_bool(f"coefficient at {k}", value)
+        self._write(k, value)
+
+    def _write(self, k: tuple[int, int], value: float) -> None:
+        """Store ``value`` at ``k``, a pair already normalised and in range:
+        a zero deletes the entry, a non-finite value is refused."""
         if value == 0:
             self._entries.pop(k, None)
-            return
-        if not _finite(value):
+        elif _finite(value):
+            self._entries[k] = value
+        else:
             raise ParameterError(f"non-finite coefficient at {k}")
-        self._entries[k] = value
 
     def __getitem__(self, key: tuple[int, int]) -> float:
         return self._entries.get(self._key(*key), 0)
@@ -155,7 +160,7 @@ class QuboMatrix:
 
     @classmethod
     def loads(cls, text: str) -> "QuboMatrix":
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
         try:
             n = data["n"]
             offset = data["offset"]
@@ -167,20 +172,28 @@ class QuboMatrix:
         if not isinstance(raw, list):
             raise ParameterError("QUBO JSON entries must be a list")
         q = cls(n, offset=offset)
+        # Every pair read, zero or not, so that a zero entry counts as a duplicate too.
         seen = set()
         for item in raw:
-            if not isinstance(item, list) or len(item) != 3:
+            if type(item) is not list or len(item) != 3:
                 raise ParameterError(f"malformed entry {item!r}")
             i, j, v = item
-            _check_json("entry index", i, int)
-            _check_json("entry index", j, int)
-            _check_json("coefficient", v, (int, float))
+            # json.loads yields exact types, and true/false load as bool, not int.
+            if type(i) is not int:
+                _check_json("entry index", i, int)
+            if type(j) is not int:
+                _check_json("entry index", j, int)
+            if type(v) is not int and type(v) is not float:
+                _check_json("coefficient", v, (int, float))
             if i > j:
                 raise ParameterError(f"entry ({i}, {j}) violates i <= j")
-            if (i, j) in seen:
+            k = (i, j)
+            if k in seen:
                 raise ParameterError(f"duplicate entry for pair ({i}, {j})")
-            seen.add((i, j))
-            q[i, j] = v
+            seen.add(k)
+            if i < 0 or j >= n:
+                raise _out_of_range(i, j, n)
+            q._write(k, v)
         return q
 
 
@@ -190,6 +203,20 @@ def _finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _out_of_range(i: int, j: int, n: int) -> ParameterError:
+    return ParameterError(f"index pair ({i}, {j}) out of range for n={n}")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads alone keeps the last of a repeated key's values.
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParameterError(f'duplicate key "{key}"')
+        data[key] = value
+    return data
 
 
 def _check_json(what: str, value, kinds: type | tuple[type, ...]) -> None:

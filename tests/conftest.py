@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from quboreduce import GateList, Graph, QuboMatrix, SpectrumEntry, complement, max_clique_qubo
 from quboreduce.circuits import cost_schedule, schedule_metrics
 from quboreduce.experiments import DEFAULT_P_VALUES, SweepRecord, build_problem_qubo
-from quboreduce.factoring import factoring_trajectory
-from quboreduce.qubo import all_energies, bits_from_index, coupling_count
+from quboreduce.factoring import _check_z, _step_cells, factoring_trajectory
+from quboreduce.qubo import CapacityError, ParameterError, _check_json, all_energies, bits_from_index, coupling_count
 
 # Six-vertex demo instance used across the suite.  The clique penalty couples
 # every non-edge with weight 3; factoring the (1, 4) pair with its three
@@ -164,3 +165,74 @@ def reference_sweep(setting, max_ancillas, p_values=DEFAULT_P_VALUES, z=None) ->
             records.append(SweepRecord(setting.problem, setting.setting, setting.seed, budget, p,
                                        qubits, couplings, cnots, depth))
     return records
+
+
+def reference_loads(text: str) -> QuboMatrix:
+    """``QuboMatrix.loads`` as it was before it took each entry in one pass:
+    three ``_check_json`` calls, the duplicate probe, then a write through
+    ``QuboMatrix.__setitem__``.  It does not refuse repeated JSON keys."""
+    data = json.loads(text)
+    try:
+        n = data["n"]
+        offset = data["offset"]
+        raw = data["entries"]
+    except (KeyError, TypeError) as exc:
+        raise ParameterError(f"malformed QUBO JSON: {exc}") from exc
+    _check_json("qubit count n", n, int)
+    _check_json("offset", offset, (int, float))
+    if not isinstance(raw, list):
+        raise ParameterError("QUBO JSON entries must be a list")
+    q = QuboMatrix(n, offset=offset)
+    seen = set()
+    for item in raw:
+        if not isinstance(item, list) or len(item) != 3:
+            raise ParameterError(f"malformed entry {item!r}")
+        i, j, v = item
+        _check_json("entry index", i, int)
+        _check_json("entry index", j, int)
+        _check_json("coefficient", v, (int, float))
+        if i > j:
+            raise ParameterError(f"entry ({i}, {j}) violates i <= j")
+        if (i, j) in seen:
+            raise ParameterError(f"duplicate entry for pair ({i}, {j})")
+        seen.add((i, j))
+        q[i, j] = v
+    return q
+
+
+def reference_enhance(q: QuboMatrix, pair, syms, z) -> QuboMatrix:
+    """``factoring.enhance`` as it was before it worked on the entry dict:
+    every read through ``q[i, k]`` and every write through ``out[cell]``."""
+    i, j = pair
+    _check_z(z)
+    if i == j:
+        raise ParameterError(f"pair ({i}, {j}) is not two distinct qubits")
+    syms = frozenset(syms)
+    if i in syms or j in syms:
+        raise ParameterError("syms must exclude the factored pair")
+    for k in syms:
+        if q[i, k] == 0 or q[i, k] != q[j, k]:
+            raise ParameterError(f"qubit {k} does not share identical nonzero couplings")
+    out = q.copy(q.n + 1)
+    for cell, value in _step_cells(q.__getitem__, i, j, q.n, syms, z):
+        out[cell] = value
+    return out
+
+
+def reference_dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
+    """``factoring.dense_mirror`` as it was before it scattered the entry
+    dict directly: the cells taken from the sorted ``q.entries()``."""
+    items = list(q.entries())
+    values = [v for _, v in items]
+    room = min(num_ancillas, coupling_count(q))
+    ints = sum(abs(v) for v in values if isinstance(v, int)) + (9 * abs(z) * room if isinstance(z, int) else 0)
+    dtype = np.float64 if 2 * ints < 2**53 else object
+    try:
+        a = np.zeros((q.n + room, q.n + room), dtype=dtype)
+    except (MemoryError, ValueError) as exc:
+        raise CapacityError(f"the dense mirror of {q.n + room} qubits cannot be allocated: {exc}") from exc
+    if items:
+        rows, cols = np.array([k for k, _ in items]).T
+        a[rows, cols] = values
+        a[cols, rows] = values
+    return a

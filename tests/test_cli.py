@@ -603,6 +603,21 @@ def test_malformed_qubo_json_structure_exits_2(tmp_path, capsys, command, doc):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "circuit", "factor"])
+@pytest.mark.parametrize("doc, key", [
+    ('{"n": 2, "offset": 0, "entries": [[0, 1, 1]], "n": 3}', "n"),
+    ('{"n": 2, "offset": 0, "offset": 1, "entries": [[0, 1, 1]]}', "offset"),
+    ('{"entries": [], "n": 2, "offset": 0, "entries": [[0, 1, 1]]}', "entries"),
+], ids=["n", "offset", "entries"])
+def test_qubo_json_with_a_repeated_key_exits_2(tmp_path, capsys, command, doc, key):
+    # json.loads alone would keep the last value and carry on.
+    q_path = tmp_path / "q.json"
+    q_path.write_text(doc)
+    assert main([command, "--qubo", str(q_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f'error: --qubo {q_path}: duplicate key "{key}"\n'
+    assert not (tmp_path / "out").exists()
+
+
 def _verify(paths):
     q_path, mod_path, report_path = paths
     return main(["verify", "--qubo", str(q_path), "--modified", str(mod_path), "--report", str(report_path)])
@@ -669,6 +684,20 @@ def test_malformed_report_json_exits_2(demo_report_files, capsys, path, value):
     report_path.write_text(json.dumps(data))
     assert _verify(demo_report_files) == 2
     assert capsys.readouterr().err.startswith(f"error: --report {report_path}: ")
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda text: text.replace('"z": 9', '"z": 9, "z": 3'), "z"),
+    (lambda text: text.replace('"base_n": 6', '"base_n": 6, "base_n": 7'), "base_n"),
+    (lambda text: text.replace('"i": 1', '"i": 1, "i": 0'), "i"),
+], ids=["z", "base_n", "step-i"])
+def test_report_json_with_a_repeated_key_exits_2(demo_report_files, capsys, edit, key):
+    report_path = demo_report_files[2]
+    text = edit(report_path.read_text())
+    assert text.count(f'"{key}"') == 2
+    report_path.write_text(text)
+    assert _verify(demo_report_files) == 2
+    assert capsys.readouterr().err == f'error: --report {report_path}: duplicate key "{key}"\n'
 
 
 def test_spectrum_above_guard_exits_2(tmp_path, capsys):

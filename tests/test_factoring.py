@@ -44,7 +44,7 @@ from quboreduce.factoring import (
 from quboreduce.graphs import permute_vertices, sample_permutation
 from quboreduce.qubo import FLOAT_TOL, CapacityError, all_energies, bits_from_index
 
-from conftest import random_qubo
+from conftest import random_qubo, reference_dense_mirror, reference_enhance
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -300,10 +300,72 @@ class TestEnhance:
         with pytest.raises(ParameterError, match=re.escape("pair (1, 1) is not two distinct qubits")):
             enhance(q, (1, 1), [0, 2], 1)
 
+    # The demo step factors (1, 4) with syms {0, 2, 5} on six qubits.
+    @pytest.mark.parametrize("pair, syms, z, message", [
+        ((1, 4), {0, 2, 9}, 3, "index pair (1, 9) out of range for n=6"),
+        ((1, 4), {0, 2, 6}, 3, "index pair (1, 6) out of range for n=6"),
+        ((1, 4), {-1, 2, 5}, 3, "index pair (-1, 1) out of range for n=6"),
+        ((1, 7), (), 3, "index pair (7, 7) out of range for n=6"),
+        ((1, 7), {0, 2, 5}, 3, "index pair (0, 7) out of range for n=6"),
+        ((7, 4), {0, 2, 5}, 3, "index pair (0, 7) out of range for n=6"),
+        ((7, 1), (), 3, "index pair (7, 7) out of range for n=6"),
+        ((-1, 4), (), 3, "index pair (-1, -1) out of range for n=6"),
+        ((1, 6), (), 3, "index pair (6, 6) out of range for n=6"),
+        ((1, 4), {3}, 3, "qubit 3 does not share identical nonzero couplings"),
+        ((1, 4), {0, 2, 3}, 3, "qubit 3 does not share identical nonzero couplings"),
+        ((1, 4), {1, 2}, 3, "syms must exclude the factored pair"),
+        ((1, 4), {0, 2, 4}, 3, "syms must exclude the factored pair"),
+        ((1, 1), (), 3, "pair (1, 1) is not two distinct qubits"),
+        ((1, 4), {0, 2, 5}, 0, "penalty z must be positive and finite, got 0"),
+        ((1, 4), {0, 2, 5}, -3, "penalty z must be positive and finite, got -3"),
+        ((1, 4), {0, 2, 5}, True, "penalty z must be a number, got True"),
+    ])
+    def test_single_fault_messages(self, demo_qubo, pair, syms, z, message):
+        before = demo_qubo.dumps()
+        with pytest.raises(ParameterError) as info:
+            enhance(demo_qubo, pair, syms, z)
+        assert type(info.value) is ParameterError
+        assert str(info.value) == message
+        assert demo_qubo.dumps() == before
+
     @pytest.mark.parametrize("z", [float("inf"), float("-inf"), float("nan"), 10**400])
     def test_rejects_non_finite_z(self, demo_qubo, z):
         with pytest.raises(ParameterError, match="must be positive and finite"):
             enhance(demo_qubo, (1, 4), {0, 2, 5}, z)
+
+
+class TestAgainstReferences:
+    """``enhance`` and ``dense_mirror`` against the code they replace, on
+    every builtin (setting, seed) instance at budget 29."""
+
+    def test_factor_out_is_the_replay_through_reference_enhance(self, monkeypatch):
+        for setting in builtin_settings():
+            q = build_problem_qubo(setting)
+            before = q.dumps()
+            q_mod, report = factor_out(q, 29, default_z(q))
+            assert q.dumps() == before
+            with monkeypatch.context() as patched:
+                patched.setattr(factoring, "enhance", reference_enhance)
+                ref_mod, ref_report = factor_out(q, 29, default_z(q))
+            assert (q_mod.dumps(), report.dumps()) == (ref_mod.dumps(), ref_report.dumps()), setting
+
+    def test_dense_mirror_is_the_reference_array(self):
+        for setting in builtin_settings():
+            q = build_problem_qubo(setting)
+            z = default_z(q)
+            for m in (q, factor_out(q, 29, z)[0]):
+                a, ref = dense_mirror(m, 29, z), reference_dense_mirror(m, 29, z)
+                assert a.dtype == ref.dtype and a.shape == ref.shape
+                assert a.tobytes() == ref.tobytes(), setting
+
+    @pytest.mark.parametrize("q, z", [
+        (QuboMatrix(3, {(2, 2): -1, (0, 1): 2**60 + 1, (0, 0): 0.5, (1, 2): -(2**54)}), 3),
+        (QuboMatrix(3, {(1, 2): 2.5, (0, 0): -1, (0, 2): 3}), 2**52),
+    ], ids=["ints-above-2**53", "int-z"])
+    def test_dense_mirror_of_python_numbers_is_the_reference_array(self, q, z):
+        a, ref = dense_mirror(q, 2, z), reference_dense_mirror(q, 2, z)
+        assert a.dtype == ref.dtype == object
+        assert [(type(x), x) for x in a.ravel()] == [(type(x), x) for x in ref.ravel()]
 
 
 class TestFactorOut:

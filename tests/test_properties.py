@@ -2,6 +2,7 @@
 conflict list, and the coupling count and landscape of each factoring step,
 on small generated inputs."""
 
+import json
 import math
 from unittest.mock import patch
 
@@ -23,7 +24,14 @@ from quboreduce.factoring import (
 from quboreduce.graphs import all_pairs, format_edge_list, parse_edge_list
 from quboreduce.qubo import all_energies, bits_from_index, min_energy_over_ancillas
 
-from conftest import assert_bitwise_reference, reference_depth, reference_format_gate_list, reference_spectrum
+from conftest import (
+    assert_bitwise_reference,
+    reference_depth,
+    reference_enhance,
+    reference_format_gate_list,
+    reference_loads,
+    reference_spectrum,
+)
 
 SMALL = settings(max_examples=60, deadline=None)
 
@@ -276,3 +284,74 @@ def test_spectrum_order_is_the_int64_sort_at_every_scale(q, shift, offset):
     event("uint8" if span < 2**8 else "uint16" if span < 2**16 else "int64")
     entries = [(e.bits, e.energy, type(e.energy)) for e in spectrum(scaled)]
     assert entries == [(e.bits, e.energy, type(e.energy)) for e in reference_spectrum(scaled)]
+
+
+# One bad entry each, as a function of the qubit count and the entries so
+# far: a wrong shape or type, a lower-triangle, repeated or out-of-range
+# pair, or a coefficient with no finite float value.
+_BAD_ENTRIES = (
+    lambda n, entries: [0, 1],
+    lambda n, entries: [True, 0, 1],
+    lambda n, entries: [0, 0.0, 1],
+    lambda n, entries: [0, 0, "1"],
+    lambda n, entries: [0, 0, False],
+    lambda n, entries: [0, 0, None],
+    lambda n, entries: [n - 1, 0, 1] if n > 1 else [1, 0, 1],
+    lambda n, entries: [*entries[0][:2], 7] if entries else [0, n, 1],
+    lambda n, entries: [0, n, 1],
+    lambda n, entries: [-1, 0, 1],
+    lambda n, entries: [0, 0, float("nan")],
+    lambda n, entries: [n - 1, n - 1, float("-inf")],
+    lambda n, entries: [0, n - 1, -(10**400)],
+)
+
+
+@st.composite
+def qubo_documents(draw):
+    # Entries in any order with int, float, zero and -0.0 values, and at
+    # most one bad entry at a drawn place.
+    n = draw(st.integers(1, 5))
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    values = st.integers(-5, 5) | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((0, 0.0, -0.0))
+    pairs = draw(st.lists(st.sampled_from(cells), unique=True))
+    entries = [[i, j, draw(values)] for i, j in pairs]
+    bad = draw(st.none() | st.sampled_from(_BAD_ENTRIES))
+    if bad is not None:
+        entries.insert(draw(st.integers(0, len(entries))), bad(n, entries))
+    offset = draw(st.integers(-5, 5) | st.floats(-10, 10) | st.just(-0.0))
+    return json.dumps({"n": n, "offset": offset, "entries": entries})
+
+
+def _loaded(load, text):
+    """What ``load`` makes of ``text``: the matrix with the repr of each
+    number, which tells ints, floats and -0.0 apart, or the refusal."""
+    try:
+        q = load(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return q.n, repr(q.offset), [(k, repr(v)) for k, v in q.entries()], list(q._entries)
+
+
+@SMALL
+@given(qubo_documents())
+@example('{"n": 2, "offset": 0, "entries": [[0, 1, 0], [0, 1, 2]]}')
+def test_loads_matches_the_reference_loader(text):
+    loaded = _loaded(QuboMatrix.loads, text)
+    event("refused" if len(loaded) == 2 else "loaded")
+    assert loaded == _loaded(reference_loads, text)
+
+
+@SMALL
+@given(
+    penalty_qubos() | qubos(_INTS | _FLOATS),
+    st.tuples(st.integers(-1, 9), st.integers(-1, 9)),
+    st.lists(st.integers(-1, 9), max_size=4),
+    st.sampled_from((1, 3, 0.5, 0, True, float("inf"))),
+)
+def test_enhance_matches_the_reference_enhance(q, pair, syms, z):
+    # Drawn pairs and syms, in range or not; most refuse, some step.
+    before = q.dumps()
+    outcome = _loaded(lambda m: factoring.enhance(m, pair, syms, z), q)
+    event("refused" if len(outcome) == 2 else "stepped")
+    assert outcome == _loaded(lambda m: reference_enhance(m, pair, syms, z), q)
+    assert q.dumps() == before

@@ -534,8 +534,37 @@ class TestJsonFormat:
             QuboMatrix.loads(text)
 
     def test_rejects_non_finite(self):
-        with pytest.raises((ParameterError, ValueError)):
+        with pytest.raises(ParameterError, match=r"^non-finite coefficient at \(0, 0\)$"):
             QuboMatrix.loads('{"n": 1, "offset": 0, "entries": [[0, 0, NaN]]}')
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"n": 2, "offset": 0, "entries": [[0, 1]]}', "malformed entry [0, 1]"),
+        ('{"n": 2, "offset": 0, "entries": [7]}', "malformed entry 7"),
+        ('{"n": 2, "offset": 0, "entries": [[true, 1, 2]]}', "entry index must be an integer, got True"),
+        ('{"n": 2, "offset": 0, "entries": [[0.0, 1, 2]]}', "entry index must be an integer, got 0.0"),
+        ('{"n": 2, "offset": 0, "entries": [[0, 1.0, 2]]}', "entry index must be an integer, got 1.0"),
+        ('{"n": 2, "offset": 0, "entries": [[0, 1, "2"]]}', "coefficient must be a number, got '2'"),
+        ('{"n": 2, "offset": 0, "entries": [[0, 1, false]]}', "coefficient must be a number, got False"),
+        ('{"n": 2, "offset": 0, "entries": [[1, 0, 2]]}', "entry (1, 0) violates i <= j"),
+        ('{"n": 2, "offset": 0, "entries": [[0, 1, 1], [0, 1, 2]]}', "duplicate entry for pair (0, 1)"),
+        ('{"n": 2, "offset": 0, "entries": [[0, 1, 0], [0, 1, 2]]}', "duplicate entry for pair (0, 1)"),
+        ('{"n": 2, "offset": 0, "entries": [[0, 2, 1]]}', "index pair (0, 2) out of range for n=2"),
+        ('{"n": 2, "offset": 0, "entries": [[-1, 1, 1]]}', "index pair (-1, 1) out of range for n=2"),
+        ('{"n": 1, "offset": 0, "entries": [[0, 0, NaN]]}', "non-finite coefficient at (0, 0)"),
+        ('{"n": 1, "offset": 0, "entries": [[0, 0, Infinity]]}', "non-finite coefficient at (0, 0)"),
+        ('{"n": 1, "offset": 0, "entries": [[0, 0, 1%s]]}' % ("0" * 400), "non-finite coefficient at (0, 0)"),
+        ('{"n": 0, "offset": 0, "entries": []}', "qubit count must be positive, got 0"),
+        ('{"n": 2.5, "offset": 0, "entries": []}', "qubit count n must be an integer, got 2.5"),
+        ('{"n": 2, "offset": "0", "entries": []}', "offset must be a number, got '0'"),
+        ('{"n": 2, "offset": NaN, "entries": []}', "offset must be finite"),
+        ('{"n": 2, "offset": 0, "entries": {}}', "QUBO JSON entries must be a list"),
+        ('{"n": 2, "offset": 0}', "malformed QUBO JSON: 'entries'"),
+    ])
+    def test_single_fault_messages(self, doc, message):
+        with pytest.raises(ParameterError) as info:
+            QuboMatrix.loads(doc)
+        assert type(info.value) is ParameterError
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("doc", [
         '{"n": 1, "offset": 0, "entries": [[0, 0, 1%s]]}' % ("0" * 400),
