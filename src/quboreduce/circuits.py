@@ -1,5 +1,5 @@
-"""QAOA gate-list construction, CNOT counting, depth scheduling, and a small
-dense statevector evaluator for checking the diagonal cost layer.
+"""QAOA gate-list construction, CNOT counting, depth scheduling, and the
+basis-state phase of a diagonal circuit, for checking the cost layer.
 
 The gate set is {H, RX, RZ, CNOT}; each coupling term compiles to
 CNOT-RZ-CNOT, so a circuit over a QUBO whose spin form has C couplings and p
@@ -23,6 +23,7 @@ multiplies the cost layer and beta the mixer.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -30,9 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qubo import CapacityError, ParameterError, QuboMatrix, _grid_index, index_from_bits
-
-STATEVECTOR_GUARD = 20
+from .qubo import ParameterError, QuboMatrix
 
 # The gamma and beta of every layer when none are given.
 DEFAULT_ANGLE = 0.5
@@ -269,56 +268,26 @@ def depth(c: GateList) -> int:
     return max(frontier, default=0)
 
 
-_INV_SQRT2 = 1 / np.sqrt(2)
-
-
-def evolve(c: GateList, state: np.ndarray) -> np.ndarray:
-    """Dense statevector evolution of the full gate sequence on the state's
-    ``(2,) * n`` grid.  Each gate acts on the two ``_grid_index`` views its
-    target bit splits: a one-qubit gate mixes them by its 2x2 matrix, and a
-    CNOT swaps them where its control bit is 1.  The trailing ``...`` keeps
-    a view writable when the gate fixes every axis."""
-    if state.shape != (1 << c.n,):
-        raise ParameterError(f"state of shape {state.shape} is not a vector of length 2**{c.n}")
-    state = state.astype(complex, copy=True)
-    grid = state.reshape((2,) * c.n)
-    for g in c.gates:
-        ctrl = [(g.qubits[0], 1)] if g.kind == "CNOT" else []
-        lo, hi = (grid[_grid_index(c.n, ctrl + [(g.qubits[-1], bit)]) + (...,)] for bit in (0, 1))
-        a, b = lo.copy(), hi.copy()
-        if g.kind == "CNOT":
-            lo[...], hi[...] = b, a
-            continue
-        if g.kind == "H":
-            u00, u01, u10, u11 = _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2
-        elif g.kind == "RX":
-            cos, sin = np.cos(g.angle / 2), np.sin(g.angle / 2)
-            u00, u01, u10, u11 = cos, -1j * sin, -1j * sin, cos
-        else:
-            u00, u01, u10, u11 = np.exp(-1j * g.angle / 2), 0, 0, np.exp(1j * g.angle / 2)
-        lo[...] = u00 * a + u01 * b
-        hi[...] = u10 * a + u11 * b
-    return state
-
-
-def basis_phase(c: GateList, x: Sequence[int], cost_only: bool = False) -> complex:
-    """Amplitude of |x> after applying the circuit to |x>.
-
-    With ``cost_only`` the circuit must be diagonal (RZ and CNOT-conjugated RZ
-    only) and the returned amplitude is the unit phase picked up by |x>.
-    """
-    if c.n > STATEVECTOR_GUARD:
-        raise CapacityError(f"n={c.n} exceeds statevector guard {STATEVECTOR_GUARD}")
+def basis_phase(c: GateList, x: Sequence[int]) -> complex:
+    """Amplitude of |x> after the diagonal circuit ``c`` acts on |x>, by a
+    walk of the basis state through the gates: a CNOT flips its target bit
+    where its control bit is set, and an RZ(theta) multiplies the amplitude
+    by exp(-i theta/2) on bit 0, exp(+i theta/2) on bit 1.  It is 0 if the
+    bits do not return to x.  O(gates) at any n; H or RX raises."""
     if len(x) != c.n:
         raise ParameterError(f"basis state length {len(x)} != n={c.n}")
-    if cost_only:
-        for g in c.gates:
-            if g.kind not in ("RZ", "CNOT"):
-                raise ParameterError(f"non-diagonal gate {g.kind} under cost_only")
-    state = np.zeros(1 << c.n, dtype=complex)
-    m = index_from_bits(x)
-    state[m] = 1.0
-    return complex(evolve(c, state)[m])
+    start = [1 if b else 0 for b in x]
+    bits = start.copy()
+    amp = 1 + 0j
+    for g in c.gates:
+        if g.kind == "CNOT":
+            ctrl, tgt = g.qubits
+            bits[tgt] ^= bits[ctrl]
+        elif g.kind == "RZ":
+            amp *= cmath.exp((1j if bits[g.qubits[0]] else -1j) * g.angle / 2)
+        else:
+            raise ParameterError(f"non-diagonal gate {g.kind} in a basis phase walk")
+    return amp if bits == start else 0j
 
 
 # -- Line-oriented text format: header "qubits n", then one line per gate:
@@ -344,25 +313,3 @@ def format_gate_list(c: GateList) -> str:
             line = memo[id(g)] = _gate_line(g)
         lines.append(line)
     return "\n".join(lines) + "\n"
-
-
-def parse_gate_list(text: str) -> GateList:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split() if lines else []
-    if len(header) != 2 or header[0] != "qubits" or not header[1].isdecimal() or int(header[1]) < 1:
-        raise ParameterError("gate list must start with a 'qubits n' header, n a positive integer")
-    c = GateList(int(header[1]))
-    for ln in lines[1:]:
-        kind, *fields = ln.split()
-        if kind not in _GATE_FIELDS:
-            raise ParameterError(f"unknown gate line {ln!r}")
-        operands, angles = _GATE_FIELDS[kind]
-        if len(fields) != operands + angles:
-            raise ParameterError(f"{kind} takes {operands + angles} field(s), got {ln!r}")
-        try:
-            qubits = tuple(int(f) for f in fields[:operands])
-            angle = float(fields[operands]) if angles else None
-        except ValueError as exc:
-            raise ParameterError(f"gate line {ln!r}: {exc}") from exc
-        c.append(Gate(kind, qubits, angle))
-    return c

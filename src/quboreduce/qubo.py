@@ -58,15 +58,6 @@ def bits_from_index(m: int, n: int) -> tuple[int, ...]:
     return tuple((m >> i) & 1 for i in range(n))
 
 
-def index_from_bits(bits: Bits) -> int:
-    """Inverse of :func:`bits_from_index`."""
-    m = 0
-    for i, b in enumerate(bits):
-        if b:
-            m |= 1 << i
-    return m
-
-
 class QuboMatrix:
     """Symmetric real QUBO matrix with sparse upper-triangular storage."""
 
@@ -286,6 +277,9 @@ def all_energies(q: QuboMatrix) -> np.ndarray:
     zero: an assignment with no active coefficient keeps the offset's zero,
     which is why each float term starts from -0.0; one whose active
     coefficients cancel reads +0.0.
+
+    A float sum that overflows raises ``CapacityError``; the int64 bound and
+    the exact float sums keep the doubling fill's sums finite.
     """
     if q.n > ENUMERATION_GUARD:
         raise CapacityError(f"n={q.n} exceeds enumeration guard {ENUMERATION_GUARD}")
@@ -300,8 +294,12 @@ def all_energies(q: QuboMatrix) -> np.ndarray:
     else:
         grid = energies.reshape((2,) * q.n)
         grid[...] = q.offset
-        for (i, j), v in q.entries():
-            grid[_grid_index(q.n, ((i, 1), (j, 1)))] += v
+        try:
+            with np.errstate(over="raise"):
+                for (i, j), v in q.entries():
+                    grid[_grid_index(q.n, ((i, 1), (j, 1)))] += v
+        except FloatingPointError as exc:
+            raise CapacityError("an energy of this QUBO overflows float64") from exc
     return energies
 
 

@@ -4,11 +4,19 @@ import random
 import numpy as np
 import pytest
 
-from quboreduce import GateList, Graph, QuboMatrix, SpectrumEntry, complement, max_clique_qubo
+from quboreduce import Gate, GateList, Graph, QuboMatrix, SpectrumEntry, complement, max_clique_qubo
 from quboreduce.circuits import cost_schedule, schedule_metrics
 from quboreduce.experiments import DEFAULT_P_VALUES, SweepRecord, build_problem_qubo
 from quboreduce.factoring import _check_z, _step_cells, factoring_trajectory
-from quboreduce.qubo import CapacityError, ParameterError, _check_json, all_energies, bits_from_index, coupling_count
+from quboreduce.qubo import (
+    CapacityError,
+    ParameterError,
+    _check_json,
+    _grid_index,
+    all_energies,
+    bits_from_index,
+    coupling_count,
+)
 
 # Six-vertex demo instance used across the suite.  The clique penalty couples
 # every non-edge with weight 3; factoring the (1, 4) pair with its three
@@ -103,9 +111,42 @@ def reference_depth(c: GateList) -> int:
     return total
 
 
+_INV_SQRT2 = 1 / np.sqrt(2)
+
+
+def evolve(c: GateList, state: np.ndarray) -> np.ndarray:
+    """Dense statevector evolution of the full gate sequence on the state's
+    ``(2,) * n`` grid, the oracle for ``circuits.basis_phase``.  Each gate
+    acts on the two ``_grid_index`` views its target bit splits: a one-qubit
+    gate mixes them by its 2x2 matrix, and a CNOT swaps them where its
+    control bit is 1.  The trailing ``...`` keeps a view writable when the
+    gate fixes every axis."""
+    if state.shape != (1 << c.n,):
+        raise ParameterError(f"state of shape {state.shape} is not a vector of length 2**{c.n}")
+    state = state.astype(complex, copy=True)
+    grid = state.reshape((2,) * c.n)
+    for g in c.gates:
+        ctrl = [(g.qubits[0], 1)] if g.kind == "CNOT" else []
+        lo, hi = (grid[_grid_index(c.n, ctrl + [(g.qubits[-1], bit)]) + (...,)] for bit in (0, 1))
+        a, b = lo.copy(), hi.copy()
+        if g.kind == "CNOT":
+            lo[...], hi[...] = b, a
+            continue
+        if g.kind == "H":
+            u00, u01, u10, u11 = _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2
+        elif g.kind == "RX":
+            cos, sin = np.cos(g.angle / 2), np.sin(g.angle / 2)
+            u00, u01, u10, u11 = cos, -1j * sin, -1j * sin, cos
+        else:
+            u00, u01, u10, u11 = np.exp(-1j * g.angle / 2), 0, 0, np.exp(1j * g.angle / 2)
+        lo[...] = u00 * a + u01 * b
+        hi[...] = u10 * a + u11 * b
+    return state
+
+
 def reference_evolve(c: GateList, state: np.ndarray) -> np.ndarray:
-    """Statevector evolution by index arrays: the ``circuits.evolve`` that
-    the grid-view version replaced.  Each one-qubit gate builds the 2^n
+    """Statevector evolution by index arrays: the ``evolve`` that the
+    grid-view version replaced.  Each one-qubit gate builds the 2^n
     indices with its qubit's bit 0 and their partners with bit 1; each CNOT
     the indices with the control bit set and the target bit clear."""
     inv_sqrt2 = 1 / np.sqrt(2)
@@ -146,6 +187,21 @@ def reference_format_gate_list(c: GateList) -> str:
             line = f"{line} {qb}"
         lines.append(line if g.angle is None else f"{line} {g.angle:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def read_gate_list(text: str) -> GateList:
+    """The gates of ``circuits.format_gate_list`` text: the ``qubits n``
+    header, then one ``Gate(kind, ints, float)`` per line, which checks its
+    own fields.  The library writes this format but never reads it."""
+    header, *lines = text.splitlines()
+    label, n = header.split()
+    assert label == "qubits"
+    gates = []
+    for line in lines:
+        kind, *fields = line.split()
+        angle = float(fields.pop()) if kind in ("RX", "RZ") else None
+        gates.append(Gate(kind, tuple(int(f) for f in fields), angle))
+    return GateList(int(n), gates)
 
 
 def reference_sweep(setting, max_ancillas, p_values=DEFAULT_P_VALUES, z=None) -> list[SweepRecord]:

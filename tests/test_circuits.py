@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from quboreduce import (
-    CapacityError,
     Gate,
     GateList,
     ParameterError,
@@ -24,21 +23,16 @@ from quboreduce import (
     qubo_to_ising,
 )
 from quboreduce import factoring
-from quboreduce.circuits import (
-    _block_schedule,
-    cost_schedule,
-    evolve,
-    format_gate_list,
-    parse_gate_list,
-    schedule_metrics,
-)
+from quboreduce.circuits import _block_schedule, cost_schedule, format_gate_list, schedule_metrics
 from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.factoring import _factoring_loop, default_z, dense_mirror, factoring_trajectory
 from quboreduce.qubo import bits_from_index
 
 from conftest import (
+    evolve,
     random_float_qubo,
     random_qubo,
+    read_gate_list,
     reference_depth,
     reference_evolve,
     reference_format_gate_list,
@@ -136,8 +130,7 @@ class TestBuildCircuit:
         ((0.5, 0.5), (0.5, float("nan"))),
     ])
     def test_rejects_non_finite_angles(self, gammas, betas):
-        # A non-finite angle would print as "nan" or "inf", which
-        # parse_gate_list rejects.
+        # A non-finite angle would print as "nan" or "inf" in a gate list.
         with pytest.raises(ParameterError, match="finite"):
             QaoaParams(len(gammas), gammas, betas)
 
@@ -521,7 +514,7 @@ class TestBasisPhase:
         c = build_cost_layer(demo_qubo, gamma)
         x = [0, 1, 0, 0, 1, 0]  # energy 1
         y = [0, 1, 0, 0, 0, 0]  # energy -1
-        ratio = basis_phase(c, x, cost_only=True) / basis_phase(c, y, cost_only=True)
+        ratio = basis_phase(c, x) / basis_phase(c, y)
         assert ratio == pytest.approx(cmath.exp(-1j * gamma * 2))
 
     def test_cost_layer_is_diagonal_and_encodes_energies(self):
@@ -530,24 +523,62 @@ class TestBasisPhase:
             q = random_qubo(rng, rng.randint(2, 6))
             gamma = rng.uniform(0.1, 1.5)
             c = build_cost_layer(q, gamma)
-            ref = basis_phase(c, (0,) * q.n, cost_only=True)
+            ref = basis_phase(c, (0,) * q.n)
             e_ref = energy(q, (0,) * q.n)
             for m in range(1 << q.n):
                 bits = bits_from_index(m, q.n)
-                amp = basis_phase(c, bits, cost_only=True)
+                amp = basis_phase(c, bits)
                 assert abs(amp) == pytest.approx(1.0)
                 expected = cmath.exp(-1j * gamma * (energy(q, bits) - e_ref))
                 assert amp / ref == pytest.approx(expected, abs=1e-9)
 
-    def test_cost_only_rejects_mixer_gates(self):
-        c = GateList(1)
-        c.append(Gate("RX", (0,), 0.2))
-        with pytest.raises(ParameterError):
-            basis_phase(c, [0], cost_only=True)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_walk_matches_statevector(self, seed):
+        # The walk against the statevector oracle: equal to 1e-12 at every
+        # basis state, and exactly 0 where an unpaired CNOT moves the bits.
+        rng = random.Random(seed)
+        n = 1 + seed % 9
+        q = random_float_qubo(rng, n) if seed % 2 else random_qubo(rng, n)
+        layer = build_cost_layer(q, rng.uniform(-1.5, 1.5))
+        circuits = [layer]
+        if n > 1:
+            extra = Gate("CNOT", tuple(rng.sample(range(n), 2)))
+            circuits.append(GateList(n, layer.gates + [extra]))
+        for c in circuits:
+            for m in range(1 << n):
+                start = np.zeros(1 << n, dtype=complex)
+                start[m] = 1
+                expected = evolve(c, start)[m]
+                amp = basis_phase(c, bits_from_index(m, n))
+                assert abs(amp - expected) <= 1e-12
+                if expected == 0:
+                    assert amp == 0
+        if n > 1:
+            # The unpaired CNOT moves every state whose control bit is set.
+            assert any(basis_phase(circuits[1], bits_from_index(m, n)) == 0 for m in range(1 << n))
 
-    def test_guard(self):
-        with pytest.raises(CapacityError):
-            basis_phase(GateList(25), [0] * 25)
+    def test_64_qubit_cost_layer(self):
+        rng = random.Random(64)
+        q = random_qubo(rng, 64, density=0.2)
+        gamma = 0.41
+        c = build_cost_layer(q, gamma)
+        zero = (0,) * 64
+        ref, e_ref = basis_phase(c, zero), energy(q, zero)
+        for _ in range(16):
+            bits = tuple(rng.randint(0, 1) for _ in range(64))
+            expected = cmath.exp(-1j * gamma * (energy(q, bits) - e_ref))
+            assert abs(basis_phase(c, bits) / ref - expected) <= 1e-9
+
+    @pytest.mark.parametrize("gate", [Gate("H", (0,)), Gate("RX", (0,), 0.2)], ids=["H", "RX"])
+    def test_rejects_mixer_gates(self, gate):
+        c = GateList(1)
+        c.append(gate)
+        with pytest.raises(ParameterError):
+            basis_phase(c, [0])
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ParameterError, match="basis state length 2 != n=3"):
+            basis_phase(GateList(3), [0, 1])
 
 
 class TestGateValidation:
@@ -601,7 +632,7 @@ class TestGateValidation:
 class TestGateListFormat:
     def test_round_trip(self, demo_qubo):
         c = build_circuit(demo_qubo, QaoaParams.constant(2, gamma=0.123456789, beta=0.9))
-        restored = parse_gate_list(format_gate_list(c))
+        restored = read_gate_list(format_gate_list(c))
         assert restored.n == c.n
         assert restored.gates == c.gates
 
@@ -616,28 +647,3 @@ class TestGateListFormat:
         assert "RZ 1 0.5" in text
         assert "CNOT 0 1" in text
         assert text == "qubits 2\nH 0\nRZ 1 0.5\nCNOT 0 1\nRX 1 0.10000000000000001\n"
-
-    def test_rejects_missing_header(self):
-        with pytest.raises(ParameterError):
-            parse_gate_list("H 0\n")
-
-    @pytest.mark.parametrize("text", [
-        "qubits 2\nH\n",
-        "qubits 2\nCNOT 0\n",
-        "qubits 2\nRZ 0 abc\n",
-        "qubits x\n",
-        "qubits 2\nH 0 1.5\n",
-        "qubits 2\nRZ 0 nan\n",
-        "qubits 2\nRX 0 inf\n",
-        "qubits 0\n",
-        "qubits 2 3\n",
-        "qubits 2\nCNOT 0 1.0\n",
-        "qubits 2\nH 2\n",
-        "qubits 2\nRZ -1 0.5\n",
-        "qubits 2\nCNOT 0 2\n",
-        "qubits 2\nCZ 0 1\n",
-        "qubits 2\nh 0\n",
-    ])
-    def test_rejects_malformed_line(self, text):
-        with pytest.raises(ParameterError):
-            parse_gate_list(text)

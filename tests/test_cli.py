@@ -267,6 +267,23 @@ def test_factor_whose_mirror_cannot_be_allocated_exits_2(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--qubo", "a.json", "--out", "out.txt"],
+    ["verify", "--qubo", "a.json", "--modified", "b.json", "--report", "r.json"],
+], ids=["spectrum", "verify"])
+def test_float_energy_that_overflows_exits_2(tmp_path, capsys, monkeypatch, command):
+    # E(11) is 3e308 for a and 3.7e308 for b: both overflow float64, and
+    # inf - inf would compare false with every bound.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text('{"n": 2, "offset": 0, "entries": [[0,0,1e308],[0,1,1e308],[1,1,1e308]]}')
+    (tmp_path / "b.json").write_text('{"n": 2, "offset": 0, "entries": [[0,0,1e308],[0,1,1.7e308],[1,1,1e308]]}')
+    (tmp_path / "r.json").write_text('{"base_n": 2, "final_n": 2, "z": 1, "steps": []}')
+    assert main(command) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: an energy of this QUBO overflows float64\n")
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path, demo_qubo):
     # `python -m quboreduce` from a checkout with src/ on the path, exit
     # codes included.

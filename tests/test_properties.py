@@ -11,7 +11,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from quboreduce import Gate, GateList, Graph, QuboMatrix, coupling_count, energy, factoring, qubo, spectrum
-from quboreduce.circuits import _GATE_FIELDS, _block_schedule, cost_schedule, depth, format_gate_list, parse_gate_list
+from quboreduce.circuits import _GATE_FIELDS, _block_schedule, cost_schedule, depth, format_gate_list
 from quboreduce.factoring import (
     _factoring_loop,
     dense_mirror,
@@ -26,6 +26,7 @@ from quboreduce.qubo import all_energies, bits_from_index, min_energy_over_ancil
 
 from conftest import (
     assert_bitwise_reference,
+    read_gate_list,
     reference_depth,
     reference_enhance,
     reference_format_gate_list,
@@ -94,7 +95,7 @@ def gate_lists(draw):
 def shared_gate_lists(draw):
     # Gates added through GateList.append, then placed again at drawn
     # positions, so that one object can stand at several places, as in
-    # build_circuit's lists; or all of them read back by parse_gate_list, one
+    # build_circuit's lists; or all of them read back by read_gate_list, one
     # object per line.  0.0 and -0.0 are drawn often: equal, yet printed
     # differently.
     n = draw(st.integers(1, 6))
@@ -108,7 +109,7 @@ def shared_gate_lists(draw):
     positions = st.lists(st.integers(0, len(pool.gates) - 1), max_size=40) if pool.gates else st.just([])
     c = GateList(n, [pool.gates[k] for k in draw(positions)])
     if draw(st.booleans()):
-        c = parse_gate_list(reference_format_gate_list(c))
+        c = read_gate_list(reference_format_gate_list(c))
     return c
 
 
@@ -131,7 +132,7 @@ def test_edge_list_round_trip(g):
 @given(gate_lists())
 def test_gate_list_round_trip(c):
     # .17g angles parse back to the same double, the sign of zero included.
-    restored = parse_gate_list(format_gate_list(c))
+    restored = read_gate_list(format_gate_list(c))
     assert restored == c
     signs = [[math.copysign(1, g.angle) for g in m.gates if g.angle is not None] for m in (restored, c)]
     assert signs[0] == signs[1]

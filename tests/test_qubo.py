@@ -25,7 +25,7 @@ from quboreduce import (
 )
 from quboreduce import factoring, qubo
 from quboreduce.factoring import FactoringReport, FactoringStep, is_conflicting, verify_equivalence
-from quboreduce.qubo import ENUMERATION_GUARD, all_energies, bits_from_index, index_from_bits
+from quboreduce.qubo import ENUMERATION_GUARD, all_energies, bits_from_index
 
 from conftest import assert_bitwise_reference, random_float_qubo, random_qubo, reference_all_energies, reference_spectrum
 
@@ -173,7 +173,7 @@ class TestSpectrum:
     def test_ties_sorted_by_assignment_index(self):
         q = QuboMatrix(2)  # all energies zero
         sp = spectrum(q)
-        assert [index_from_bits(e.bits) for e in sp] == [0, 1, 2, 3]
+        assert [sum(b << i for i, b in enumerate(e.bits)) for e in sp] == [0, 1, 2, 3]
 
     def test_guard(self):
         with pytest.raises(CapacityError):
@@ -420,7 +420,7 @@ class TestAllEnergies:
             assert np.array_equal(energies, expected), t
             if n <= 10:
                 order = np.lexsort((np.arange(expected.size), expected))
-                assert [index_from_bits(e.bits) for e in spectrum(q)] == order.tolist()
+                assert [sum(b << i for i, b in enumerate(e.bits)) for e in spectrum(q)] == order.tolist()
 
     @pytest.mark.parametrize("value", [
         lambda rng: float(rng.randint(-9, 9)),
@@ -494,6 +494,28 @@ class TestAllEnergies:
         assert energies.dtype == np.int64
         assert energies.tolist() == [energy(q, bits_from_index(m, 3)) for m in range(8)]
         assert energies.max() == 2**62 - 2
+
+    @pytest.mark.parametrize("entries, offset", [
+        ({(0, 0): 1e308, (0, 1): 1e308, (1, 1): 1e308}, 0),
+        ({(0, 0): -1e308, (1, 1): -1e308}, 0),
+        ({(1, 1): 1.7e308}, 1.7e308),
+        # The last coefficient brings the sum back below 1.8e308, but the
+        # (i, j)-order partial sum has overflowed already.
+        ({(0, 0): 1e308, (0, 1): 1e308, (1, 1): -1e308}, 0.5),
+    ], ids=["positive", "negative", "offset", "partial-sum"])
+    def test_rejects_float_energy_that_overflows(self, entries, offset):
+        q = QuboMatrix(2, entries, offset)
+        assert not qubo._sums_exact(q)
+        for enumerate_all in (all_energies, spectrum, lambda q: is_conflicting(q, 0, 1)):
+            with pytest.raises(CapacityError, match="^an energy of this QUBO overflows float64$"):
+                enumerate_all(q)
+        with pytest.raises(CapacityError, match="overflows float64"):
+            verify_equivalence(q, q, FactoringReport(2, 1, []))
+
+    def test_float_energy_at_the_float64_maximum_is_kept(self):
+        top = np.finfo(np.float64).max
+        q = QuboMatrix(2, {(0, 0): top / 2, (1, 1): top / 2}, 0.0)
+        assert all_energies(q).tolist() == [0.0, top / 2, top / 2, top]
 
 
 def _above_guard_report():
