@@ -29,6 +29,7 @@ from .qubo import (
     QuboMatrix,
     _check_json,
     _check_not_bool,
+    _energy_blocks,
     _finite,
     _grid_index,
     _out_of_range,
@@ -99,6 +100,11 @@ class FactoringReport:
 
 # Rows per block in the searches, so that no temporary exceeds about 1 MB.
 _BLOCK_BYTES = 1 << 20
+
+# verify_equivalence reads the factored energies in blocks of 2^w, w at
+# least the base size and at least this (unless the whole array is
+# smaller), so a small base with many ancillas still makes few passes.
+_VERIFY_BLOCK_BITS = 16
 
 
 def _blocks(rows: int, width: int):
@@ -347,22 +353,41 @@ class VerificationVerdict:
         )
 
 
+def _best_over_ancillas(blocks: Iterator[tuple[int, np.ndarray]], base_n: int) -> np.ndarray:
+    """Each base assignment's least energy over the ancilla assignments,
+    folded over the blocks.  The assignment index packs base bits low and
+    ancilla bits high, so each block is whole rows of 2^base_n; a block of
+    one row is folded as it is, with no copy.  A function, so that no view
+    of the last block outlives the fold."""
+    best = None
+    for _, block in blocks:
+        rows = block.reshape(-1, 1 << base_n)
+        if best is None:
+            best = rows.min(axis=0)
+        else:
+            np.minimum(best, rows[0] if len(rows) == 1 else rows.min(axis=0), out=best)
+    return best
+
+
 def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport) -> VerificationVerdict:
     """Exhaustively compare the base matrix with its factored counterpart.
 
     Checks that best-ancilla energies of valid base assignments are preserved
     exactly, that invalid assignments never improve, and that the global
     minima agree.
+
+    The factored energies are read as blocks of 2^w, w the larger of the
+    base size and ``_VERIFY_BLOCK_BITS`` (at most ``final_n``), and their
+    minimum over the ancilla assignments is folded in block by block, so no
+    2^final_n array is held.
     """
     if q.n != report.base_n or q_mod.n != report.final_n:
         raise ParameterError("report does not match the supplied matrices")
 
-    # q_mod is the larger, so its all_energies refuses first, before any grid.
-    mod_energies = all_energies(q_mod)
+    # q_mod is the larger, so its blocks refuse first, before any grid.
+    blocks = _energy_blocks(q_mod, min(q_mod.n, max(q.n, _VERIFY_BLOCK_BITS)))
     base_energies = all_energies(q)
-    num_anc = q_mod.n - q.n
-    # Assignment index packs base bits low, ancilla bits high.
-    best_mod = mod_energies.reshape(1 << num_anc, 1 << q.n).min(axis=0)
+    best_mod = _best_over_ancillas(blocks, q.n)
 
     exact = q.is_integral and q_mod.is_integral
     tol = 0 if exact else FLOAT_TOL
@@ -378,8 +403,12 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
         bits.append(bi | bj)
     valid = valid.reshape(-1)
 
-    diff = best_mod - base_energies
+    # Two finite float energies may differ by more than float64 holds; the
+    # difference is then +-inf, which gives the right verdict.
+    with np.errstate(over="ignore"):
+        diff = best_mod - base_energies
+        lowest_gap = best_mod.min() - base_energies.min()
     valid_ok = not np.any(np.abs(diff[valid]) > tol)
     invalid_ok = not np.any(diff[~valid] < -tol)
-    minimum_ok = bool(abs(best_mod.min() - base_energies.min()) <= tol)
+    minimum_ok = bool(abs(lowest_gap) <= tol)
     return VerificationVerdict(valid_ok, invalid_ok, minimum_ok)

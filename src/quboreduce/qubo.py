@@ -279,7 +279,31 @@ def all_energies(q: QuboMatrix) -> np.ndarray:
     coefficients cancel reads +0.0.
 
     A float sum that overflows raises ``CapacityError``; the int64 bound and
-    the exact float sums keep the doubling fill's sums finite.
+    the exact float sums keep the doubling fill's sums finite.  The array is
+    the single block of :func:`_energy_blocks` with ``w = n``.
+    """
+    [(_, energies)] = _energy_blocks(q, q.n)
+    return energies
+
+
+def _energy_blocks(q: QuboMatrix, w: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The energies of :func:`all_energies` as 2^(n-w) blocks of 2^w, each
+    yielded as ``(h, block)``: block h holds the assignments whose bits
+    w..n-1 read h, and is bitwise the slice ``[h * 2^w, (h + 1) * 2^w)`` of
+    that array.  The guard and the int64 bound are checked at the call,
+    before any array exists.  A block is overwritten once the next one is
+    drawn.
+
+    Where doubling fills the array, it fills block 0, and the walk visits
+    the other high assignments in Gray-code order: setting or clearing high
+    bit k adds or subtracts k's linear term over the low bits and k's
+    couplings to the other high bits that are set.  Each partial result is
+    a signed sum of stored values, exact in any order.  A subtraction can
+    turn -0.0 into +0.0, though, so a float matrix with offset -0.0 walks
+    only when there is one block.  The walk holds the block and the n - w
+    linear terms, (n - w + 1) * 2^w entries.  Every other float matrix
+    fills each block in (i, j) order as :func:`all_energies` does, adding a
+    coefficient whose high bits are all set to its view of the low bits.
     """
     if q.n > ENUMERATION_GUARD:
         raise CapacityError(f"n={q.n} exceeds enumeration guard {ENUMERATION_GUARD}")
@@ -288,19 +312,10 @@ def all_energies(q: QuboMatrix) -> np.ndarray:
         total = abs(q.offset) + sum(abs(v) for v in q._entries.values())
         if total >= _INT_ENERGY_BOUND:
             raise CapacityError(f"|offset| + sum |Q[i,j]| = {total} reaches the int64 enumeration bound 2**62")
-    energies = np.empty(1 << q.n, dtype=np.int64 if integral else np.float64)
-    if integral or _sums_exact(q):
-        _fill_by_doubling(q, energies, 0 if integral else -0.0)
-    else:
-        grid = energies.reshape((2,) * q.n)
-        grid[...] = q.offset
-        try:
-            with np.errstate(over="raise"):
-                for (i, j), v in q.entries():
-                    grid[_grid_index(q.n, ((i, 1), (j, 1)))] += v
-        except FloatingPointError as exc:
-            raise CapacityError("an energy of this QUBO overflows float64") from exc
-    return energies
+        return _walked_blocks(q, w, np.int64, 0)
+    if _sums_exact(q) and (w == q.n or math.copysign(1, q.offset) > 0):
+        return _walked_blocks(q, w, np.float64, -0.0)
+    return _in_order_blocks(q, w)
 
 
 def _sums_exact(q: QuboMatrix) -> bool:
@@ -313,21 +328,75 @@ def _sums_exact(q: QuboMatrix) -> bool:
     return sum(abs(m) * (scale // d) for m, d in ratios) < _FLOAT_EXACT_BOUND
 
 
-def _fill_by_doubling(q: QuboMatrix, energies: np.ndarray, zero) -> None:
+def _walked_blocks(q: QuboMatrix, w: int, dtype, zero) -> Iterator[tuple[int, np.ndarray]]:
     entries = q._entries
+    # One allocation for the block and the terms: numpy asks for huge pages
+    # from 4 MB up, which spares most page faults of the fresh memory.
+    block, *terms = np.empty((q.n - w + 1, 1 << w), dtype=dtype)
+    _fill_by_doubling(q, block, zero)
+    yield 0, block
+    for k, term in enumerate(terms):
+        _linear_term(entries, w + k, term, zero)
+    # Each high bit's couplings to the other high bits, as (bit, value).
+    links = [[] for _ in terms]
+    for (i, j), v in entries.items():
+        if w <= i < j:
+            links[i - w].append((j - w, v))
+            links[j - w].append((i - w, v))
+    h = 0
+    for g in range(1, 1 << len(terms)):
+        k = (g & -g).bit_length() - 1
+        h ^= 1 << k
+        step = np.add if h >> k & 1 else np.subtract
+        step(block, terms[k], out=block)
+        shared = [v for b, v in links[k] if h >> b & 1]
+        if shared:
+            step(block, sum(shared), out=block)
+        yield h, block
+
+
+def _fill_by_doubling(q: QuboMatrix, energies: np.ndarray, zero) -> None:
     energies[0] = q.offset
-    for k in range(q.n):
+    for k in range(energies.size.bit_length() - 1):
         half = 1 << k
         term = energies[half : 2 * half]
-        term[0] = entries.get((k, k), zero)
-        for b in range(k):
-            low = term[: 1 << b]
-            v = entries.get((b, k))
-            if v is None:
-                term[1 << b : 2 << b] = low
-            else:
-                np.add(low, v, out=term[1 << b : 2 << b])
+        _linear_term(q._entries, k, term, zero)
         term += energies[:half]
+
+
+def _linear_term(entries: dict, k: int, term: np.ndarray, zero) -> None:
+    """Fill ``term`` with bit k's linear term ``Q[k,k] + sum_b x_b Q[b,k]``
+    under every assignment of the bits b below log2(len(term)): ``Q[k,k]``,
+    doubled once per bit b by adding ``Q[b,k]``, or copied when that pair is
+    not stored."""
+    term[0] = entries.get((k, k), zero)
+    for b in range(term.size.bit_length() - 1):
+        low = term[: 1 << b]
+        v = entries.get((b, k))
+        if v is None:
+            term[1 << b : 2 << b] = low
+        else:
+            np.add(low, v, out=term[1 << b : 2 << b])
+
+
+def _in_order_blocks(q: QuboMatrix, w: int) -> Iterator[tuple[int, np.ndarray]]:
+    # Per coefficient: the high bits it needs set, and its view of the block.
+    steps = []
+    for (i, j), v in q.entries():
+        high = sum(1 << (k - w) for k in {i, j} if k >= w)
+        steps.append((high, _grid_index(w, ((k, 1) for k in (i, j) if k < w)), v))
+    energies = np.empty(1 << w, dtype=np.float64)
+    grid = energies.reshape((2,) * w)
+    for h in range(1 << (q.n - w)):
+        grid[...] = q.offset
+        try:
+            with np.errstate(over="raise"):
+                for high, index, v in steps:
+                    if h & high == high:
+                        grid[index] += v
+        except FloatingPointError as exc:
+            raise CapacityError("an energy of this QUBO overflows float64") from exc
+        yield h, energies
 
 
 class Spectrum(Sequence):

@@ -7,8 +7,9 @@ import pytest
 from quboreduce import Gate, GateList, Graph, QuboMatrix, SpectrumEntry, complement, max_clique_qubo
 from quboreduce.circuits import cost_schedule, schedule_metrics
 from quboreduce.experiments import DEFAULT_P_VALUES, SweepRecord, build_problem_qubo
-from quboreduce.factoring import _check_z, _step_cells, factoring_trajectory
+from quboreduce.factoring import VerificationVerdict, _check_z, _step_cells, factoring_trajectory
 from quboreduce.qubo import (
+    FLOAT_TOL,
     CapacityError,
     ParameterError,
     _check_json,
@@ -95,6 +96,34 @@ def reference_spectrum(q: QuboMatrix) -> list[SpectrumEntry]:
     order = np.argsort(energies, kind="stable")
     cast = int if q.is_integral else float
     return [SpectrumEntry(bits_from_index(int(m), q.n), cast(energies[m])) for m in order]
+
+
+def reference_verify(q, q_mod, report):
+    """verify_equivalence with one Python replay of the steps per assignment."""
+    base_energies = all_energies(q)
+    mod_energies = all_energies(q_mod)
+    best_mod = mod_energies.reshape(1 << (q_mod.n - q.n), 1 << q.n).min(axis=0)
+    tol = 0 if q.is_integral and q_mod.is_integral else FLOAT_TOL
+
+    def classify_valid(bits):
+        extended = list(bits)
+        for step in report.steps:
+            bi, bj = extended[step.i], extended[step.j]
+            if bi and bj:
+                return False
+            extended.append(bi | bj)
+        return True
+
+    valid_ok = invalid_ok = True
+    for m in range(base_energies.size):
+        diff = best_mod[m] - base_energies[m]
+        if classify_valid(bits_from_index(m, q.n)):
+            if abs(diff) > tol:
+                valid_ok = False
+        elif diff < -tol:
+            invalid_ok = False
+    minimum_ok = bool(abs(mod_energies.min() - base_energies.min()) <= tol)
+    return VerificationVerdict(valid_ok, invalid_ok, minimum_ok)
 
 
 def reference_depth(c: GateList) -> int:

@@ -284,6 +284,21 @@ def test_float_energy_that_overflows_exits_2(tmp_path, capsys, monkeypatch, comm
     assert not (tmp_path / "out.txt").exists()
 
 
+def test_verify_of_energies_whose_difference_overflows(tmp_path):
+    # E(1) is 1.5e308 and -1.5e308, both finite; the difference is -inf, a
+    # false verdict, and numpy prints no overflow warning.
+    (tmp_path / "a.json").write_text('{"n": 1, "offset": 0, "entries": [[0, 0, 1.5e308]]}')
+    (tmp_path / "b.json").write_text('{"n": 1, "offset": 0, "entries": [[0, 0, -1.5e308]]}')
+    (tmp_path / "r.json").write_text('{"base_n": 1, "final_n": 1, "z": 1, "steps": []}')
+    done = subprocess.run([sys.executable, "-m", "quboreduce", "verify", "--qubo", "a.json", "--modified", "b.json",
+                           "--report", "r.json"], cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ('{"valid_energies_preserved": false, "invalid_energies_nondecreasing": true, '
+                           '"minimum_preserved": false}\n')
+    assert done.stderr == ""
+
+
 def test_python_dash_m_runs_the_cli(tmp_path, demo_qubo):
     # `python -m quboreduce` from a checkout with src/ on the path, exit
     # codes included.

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import sys
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -42,9 +43,9 @@ from quboreduce.factoring import (
     is_conflicting,
 )
 from quboreduce.graphs import permute_vertices, sample_permutation
-from quboreduce.qubo import FLOAT_TOL, CapacityError, all_energies, bits_from_index
+from quboreduce.qubo import CapacityError, all_energies, bits_from_index
 
-from conftest import random_qubo, reference_dense_mirror, reference_enhance
+from conftest import random_qubo, reference_dense_mirror, reference_enhance, reference_verify
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -610,9 +611,7 @@ class TestVerifyEquivalence:
     def test_step_on_an_earlier_ancilla(self, demo_qubo, pair):
         # The loop makes no such step on the builtin instances.  The second
         # ancilla is the OR of a base qubit and the first ancilla.
-        z = default_z(demo_qubo)
-        q_mod = enhance(enhance(demo_qubo, (1, 4), {0, 2, 5}, z), pair, set(), z)
-        report = FactoringReport(6, z, [FactoringStep(6, 1, 4, (0, 2, 5)), FactoringStep(7, *pair, ())])
+        q_mod, report = _step_on_an_earlier_ancilla(demo_qubo, pair)
         verdict = verify_equivalence(demo_qubo, q_mod, report)
         assert verdict == reference_verify(demo_qubo, q_mod, report)
         assert verdict.all_ok
@@ -620,47 +619,75 @@ class TestVerifyEquivalence:
     def test_matches_reference(self):
         # Encoded instances factored at the safe penalty and at weak ones, in
         # integer and float form, so every verdict field is seen both ways.
-        rng = random.Random(5)
         seen = set()
-        for t in range(40):
-            v = rng.randint(5, 10)
-            q = max_clique_qubo(sample_graph(v, rng.randint(v, v * (v - 1) // 2 - 3), seed=t), 3)
-            if t % 3 == 0:
-                q = QuboMatrix(q.n, {k: 0.75 * c for k, c in q.entries()}, offset=0.5)
-            for z in (default_z(q), 3, 1.5, 0.5):
-                q_mod, report = factor_out(q, 6, z)
-                verdict = verify_equivalence(q, q_mod, report)
-                assert verdict == reference_verify(q, q_mod, report), (t, z)
-                seen.add(dataclasses.astuple(verdict))
+        for label, q, q_mod, report in _reference_cases():
+            verdict = verify_equivalence(q, q_mod, report)
+            assert verdict == reference_verify(q, q_mod, report), label
+            seen.add(dataclasses.astuple(verdict))
         assert all(set(values) == {False, True} for values in zip(*seen))
 
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_small_blocks_match_reference(self, demo_qubo, monkeypatch, rows):
+        # These instances fit one block of 2**16 energies.  With the floor at
+        # the base size plus log2(rows), each block holds that many rows of
+        # base assignments.  The blocks are walked for integral and dyadic
+        # matrices (the earlier-ancilla reports couple two ancillas), and
+        # filled in (i, j) order for the rest.
+        cases = list(_reference_cases())
+        for label, q, q_mod, report in cases[::3]:
+            inexact = QuboMatrix(q.n, {k: 0.1 * c for k, c in q.entries()}, offset=0.3)
+            for z in (default_z(inexact), 0.5):
+                cases.append((label + ("0.1", z), inexact, *factor_out(inexact, 6, z)))
+        for pair in ((3, 6), (6, 0)):
+            cases.append((pair, demo_qubo, *_step_on_an_earlier_ancilla(demo_qubo, pair)))
+        for label, q, q_mod, report in cases:
+            monkeypatch.setattr(factoring, "_VERIFY_BLOCK_BITS", q.n + rows.bit_length() - 1)
+            assert verify_equivalence(q, q_mod, report) == reference_verify(q, q_mod, report), label
 
-def reference_verify(q, q_mod, report):
-    """verify_equivalence with one Python replay of the steps per assignment."""
-    base_energies = all_energies(q)
-    mod_energies = all_energies(q_mod)
-    best_mod = mod_energies.reshape(1 << (q_mod.n - q.n), 1 << q.n).min(axis=0)
-    tol = 0 if q.is_integral and q_mod.is_integral else FLOAT_TOL
+    @pytest.mark.parametrize("value", [lambda k: k % 7 - 3, lambda k: (k % 7 - 3) / 4, lambda k: 1 / (k + 3)],
+                             ids=["int", "dyadic", "in-order"])
+    def test_holds_no_array_of_all_factored_energies(self, value):
+        # 16 base qubits and 5 ancillas: blocks of 2^16 energies, so the walk
+        # holds the block and five linear terms, not all 2^21 energies.
+        base, anc = 16, 5
+        q = QuboMatrix(base, {(k % base, (3 * k) % base): value(k) for k in range(40)})
+        q_mod = QuboMatrix(base + anc, {(k % (base + anc), (5 * k) % (base + anc)): value(k) for k in range(60)})
+        report = FactoringReport(base, 1, [FactoringStep(base + k, k, k + 1, ()) for k in range(anc)])
+        tracemalloc.start()
+        try:
+            verify_equivalence(q, q_mod, report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * anc + 8) * 2**base * 8
 
-    def classify_valid(bits):
-        extended = list(bits)
-        for step in report.steps:
-            bi, bj = extended[step.i], extended[step.j]
-            if bi and bj:
-                return False
-            extended.append(bi | bj)
-        return True
+    def test_energies_whose_difference_overflows(self):
+        # Both energies of x0 = 1 are finite, and their difference is -inf.
+        q = QuboMatrix(1, {(0, 0): 1.5e308})
+        q_mod = QuboMatrix(1, {(0, 0): -1.5e308})
+        verdict = verify_equivalence(q, q_mod, FactoringReport(1, 1, []))
+        assert verdict == VerificationVerdict(False, True, False)
 
-    valid_ok = invalid_ok = True
-    for m in range(base_energies.size):
-        diff = best_mod[m] - base_energies[m]
-        if classify_valid(bits_from_index(m, q.n)):
-            if abs(diff) > tol:
-                valid_ok = False
-        elif diff < -tol:
-            invalid_ok = False
-    minimum_ok = bool(abs(mod_energies.min() - base_energies.min()) <= tol)
-    return VerificationVerdict(valid_ok, invalid_ok, minimum_ok)
+
+def _reference_cases():
+    """40 encoded instances, a third of them in float form, each factored at
+    ``default_z``, 3, 1.5 and 0.5, as (label, q, q_mod, report)."""
+    rng = random.Random(5)
+    for t in range(40):
+        v = rng.randint(5, 10)
+        q = max_clique_qubo(sample_graph(v, rng.randint(v, v * (v - 1) // 2 - 3), seed=t), 3)
+        if t % 3 == 0:
+            q = QuboMatrix(q.n, {k: 0.75 * c for k, c in q.entries()}, offset=0.5)
+        for z in (default_z(q), 3, 1.5, 0.5):
+            yield (t, z), q, *factor_out(q, 6, z)
+
+
+def _step_on_an_earlier_ancilla(q, pair):
+    """``q`` factored on (1, 4) with syms {0, 2, 5}, then on ``pair``, which
+    takes the first ancilla, 6, with no syms."""
+    z = default_z(q)
+    q_mod = enhance(enhance(q, (1, 4), {0, 2, 5}, z), pair, set(), z)
+    return q_mod, FactoringReport(6, z, [FactoringStep(6, 1, 4, (0, 2, 5)), FactoringStep(7, *pair, ())])
 
 
 def _factor_and_verify(q, budget):

@@ -30,6 +30,7 @@ from conftest import (
     reference_depth,
     reference_enhance,
     reference_format_gate_list,
+    reference_all_energies,
     reference_loads,
     reference_spectrum,
 )
@@ -45,8 +46,8 @@ def graphs(draw):
 
 
 @st.composite
-def qubos(draw, coefficients):
-    n = draw(st.integers(1, 6))
+def qubos(draw, coefficients, max_n=6):
+    n = draw(st.integers(1, max_n))
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     entries = draw(st.dictionaries(st.sampled_from(cells), coefficients))
     return QuboMatrix(n, entries, offset=draw(coefficients))
@@ -68,13 +69,13 @@ def penalty_qubos(draw, scales=st.just(1)):
 
 
 @st.composite
-def dyadic_qubos(draw):
+def dyadic_qubos(draw, max_n=6):
     # Numerators over one drawn power of two, subnormal steps included, so
     # that most draws sum exactly in float64; small ints and a -0.0 offset
     # ride along.
     scale = draw(st.integers(-1074, 40))
     dyadic = st.integers(-2**12, 2**12).map(lambda m: math.ldexp(m, scale))
-    return draw(qubos(dyadic | st.integers(-50, 50) | st.just(-0.0)))
+    return draw(qubos(dyadic | st.integers(-50, 50) | st.just(-0.0), max_n))
 
 
 @st.composite
@@ -160,6 +161,23 @@ def test_qubo_json_round_trip(q):
 def test_all_energies_matches_the_in_order_reference_bitwise(q):
     event("integral" if q.is_integral else "exact floats" if qubo._sums_exact(q) else "in-order floats")
     assert_bitwise_reference(q)
+
+
+@SMALL
+@given(qubos(_INTS, 10) | qubos(_FLOATS, 10) | dyadic_qubos(10))
+# A walk that clears a high bit by subtraction turns x = 100's -0.0 into +0.0.
+@example(QuboMatrix(3, {(0, 0): 0.5}, offset=-0.0))
+def test_energy_blocks_are_slices_of_the_reference(q):
+    event("integral" if q.is_integral else "exact floats" if qubo._sums_exact(q) else "in-order floats")
+    expected = reference_all_energies(q)
+    for w in range(1, q.n + 1):
+        blocks = {h: block.copy() for h, block in qubo._energy_blocks(q, w)}
+        assert sorted(blocks) == list(range(1 << (q.n - w)))
+        for h, block in blocks.items():
+            piece = expected[h << w : (h + 1) << w]
+            assert block.dtype == piece.dtype
+            assert np.array_equal(block, piece)
+            assert np.array_equal(np.signbit(block), np.signbit(piece))
 
 
 @SMALL
