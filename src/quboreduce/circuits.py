@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qubo import ParameterError, QuboMatrix
+from .qubo import ParameterError, QuboMatrix, _check_json
 
 # The gamma and beta of every layer when none are given.
 DEFAULT_ANGLE = 0.5
@@ -59,6 +59,8 @@ class Gate:
             raise ParameterError(f"{self.kind} needs two distinct operands, got {self.qubits}")
         if angles and not math.isfinite(self.angle):
             raise ParameterError(f"{self.kind} angle must be finite, got {self.angle}")
+        if angles and self.angle == 0:  # RZ(-0) is RZ(0): store 0.0, so equal angles print alike
+            object.__setattr__(self, "angle", 0.0)
 
 
 @dataclass
@@ -79,6 +81,7 @@ class QaoaParams:
     betas: tuple[float, ...]
 
     def __post_init__(self):
+        _check_json("layer count", self.p, int)
         if self.p < 1:
             raise ParameterError(f"layer count must be positive, got {self.p}")
         if len(self.gammas) != self.p or len(self.betas) != self.p:
@@ -200,11 +203,6 @@ def build_cost_layer(q: QuboMatrix, gamma: float) -> GateList:
     return GateList(q.n, _cost_layer(schedule, ising, gamma, _pair_cnots(schedule)))
 
 
-def _angle_key(angle: float) -> tuple:
-    # Equal keys give equal gates: 0.0 == -0.0, but 2 * -0.0 * h prints as -0.
-    return type(angle), angle, math.copysign(1.0, angle)
-
-
 def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = DEFAULT_ORDER) -> GateList:
     """Full QAOA circuit: H on every qubit, then p alternating cost and mixer
     layers.  Each distinct gamma's cost layer and each distinct beta's mixer
@@ -212,17 +210,15 @@ def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = DEFAULT_ORDER)
     ising, schedule = _ising_schedule(q, order)
     cnots = _pair_cnots(schedule)
     c = GateList(q.n, [Gate("H", (qb,)) for qb in range(q.n)])
-    cost_layers: dict[tuple, list[Gate]] = {}
-    mixers: dict[tuple, list[Gate]] = {}
+    cost_layers: dict[float, list[Gate]] = {}
+    mixers: dict[float, list[Gate]] = {}
     for gamma, beta in zip(params.gammas, params.betas):
-        key = _angle_key(gamma)
-        if key not in cost_layers:
-            cost_layers[key] = _cost_layer(schedule, ising, gamma, cnots)
-        c.gates += cost_layers[key]
-        key = _angle_key(beta)
-        if key not in mixers:
-            mixers[key] = [Gate("RX", (qb,), 2 * beta) for qb in range(q.n)]
-        c.gates += mixers[key]
+        if gamma not in cost_layers:
+            cost_layers[gamma] = _cost_layer(schedule, ising, gamma, cnots)
+        c.gates += cost_layers[gamma]
+        if beta not in mixers:
+            mixers[beta] = [Gate("RX", (qb,), 2 * beta) for qb in range(q.n)]
+        c.gates += mixers[beta]
     return c
 
 
@@ -303,8 +299,7 @@ def _gate_line(g: Gate) -> str:
 
 def format_gate_list(c: GateList) -> str:
     # Each distinct gate object is formatted once.  The memo is keyed by
-    # object, not value: Gate(..., 0.0) == Gate(..., -0.0), yet they print
-    # differently.
+    # object, which is faster than hashing the gate's fields.
     memo: dict[int, str] = {}
     lines = [f"qubits {c.n}"]
     for g in c.gates:

@@ -23,7 +23,7 @@ from .circuits import (
 from .encoders import PROBLEMS, encode
 from .factoring import _factoring_loop, factor_out
 from .graphs import permute_vertices, sample_graph, sample_permutation
-from .qubo import ParameterError, QuboMatrix
+from .qubo import ParameterError, QuboMatrix, _check_json
 
 # (v, e) per problem, three settings each; graph coloring uses K colors.
 _SETTINGS_TABLE = {
@@ -110,6 +110,9 @@ def run_sweep(
     p's CNOT count and depth come from one frontier pass over it, without a
     gate list or a sparse matrix; budgets beyond the available structure
     repeat the saturated matrix's metrics."""
+    # A bool would be written to the CSV as True, which the reader refuses.
+    for p in p_values:
+        _check_json("layer count", p, int)
     if any(p < 1 for p in p_values):
         raise ParameterError(f"layer counts must be positive, got {list(p_values)}")
     if len(set(p_values)) != len(p_values):
@@ -124,19 +127,8 @@ def run_sweep(
     for budget in range(max_ancillas + 1):
         qubits, couplings, per_p = metrics[min(budget, len(metrics) - 1)]
         for p, (cnots, circuit_depth) in zip(p_values, per_p):
-            records.append(
-                SweepRecord(
-                    problem=setting.problem,
-                    setting=setting.setting,
-                    seed=setting.seed,
-                    num_ancillas=budget,
-                    p=p,
-                    qubits=qubits,
-                    couplings=couplings,
-                    cnots=cnots,
-                    depth=circuit_depth,
-                )
-            )
+            records.append(SweepRecord(setting.problem, setting.setting, setting.seed, budget, p,
+                                       qubits, couplings, cnots, circuit_depth))
     return records
 
 

@@ -15,9 +15,11 @@ available separately as :func:`is_conflicting` for validation.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, chain
 
 import numpy as np
@@ -82,20 +84,26 @@ class FactoringReport:
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed factoring report: {exc}") from exc
         for k, step in enumerate(steps):
-            for what in ("ancilla", "i", "j"):
-                _check_json(f"step {k} {what}", getattr(step, what), int)
+            _check_step(base_n, k, step)
             for v in step.syms:
                 _check_json(f"step {k} syms element", v, int)
-            if step.ancilla != base_n + k:
-                raise ParameterError(f"step {k} ancilla must be {base_n + k}, got {step.ancilla}")
-            if not (0 <= step.i < step.ancilla and 0 <= step.j < step.ancilla) or step.i == step.j:
-                raise ParameterError(f"step {k} pair ({step.i}, {step.j}) is not two distinct earlier qubits")
             outside = all(0 <= v < step.ancilla and v not in (step.i, step.j) for v in step.syms)
             if len(step.syms) < 3 or len(set(step.syms)) != len(step.syms) or not outside:
                 raise ParameterError(
                     f"step {k} syms {list(step.syms)} are not three or more distinct earlier qubits outside the pair"
                 )
         return cls(base_n, z, steps)
+
+
+def _check_step(base_n: int, k: int, step: FactoringStep) -> None:
+    """Refuse step ``k`` of a report on ``base_n`` qubits unless the fields
+    that :func:`verify_equivalence` indexes by are ints and in place."""
+    for what in ("ancilla", "i", "j"):
+        _check_json(f"step {k} {what}", getattr(step, what), int)
+    if step.ancilla != base_n + k:
+        raise ParameterError(f"step {k} ancilla must be {base_n + k}, got {step.ancilla}")
+    if not (0 <= step.i < step.ancilla and 0 <= step.j < step.ancilla) or step.i == step.j:
+        raise ParameterError(f"step {k} pair ({step.i}, {step.j}) is not two distinct earlier qubits")
 
 
 # Rows per block in the searches, so that no temporary exceeds about 1 MB.
@@ -261,8 +269,9 @@ def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
 
 def default_z(q: QuboMatrix):
     """Sum of absolute values of all stored coefficients; always a safe
-    penalty weight for energy-landscape preservation."""
-    return sum(abs(v) for _, v in q.entries())
+    penalty weight for energy-landscape preservation.  Added left to right,
+    as ``sum`` did before Python 3.12, so z does not depend on the version."""
+    return reduce(operator.add, (abs(v) for _, v in q.entries()), 0)
 
 
 def _factoring_loop(q: QuboMatrix, num_ancillas: int, z, read=None) -> FactoringReport:
@@ -383,6 +392,8 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
     """
     if q.n != report.base_n or q_mod.n != report.final_n:
         raise ParameterError("report does not match the supplied matrices")
+    for k, step in enumerate(report.steps):
+        _check_step(q.n, k, step)
 
     # q_mod is the larger, so its blocks refuse first, before any grid.
     blocks = _energy_blocks(q_mod, min(q_mod.n, max(q.n, _VERIFY_BLOCK_BITS)))

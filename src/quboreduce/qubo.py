@@ -75,7 +75,7 @@ class QuboMatrix:
         if not _finite(offset):
             raise ParameterError("offset must be finite")
         self.n = n
-        self.offset = offset
+        self.offset = offset + 0  # -0.0 + 0 is 0.0: a zero offset has no sign
         self._entries: dict[tuple[int, int], float] = {}
         if entries is not None:
             items = entries.items() if isinstance(entries, Mapping) else entries
@@ -273,10 +273,7 @@ def all_energies(q: QuboMatrix) -> np.ndarray:
     partial sum is exact.  Every other float matrix adds each coefficient,
     in (i, j) order, to the assignments with both of its bits set.  Either
     way each energy is bitwise the offset plus its active coefficients in
-    (i, j) order, as :func:`energy` adds them.  That includes the sign of
-    zero: an assignment with no active coefficient keeps the offset's zero,
-    which is why each float term starts from -0.0; one whose active
-    coefficients cancel reads +0.0.
+    (i, j) order, as :func:`energy` adds them.
 
     A float sum that overflows raises ``CapacityError``; the int64 bound and
     the exact float sums keep the doubling fill's sums finite.  The array is
@@ -298,23 +295,21 @@ def _energy_blocks(q: QuboMatrix, w: int) -> Iterator[tuple[int, np.ndarray]]:
     the other high assignments in Gray-code order: setting or clearing high
     bit k adds or subtracts k's linear term over the low bits and k's
     couplings to the other high bits that are set.  Each partial result is
-    a signed sum of stored values, exact in any order.  A subtraction can
-    turn -0.0 into +0.0, though, so a float matrix with offset -0.0 walks
-    only when there is one block.  The walk holds the block and the n - w
-    linear terms, (n - w + 1) * 2^w entries.  Every other float matrix
-    fills each block in (i, j) order as :func:`all_energies` does, adding a
-    coefficient whose high bits are all set to its view of the low bits.
+    a signed sum of stored values, exact in any order.  The walk holds the
+    block and the n - w linear terms, (n - w + 1) * 2^w entries.  Every
+    other float matrix fills each block in (i, j) order as
+    :func:`all_energies` does, adding a coefficient whose high bits are all
+    set to its view of the low bits.
     """
     if q.n > ENUMERATION_GUARD:
         raise CapacityError(f"n={q.n} exceeds enumeration guard {ENUMERATION_GUARD}")
-    integral = q.is_integral
-    if integral:
+    if q.is_integral:
         total = abs(q.offset) + sum(abs(v) for v in q._entries.values())
         if total >= _INT_ENERGY_BOUND:
             raise CapacityError(f"|offset| + sum |Q[i,j]| = {total} reaches the int64 enumeration bound 2**62")
-        return _walked_blocks(q, w, np.int64, 0)
-    if _sums_exact(q) and (w == q.n or math.copysign(1, q.offset) > 0):
-        return _walked_blocks(q, w, np.float64, -0.0)
+        return _walked_blocks(q, w, np.int64)
+    if _sums_exact(q):
+        return _walked_blocks(q, w, np.float64)
     return _in_order_blocks(q, w)
 
 
@@ -328,15 +323,15 @@ def _sums_exact(q: QuboMatrix) -> bool:
     return sum(abs(m) * (scale // d) for m, d in ratios) < _FLOAT_EXACT_BOUND
 
 
-def _walked_blocks(q: QuboMatrix, w: int, dtype, zero) -> Iterator[tuple[int, np.ndarray]]:
+def _walked_blocks(q: QuboMatrix, w: int, dtype) -> Iterator[tuple[int, np.ndarray]]:
     entries = q._entries
     # One allocation for the block and the terms: numpy asks for huge pages
     # from 4 MB up, which spares most page faults of the fresh memory.
     block, *terms = np.empty((q.n - w + 1, 1 << w), dtype=dtype)
-    _fill_by_doubling(q, block, zero)
+    _fill_by_doubling(q, block)
     yield 0, block
     for k, term in enumerate(terms):
-        _linear_term(entries, w + k, term, zero)
+        _linear_term(entries, w + k, term)
     # Each high bit's couplings to the other high bits, as (bit, value).
     links = [[] for _ in terms]
     for (i, j), v in entries.items():
@@ -355,21 +350,21 @@ def _walked_blocks(q: QuboMatrix, w: int, dtype, zero) -> Iterator[tuple[int, np
         yield h, block
 
 
-def _fill_by_doubling(q: QuboMatrix, energies: np.ndarray, zero) -> None:
+def _fill_by_doubling(q: QuboMatrix, energies: np.ndarray) -> None:
     energies[0] = q.offset
     for k in range(energies.size.bit_length() - 1):
         half = 1 << k
         term = energies[half : 2 * half]
-        _linear_term(q._entries, k, term, zero)
+        _linear_term(q._entries, k, term)
         term += energies[:half]
 
 
-def _linear_term(entries: dict, k: int, term: np.ndarray, zero) -> None:
+def _linear_term(entries: dict, k: int, term: np.ndarray) -> None:
     """Fill ``term`` with bit k's linear term ``Q[k,k] + sum_b x_b Q[b,k]``
     under every assignment of the bits b below log2(len(term)): ``Q[k,k]``,
     doubled once per bit b by adding ``Q[b,k]``, or copied when that pair is
     not stored."""
-    term[0] = entries.get((k, k), zero)
+    term[0] = entries.get((k, k), 0)
     for b in range(term.size.bit_length() - 1):
         low = term[: 1 << b]
         v = entries.get((b, k))

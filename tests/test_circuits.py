@@ -118,6 +118,12 @@ class TestBuildCircuit:
         with pytest.raises(ParameterError):
             QaoaParams(2, (0.1,), (0.2, 0.3))
 
+    @pytest.mark.parametrize("p", [True, 1.0])
+    def test_rejects_a_layer_count_that_is_not_an_int(self, p):
+        # isinstance(True, int) holds, but True is no layer count.
+        with pytest.raises(ParameterError, match="layer count must be an integer"):
+            QaoaParams(p, (0.5,), (0.5,))
+
     def test_constant_rejects_a_layer_count_past_maxsize(self):
         # (gamma,) * p overflows before allocating anything.
         with pytest.raises(ParameterError, match="layer count"):
@@ -208,8 +214,8 @@ class TestBuildCircuitMatchesReference:
         QaoaParams.constant(3),
         # Repeated angles that are not all equal.
         QaoaParams(3, (0.3, -1.1, 0.3), (0.7, 0.7, -0.2)),
-        # 0.0 == -0.0, but 2 * -0.0 * h prints as -0: the layers must not
-        # share their gates.
+        # 0.0 == -0.0, and a gate stores a zero angle as 0.0, so no gate
+        # prints as -0.
         QaoaParams(2, (0.0, -0.0), (0.0, -0.0)),
         QaoaParams(2, (-0.0, 0.0), (-0.0, 0.0)),
     ], ids=["constant-1", "constant-2", "constant-3", "repeated", "zero-then-negative-zero",
@@ -220,8 +226,26 @@ class TestBuildCircuitMatchesReference:
             for order in ("ascending", "packed"):
                 text = assert_matches_reference(q, params, order)
                 if 0.0 in params.gammas:
-                    # The mixer on -0.0 prints as RX q -0.
-                    assert " -0\n" in text
+                    assert " -0\n" not in text
+
+
+class TestZeroAngles:
+    @pytest.mark.parametrize("kind", ["RZ", "RX"])
+    def test_a_zero_angle_is_stored_as_positive_zero(self, kind):
+        gate = Gate(kind, (0,), -0.0)
+        assert repr(gate.angle) == "0.0" and math.copysign(1, gate.angle) == 1
+        assert gate == Gate(kind, (0,), 0.0)
+        assert format_gate_list(GateList(1, [gate])) == f"qubits 1\n{kind} 0 0\n"
+
+    def test_zero_and_negative_zero_gammas_share_one_cost_layer(self):
+        q = QuboMatrix(3, {(0, 0): -1.0, (0, 1): 2.0, (1, 2): -3.0, (2, 2): 0.5})
+        c = build_circuit(q, QaoaParams(2, (0.0, -0.0), (0.0, -0.0)))
+        # H on each qubit, then cost layer, mixer, cost layer, mixer.
+        layer = (len(c.gates) - q.n) // 2 - q.n
+        first = c.gates[q.n : q.n + layer]
+        second = c.gates[2 * q.n + layer : 2 * q.n + 2 * layer]
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        assert "-0" not in format_gate_list(c)
 
 
 class TestDepth:

@@ -151,6 +151,18 @@ def test_circuit_command(tmp_path, demo_qubo, capsys):
     assert "cnots=54" in capsys.readouterr().err
 
 
+def test_circuit_with_zero_gamma_prints_no_negative_zero(tmp_path, demo_qubo):
+    # Every cost-layer angle is 2 * 0 * h; the negative h used to print as -0.
+    q_path = tmp_path / "q.json"
+    q_path.write_text(demo_qubo.dumps())
+    out = tmp_path / "circuit.txt"
+    assert main(["circuit", "--qubo", str(q_path), "--gamma", "0", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    rz = [line for line in lines if line.startswith("RZ ")]
+    assert rz and all(line.endswith(" 0") for line in rz)
+    assert not any(line.endswith(" -0") for line in lines)
+
+
 @pytest.mark.parametrize("flags", [["--gamma", "nan"], ["--beta", "inf"], ["--gamma=-inf"]])
 def test_circuit_rejects_non_finite_angles(tmp_path, demo_qubo, capsys, flags):
     q_path = tmp_path / "q.json"

@@ -172,6 +172,16 @@ class TestRunSweep:
         with pytest.raises(ParameterError):
             run_sweep(demo_setting(), 1, p_values=p_values)
 
+    @pytest.mark.parametrize("p_values", [[True], [1, 2.0]])
+    def test_rejects_a_p_that_is_not_an_int_before_factoring(self, p_values, monkeypatch):
+        # A bool p would be written to the CSV as True, which parse_records_csv refuses.
+        def unreachable(*args):
+            raise AssertionError("factored before checking p")
+
+        monkeypatch.setattr(experiments, "_factoring_loop", unreachable)
+        with pytest.raises(ParameterError, match="layer count must be an integer"):
+            run_sweep(ProblemSetting("max_clique", 8, 12), 1, p_values=p_values)
+
     def test_matches_reference_on_every_builtin_instance(self, builtin_sweeps):
         assert len(builtin_sweeps) == 60
         for s, records in builtin_sweeps:

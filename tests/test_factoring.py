@@ -568,6 +568,11 @@ class TestDefaultZ:
     def test_two_terms(self):
         assert default_z(QuboMatrix(2, {(0, 0): -1, (0, 1): 3})) == 4
 
+    def test_floats_add_left_to_right(self):
+        # Each 1.0 is lost against 1e16, as a left fold loses it; the
+        # compensated sum of Python 3.12 and later would keep both.
+        assert default_z(QuboMatrix(3, {(0, 0): 1e16, (1, 1): 1.0, (2, 2): 1.0})) == 1e16
+
 
 class TestVerifyEquivalence:
     def test_demo_strong_penalty(self, demo_qubo):
@@ -587,6 +592,21 @@ class TestVerifyEquivalence:
         _, report = factor_out(demo_qubo, 0, 3)
         verdict = verify_equivalence(demo_qubo, demo_qubo, report)
         assert verdict.all_ok
+
+    @pytest.mark.parametrize("step, message", [
+        (FactoringStep(3, 5, 0, (1,)), "step 0 pair (5, 0) is not two distinct earlier qubits"),
+        (FactoringStep(3, -1, 0, (1,)), "step 0 pair (-1, 0) is not two distinct earlier qubits"),
+        (FactoringStep(4, 1, 0, (2,)), "step 0 ancilla must be 3, got 4"),
+        (FactoringStep(3, True, 0, (2,)), "step 0 i must be an integer, got True"),
+    ], ids=["pair-past-the-ancilla", "negative-pair", "ancilla", "bool-i"])
+    def test_refuses_a_hand_built_step_before_any_grid(self, monkeypatch, step, message):
+        # FactoringReport.loads refuses these steps; a report built in code
+        # reaches verify unchecked, where bits[-1] would read another bit.
+        monkeypatch.setattr(factoring, "_energy_blocks", None)
+        monkeypatch.setattr(factoring, "all_energies", None)
+        q = QuboMatrix(3, {(0, 0): -1, (1, 1): -1, (2, 2): -1, (0, 1): 3})
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            verify_equivalence(q, QuboMatrix(4), FactoringReport(3, 1, [step]))
 
     def test_mismatched_report_rejected(self, demo_qubo, demo_factored):
         _, report = factor_out(demo_qubo, 0, 3)

@@ -163,9 +163,37 @@ def test_all_energies_matches_the_in_order_reference_bitwise(q):
     assert_bitwise_reference(q)
 
 
+@st.composite
+def negative_zero_offset_qubos(draw):
+    # Int, dyadic and inexact-float QUBOs, their offset often -0.0.
+    q = draw(qubos(_INTS, 7) | qubos(_FLOATS, 7) | dyadic_qubos(7))
+    return QuboMatrix(q.n, dict(q.entries()), draw(st.just(-0.0) | st.just(q.offset)))
+
+
+def _has_negative_zero(values) -> bool:
+    values = np.asarray(values, dtype=np.float64)
+    return bool(np.signbit(values[values == 0]).any())
+
+
+@SMALL
+@given(negative_zero_offset_qubos())
+def test_no_energy_is_a_negative_zero(q):
+    # The offset is stored as +0, and a sum of nonzero values that cancels
+    # is +0.0, so no energy the library computes has its sign bit set.
+    event("integral" if q.is_integral else "exact floats" if qubo._sums_exact(q) else "in-order floats")
+    assert not _has_negative_zero(all_energies(q))
+    for w in range(1, q.n + 1):
+        assert not any(_has_negative_zero(block) for _, block in qubo._energy_blocks(q, w))
+    assert not _has_negative_zero([energy(q, bits_from_index(m, q.n)) for m in range(1 << q.n)])
+    for base_n in {0, q.n // 2, q.n}:
+        best = [min_energy_over_ancillas(q, base_n, bits_from_index(m, base_n)) for m in range(1 << base_n)]
+        assert not _has_negative_zero(best)
+
+
 @SMALL
 @given(qubos(_INTS, 10) | qubos(_FLOATS, 10) | dyadic_qubos(10))
-# A walk that clears a high bit by subtraction turns x = 100's -0.0 into +0.0.
+# The offset -0.0 is stored as 0.0, so x = 100 reads 0.0 however the walk
+# reaches it, by adding or by subtracting 0.5.
 @example(QuboMatrix(3, {(0, 0): 0.5}, offset=-0.0))
 def test_energy_blocks_are_slices_of_the_reference(q):
     event("integral" if q.is_integral else "exact floats" if qubo._sums_exact(q) else "in-order floats")

@@ -92,6 +92,18 @@ class TestQuboMatrix:
         assert q.is_integral
         assert isinstance(energy(q, [1, 1]), int)
 
+    def test_zero_offset_is_stored_without_a_sign(self):
+        # A zero offset is +0, as a zero coefficient is not stored; an int 0
+        # stays an int.
+        q = QuboMatrix(2, offset=-0.0)
+        assert repr(q.offset) == "0.0" and not np.signbit(q.offset)
+        assert '"offset": 0.0' in q.dumps()
+        loaded = QuboMatrix.loads('{"n": 2, "offset": -0.0, "entries": [[0, 1, 1.5]]}')
+        assert repr(loaded.offset) == "0.0"
+        assert loaded.dumps() == '{"n": 2, "offset": 0.0, "entries": [[0, 1, 1.5]]}'
+        assert repr(QuboMatrix(2, offset=0).offset) == "0"
+        assert repr(q.copy(3).offset) == "0.0"
+
     def test_copy_enlarges(self):
         q = QuboMatrix(2, {(0, 1): 1})
         big = q.copy(4)
@@ -293,14 +305,17 @@ class TestSpectrumSortKeys:
         assert typed(sp) == typed(reference_spectrum(q))
 
     def test_float_signed_zero_ties_keep_their_order(self):
-        # -0.0 == 0.0 ties break by assignment index, whatever the sign.
+        # The offset -0.0 is stored as 0.0, so every zero energy reads 0.0,
+        # and the ties break by assignment index.
         q = QuboMatrix(4, {(0, 0): 0.5, (1, 1): -0.5, (2, 3): 0.25, (2, 2): -0.25}, offset=-0.0)
         sp = spectrum(q)
         ref = reference_spectrum(q)
         assert typed(sp) == typed(ref)
         assert [(e.bits, repr(e.energy)) for e in sp] == [(e.bits, repr(e.energy)) for e in ref]
-        zeros = [repr(e.energy) for e in sp if e.energy == 0]
-        assert "-0.0" in zeros and "0.0" in zeros
+        zeros = [e for e in sp if e.energy == 0]
+        assert {repr(e.energy) for e in zeros} == {"0.0"}
+        indices = [sum(b << i for i, b in enumerate(e.bits)) for e in zeros]
+        assert len(indices) > 1 and indices == sorted(indices)
 
     def test_builds_no_int64_keys(self, sorts):
         # Up to the sort, spectrum holds the int64 energies E (512 KiB at 16
@@ -343,7 +358,8 @@ class TestMinEnergyOverAncillas:
 
     def test_matches_one_energy_call_per_extension(self):
         # Values and types: ints past int64 stay exact ints, and an offset of
-        # -0.0 survives an extension with no active coefficient.
+        # -0.0, stored as 0.0, gives an extension with no active coefficient
+        # the energy 0.0.
         rng = random.Random(23)
         values = (
             lambda: rng.randint(-5, 5),
@@ -364,7 +380,7 @@ class TestMinEnergyOverAncillas:
             assert (type(got), repr(got)) == (type(expected), repr(expected)), t
 
     @pytest.mark.parametrize("entries, offset, best", [
-        ({(1, 1): 1, (2, 2): 1, (1, 2): -2}, -0.0, "-0.0"),
+        ({(1, 1): 1, (2, 2): 1, (1, 2): -2}, -0.0, "0.0"),
         ({(1, 1): 1.5, (2, 2): 1, (1, 2): -2.5}, 0, "0"),
     ], ids=["-0.0-before-0.0", "0-before-0.0"])
     def test_first_of_equal_minima_wins(self, entries, offset, best):
@@ -432,8 +448,7 @@ class TestAllEnergies:
     @pytest.mark.parametrize("offset", [-0.0, 0.0, 0, 1.5])
     def test_exact_floats_match_reference_bitwise(self, value, offset):
         # These sums are exact, so all_energies may add them in any order; the
-        # result must still be the in-order reference, down to -0.0 on the
-        # assignments with no active coefficient.
+        # result must still be the in-order reference, bit for bit.
         rng = random.Random(11)
         for _ in range(40):
             n = rng.randint(1, 9)
@@ -461,6 +476,21 @@ class TestAllEnergies:
         q = QuboMatrix(3, entries, offset=0.0)
         assert_bitwise_reference(q)
         assert bool(calls) == doubled
+
+    def test_exact_floats_with_a_negative_zero_offset_walk(self, monkeypatch):
+        # The offset is stored as 0.0, so the walk's subtractions cannot
+        # turn a -0.0 energy into +0.0, and every w < n walks.
+        calls = []
+        in_order = qubo._in_order_blocks
+        monkeypatch.setattr(qubo, "_in_order_blocks", lambda *args: calls.append(args) or in_order(*args))
+        q = QuboMatrix(4, {(0, 0): 0.5, (1, 2): -0.25, (2, 3): 0.75, (3, 3): -1.5}, offset=-0.0)
+        assert qubo._sums_exact(q)
+        expected = reference_all_energies(q)
+        for w in range(1, q.n):
+            for h, block in qubo._energy_blocks(q, w):
+                assert np.array_equal(block, expected[h << w : (h + 1) << w])
+                assert not np.signbit(block[block == 0]).any()
+        assert calls == []
 
     @pytest.mark.parametrize("value", [lambda k: k % 7 - 3, lambda k: (k % 7 - 3) / 4, lambda k: 1 / (k + 3)],
                              ids=["int", "dyadic", "in-order"])
