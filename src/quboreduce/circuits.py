@@ -91,6 +91,8 @@ class QaoaParams:
 
     @classmethod
     def constant(cls, p: int, gamma: float = DEFAULT_ANGLE, beta: float = DEFAULT_ANGLE) -> "QaoaParams":
+        # Before (gamma,) * p, which a float p or a huge one would fail.
+        _check_json("layer count", p, int)
         if p > sys.maxsize:
             raise ParameterError(f"layer count must be at most {sys.maxsize}, got {p}")
         return cls(p, (gamma,) * p, (beta,) * p)

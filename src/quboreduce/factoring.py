@@ -388,7 +388,9 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
     The factored energies are read as blocks of 2^w, w the larger of the
     base size and ``_VERIFY_BLOCK_BITS`` (at most ``final_n``), and their
     minimum over the ancilla assignments is folded in block by block, so no
-    2^final_n array is held.
+    2^final_n array is held.  The blocks are walked and folded in the
+    narrowest dtype that holds them exactly, and the folded minima are
+    widened to int64 or float64 before any difference is taken.
     """
     if q.n != report.base_n or q_mod.n != report.final_n:
         raise ParameterError("report does not match the supplied matrices")
@@ -396,9 +398,10 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
         _check_step(q.n, k, step)
 
     # q_mod is the larger, so its blocks refuse first, before any grid.
-    blocks = _energy_blocks(q_mod, min(q_mod.n, max(q.n, _VERIFY_BLOCK_BITS)))
+    blocks = _energy_blocks(q_mod, min(q_mod.n, max(q.n, _VERIFY_BLOCK_BITS)), narrow=True)
     base_energies = all_energies(q)
     best_mod = _best_over_ancillas(blocks, q.n)
+    best_mod = best_mod.astype(np.int64 if best_mod.dtype.kind == "i" else np.float64)
 
     exact = q.is_integral and q_mod.is_integral
     tol = 0 if exact else FLOAT_TOL

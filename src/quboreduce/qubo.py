@@ -30,6 +30,11 @@ _INT_ENERGY_BOUND = 2**62
 # dyadic numbers whose numerators over one 2**e stay below this never round.
 _FLOAT_EXACT_BOUND = 2**53
 
+# A float32 holds k * 2**-e exactly for every integer |k| < 2**24, and a
+# nonzero one as a normal number, not a slow subnormal, while e <= 126.
+_FLOAT32_EXACT_BOUND = 2**24
+_FLOAT32_SCALE_BOUND = 2**126
+
 # Comparison tolerance for QUBOs with non-integer coefficients.
 FLOAT_TOL = 1e-9
 
@@ -61,7 +66,7 @@ def bits_from_index(m: int, n: int) -> tuple[int, ...]:
 class QuboMatrix:
     """Symmetric real QUBO matrix with sparse upper-triangular storage."""
 
-    __slots__ = ("n", "offset", "_entries")
+    __slots__ = ("n", "_offset", "_entries")
 
     def __init__(
         self,
@@ -71,16 +76,24 @@ class QuboMatrix:
     ):
         if n < 1:
             raise ParameterError(f"qubit count must be positive, got {n}")
-        _check_not_bool("offset", offset)
-        if not _finite(offset):
-            raise ParameterError("offset must be finite")
         self.n = n
-        self.offset = offset + 0  # -0.0 + 0 is 0.0: a zero offset has no sign
+        self.offset = offset
         self._entries: dict[tuple[int, int], float] = {}
         if entries is not None:
             items = entries.items() if isinstance(entries, Mapping) else entries
             for (i, j), value in items:
                 self[i, j] = value
+
+    @property
+    def offset(self) -> float:
+        return self._offset
+
+    @offset.setter
+    def offset(self, value: float) -> None:
+        _check_not_bool("offset", value)
+        if not _finite(value):
+            raise ParameterError("offset must be finite")
+        self._offset = value + 0  # -0.0 + 0 is 0.0: a zero offset has no sign
 
     def _key(self, i: int, j: int) -> tuple[int, int]:
         if i > j:
@@ -283,7 +296,7 @@ def all_energies(q: QuboMatrix) -> np.ndarray:
     return energies
 
 
-def _energy_blocks(q: QuboMatrix, w: int) -> Iterator[tuple[int, np.ndarray]]:
+def _energy_blocks(q: QuboMatrix, w: int, narrow: bool = False) -> Iterator[tuple[int, np.ndarray]]:
     """The energies of :func:`all_energies` as 2^(n-w) blocks of 2^w, each
     yielded as ``(h, block)``: block h holds the assignments whose bits
     w..n-1 read h, and is bitwise the slice ``[h * 2^w, (h + 1) * 2^w)`` of
@@ -300,6 +313,14 @@ def _energy_blocks(q: QuboMatrix, w: int) -> Iterator[tuple[int, np.ndarray]]:
     other float matrix fills each block in (i, j) order as
     :func:`all_energies` does, adding a coefficient whose high bits are all
     set to its view of the low bits.
+
+    With ``narrow`` the walk runs in the narrowest dtype that holds every
+    partial sum exactly, so it moves fewer bytes: for an integral matrix the
+    smallest of int8 to int64 that holds +-(|offset| + sum |Q[i,j]|), for
+    exact floats float32 when, in :func:`_sums_exact`'s terms, sum
+    |m|*(D/d) < 2**24 and D <= 2**126, else float64.  A narrow block,
+    widened, is the same slice of :func:`all_energies`, value and sign of
+    zero.
     """
     if q.n > ENUMERATION_GUARD:
         raise CapacityError(f"n={q.n} exceeds enumeration guard {ENUMERATION_GUARD}")
@@ -307,20 +328,26 @@ def _energy_blocks(q: QuboMatrix, w: int) -> Iterator[tuple[int, np.ndarray]]:
         total = abs(q.offset) + sum(abs(v) for v in q._entries.values())
         if total >= _INT_ENERGY_BOUND:
             raise CapacityError(f"|offset| + sum |Q[i,j]| = {total} reaches the int64 enumeration bound 2**62")
-        return _walked_blocks(q, w, np.int64)
+        # A signed type holds one more negative value than positive ones, so
+        # the type of -1 - total is the narrowest that holds +total too.
+        return _walked_blocks(q, w, np.min_scalar_type(-1 - total) if narrow else np.int64)
+    if narrow and _sums_exact(q, _FLOAT32_EXACT_BOUND, _FLOAT32_SCALE_BOUND):
+        return _walked_blocks(q, w, np.float32)
     if _sums_exact(q):
         return _walked_blocks(q, w, np.float64)
     return _in_order_blocks(q, w)
 
 
-def _sums_exact(q: QuboMatrix) -> bool:
+def _sums_exact(q: QuboMatrix, bound: int = _FLOAT_EXACT_BOUND, max_scale: float = math.inf) -> bool:
     """True when every sum of the offset and any coefficients is exact in
     float64, whatever the order of the additions.  The values are taken as
     the float64 numbers the energy array adds, whose ratios m/d all have a
-    power of two d."""
+    power of two d.  With D the largest d, the test is sum |m|*(D/d) <
+    ``bound`` and D <= ``max_scale``; float32's bounds make the same test
+    for float32."""
     ratios = [float(v).as_integer_ratio() for v in (q.offset, *q._entries.values())]
     scale = max(d for _, d in ratios)
-    return sum(abs(m) * (scale // d) for m, d in ratios) < _FLOAT_EXACT_BOUND
+    return scale <= max_scale and sum(abs(m) * (scale // d) for m, d in ratios) < bound
 
 
 def _walked_blocks(q: QuboMatrix, w: int, dtype) -> Iterator[tuple[int, np.ndarray]]:

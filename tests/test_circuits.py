@@ -124,6 +124,12 @@ class TestBuildCircuit:
         with pytest.raises(ParameterError, match="layer count must be an integer"):
             QaoaParams(p, (0.5,), (0.5,))
 
+    @pytest.mark.parametrize("p", [2.5, 2.0, True, "3"])
+    def test_constant_rejects_a_layer_count_that_is_not_an_int(self, p):
+        # Refused before (gamma,) * p, which raises TypeError for a float.
+        with pytest.raises(ParameterError, match="^layer count must be an integer, got "):
+            QaoaParams.constant(p)
+
     def test_constant_rejects_a_layer_count_past_maxsize(self):
         # (gamma,) * p overflows before allocating anything.
         with pytest.raises(ParameterError, match="layer count"):

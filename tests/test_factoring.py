@@ -33,7 +33,7 @@ from quboreduce import (
     vertex_cover_qubo,
     verify_equivalence,
 )
-from quboreduce import factoring
+from quboreduce import factoring, qubo
 from quboreduce.experiments import build_problem_qubo, builtin_settings, run_sweep
 from quboreduce.factoring import (
     FactoringStep,
@@ -663,6 +663,25 @@ class TestVerifyEquivalence:
         for label, q, q_mod, report in cases:
             monkeypatch.setattr(factoring, "_VERIFY_BLOCK_BITS", q.n + rows.bit_length() - 1)
             assert verify_equivalence(q, q_mod, report) == reference_verify(q, q_mod, report), label
+
+    @pytest.mark.parametrize("scale, z, dtypes", [
+        (1, 20, (np.int8, np.int16)),
+        (0.25, 2**20, (np.float32, np.float64)),
+    ], ids=["int8-int16", "float32-float64"])
+    @pytest.mark.parametrize("block_bits", [6, 16], ids=["walked", "one-block"])
+    def test_factored_matrix_walks_wider_than_the_base(self, demo_qubo, monkeypatch, scale, z, dtypes, block_bits):
+        # The penalty z alone takes q_mod past int8's total or float32's
+        # units; the verdict, also of a broken q_mod, is the reference's.
+        monkeypatch.setattr(factoring, "_VERIFY_BLOCK_BITS", block_bits)
+        q = QuboMatrix(demo_qubo.n, {k: scale * v for k, v in demo_qubo.entries()}, scale * demo_qubo.offset)
+        q_mod, report = factor_out(q, 1, z)
+        for m, dtype in zip((q, q_mod), dtypes):
+            assert {block.dtype for _, block in qubo._energy_blocks(m, q.n, narrow=True)} == {np.dtype(dtype)}
+        assert verify_equivalence(q, q_mod, report) == reference_verify(q, q_mod, report) == VerificationVerdict(
+            True, True, True)
+        q_mod[0, 0] += scale
+        assert verify_equivalence(q, q_mod, report) == reference_verify(q, q_mod, report) == VerificationVerdict(
+            False, True, False)
 
     @pytest.mark.parametrize("value", [lambda k: k % 7 - 3, lambda k: (k % 7 - 3) / 4, lambda k: 1 / (k + 3)],
                              ids=["int", "dyadic", "in-order"])

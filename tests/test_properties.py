@@ -69,11 +69,11 @@ def penalty_qubos(draw, scales=st.just(1)):
 
 
 @st.composite
-def dyadic_qubos(draw, max_n=6):
+def dyadic_qubos(draw, max_n=6, scales=st.integers(-1074, 40)):
     # Numerators over one drawn power of two, subnormal steps included, so
     # that most draws sum exactly in float64; small ints and a -0.0 offset
     # ride along.
-    scale = draw(st.integers(-1074, 40))
+    scale = draw(scales)
     dyadic = st.integers(-2**12, 2**12).map(lambda m: math.ldexp(m, scale))
     return draw(qubos(dyadic | st.integers(-50, 50) | st.just(-0.0), max_n))
 
@@ -206,6 +206,24 @@ def test_energy_blocks_are_slices_of_the_reference(q):
             assert block.dtype == piece.dtype
             assert np.array_equal(block, piece)
             assert np.array_equal(np.signbit(block), np.signbit(piece))
+
+
+@SMALL
+@given(qubos(st.integers(-40, 40), 8) | qubos(_INTS, 8)
+       | dyadic_qubos(8) | dyadic_qubos(8, st.integers(-130, 10)))
+def test_narrow_blocks_widen_to_slices_of_the_reference(q):
+    # The narrow walk of verify_equivalence: small ints walk in int8 or
+    # int16, dyadic floats with few units over a scale up to 2**126 in
+    # float32, scales of 2**-127 to 2**-130 in float64.  Widening is exact,
+    # so each block must read as the slice.
+    expected = reference_all_energies(q)
+    for w in range(1, q.n + 1):
+        for h, block in qubo._energy_blocks(q, w, narrow=True):
+            event(str(block.dtype))
+            piece = expected[h << w : (h + 1) << w]
+            wide = block.astype(piece.dtype)
+            assert np.array_equal(wide, piece)
+            assert np.array_equal(np.signbit(wide), np.signbit(piece))
 
 
 @SMALL

@@ -104,6 +104,25 @@ class TestQuboMatrix:
         assert repr(QuboMatrix(2, offset=0).offset) == "0"
         assert repr(q.copy(3).offset) == "0.0"
 
+    def test_offset_assignment_keeps_the_constructor_rules(self):
+        # A -0.0 offset would give -0.0 energies, a NaN would reach
+        # _sums_exact, and True would dump as true, which loads refuses.
+        q = QuboMatrix(2, {(0, 0): 1.5})
+        q.offset = -0.0
+        assert repr(q.offset) == "0.0"
+        assert not np.signbit(all_energies(q)).any()
+        for value in (float("nan"), float("-inf"), 10**400):
+            with pytest.raises(ParameterError, match="^offset must be finite$"):
+                q.offset = value
+        for value in (True, False):
+            with pytest.raises(ParameterError, match="^offset must be a number, got "):
+                q.offset = value
+        assert repr(q.offset) == "0.0"
+        q.offset = 3
+        assert repr(q.offset) == "3" and q == QuboMatrix.loads(q.dumps())
+        q.offset = -2.25
+        assert all_energies(q).tolist() == [-2.25, -0.75, -2.25, -0.75]
+
     def test_copy_enlarges(self):
         q = QuboMatrix(2, {(0, 1): 1})
         big = q.copy(4)
@@ -546,6 +565,67 @@ class TestAllEnergies:
         top = np.finfo(np.float64).max
         q = QuboMatrix(2, {(0, 0): top / 2, (1, 1): top / 2}, 0.0)
         assert all_energies(q).tolist() == [0.0, top / 2, top / 2, top]
+
+
+def _narrow_blocks(q: QuboMatrix, w: int) -> list[tuple[int, np.ndarray]]:
+    return [(h, block.copy()) for h, block in qubo._energy_blocks(q, w, narrow=True)]
+
+
+def _at_total(total: int, sign: int) -> QuboMatrix:
+    # |offset| + sum |Q[i,j]| = total, and x = (1, 1, 1) reaches sign * total.
+    third = total // 3
+    entries = {(0, 0): third, (1, 1): third, (0, 2): 1, (1, 2): 1, (2, 2): total - 2 * third - 3}
+    return QuboMatrix(3, {k: sign * v for k, v in entries.items()}, sign)
+
+
+class TestNarrowWalk:
+    """verify_equivalence walks the factored energies in the narrowest
+    exact dtype; each block, widened, is the slice of all_energies."""
+
+    @pytest.mark.parametrize("total, dtype", [
+        (2**7 - 1, np.int8), (2**7, np.int16),
+        (2**15 - 1, np.int16), (2**15, np.int32),
+        (2**31 - 1, np.int32), (2**31, np.int64),
+    ])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_integer_bounds(self, total, dtype, sign):
+        q = _at_total(total, sign)
+        expected = reference_all_energies(q)
+        assert expected[-1] == sign * total
+        for w in (1, 2, 3):
+            for h, block in _narrow_blocks(q, w):
+                assert block.dtype == dtype
+                assert np.array_equal(block.astype(np.int64), expected[h << w : (h + 1) << w])
+        assert all_energies(q).dtype == np.int64
+
+    @pytest.mark.parametrize("q, dtype", [
+        # Numerators over the largest denominator, 4: 1 + (2**24 - 2), then 1 + (2**24 - 1).
+        (QuboMatrix(2, {(0, 0): 0.25, (1, 1): (2**24 - 2) / 4}, 0.0), np.float32),
+        (QuboMatrix(2, {(0, 0): 0.25, (1, 1): (2**24 - 1) / 4}, 0.0), np.float64),
+        # A scale of 2**126 keeps every nonzero sum a normal float32; 2**127 does not.
+        (QuboMatrix(2, {(0, 0): 3 * 2.0**-126, (1, 1): -(2.0**-126)}, 0.0), np.float32),
+        (QuboMatrix(2, {(0, 0): 3 * 2.0**-127, (1, 1): -(2.0**-127)}, 0.0), np.float64),
+        (QuboMatrix(2, {(0, 0): 0.1, (1, 1): 0.25}, 0.0), np.float64),
+    ], ids=["units-2**24-1", "units-2**24", "scale-2**126", "scale-2**127", "in-order"])
+    def test_float_bounds(self, q, dtype):
+        expected = reference_all_energies(q)
+        for w in (1, 2):
+            for h, block in _narrow_blocks(q, w):
+                assert block.dtype == dtype
+                piece = expected[h << w : (h + 1) << w]
+                assert np.array_equal(block.astype(np.float64), piece)
+                assert np.array_equal(np.signbit(block), np.signbit(piece))
+
+    def test_exhaustive_workload_instances(self):
+        # The benchmark's 21-qubit factored max_clique at seed 23 walks in
+        # int16, and its float twin in float32.
+        q = max_clique_qubo(sample_graph(17, 60, 23), 3)
+        q_mod, _ = factoring.factor_out(q, 4, factoring.default_z(q))
+        expected = all_energies(q_mod)
+        for m, dtype in ((q_mod, np.int16), (as_float(q_mod), np.float32)):
+            for h, block in qubo._energy_blocks(m, 17, narrow=True):
+                assert block.dtype == dtype
+                assert np.array_equal(block, expected[h << 17 : (h + 1) << 17])
 
 
 def _above_guard_report():
