@@ -30,7 +30,7 @@ from .qubo import (
     ParameterError,
     QuboMatrix,
     _check_json,
-    _check_not_bool,
+    _check_number,
     _energy_blocks,
     _finite,
     _grid_index,
@@ -199,7 +199,7 @@ def get_most_sym_qubits(a: np.ndarray, cl) -> FactoringStep:
 
 
 def _check_z(z) -> None:
-    _check_not_bool("penalty z", z)
+    _check_number("penalty z", z)
     if not (_finite(z) and z > 0):
         raise ParameterError(f"penalty z must be positive and finite, got {z}")
 
@@ -378,6 +378,50 @@ def _best_over_ancillas(blocks: Iterator[tuple[int, np.ndarray]], base_n: int) -
     return best
 
 
+def _valid_assignments(base_n: int, steps: list[FactoringStep]) -> np.ndarray:
+    """Whether each of the 2^base_n base assignments is valid: replaying the
+    steps, each ancilla the OR of its pair, no factored pair is fully set.
+
+    Each qubit is the OR of a set of base bits: a base qubit of itself, an
+    ancilla of the union of its pair's sets.  A step on (i, j) is violated
+    where some bit of S_i and some bit of S_j are set, and writes False
+    there through :func:`_grid_index` views of the mask, so no other array
+    of its size exists.  It splits "some bit of the smaller set is set" into the disjoint
+    views of :func:`_some_bit_set`.  In each view P, the larger set's bits
+    that P leaves free decide: if P sets one of them, all of P is invalid;
+    if three or fewer, their own disjoint views within P are; if more, all
+    of P but the view where all of them are clear, which is kept and written
+    back.  A pair of base qubits takes one write of a quarter, and no step
+    more than three writes per bit of its smaller set.
+    """
+    valid = np.ones(1 << base_n, dtype=bool)
+    grid = valid.reshape((2,) * base_n)
+    sets = [(k,) for k in range(base_n)]
+    for step in steps:
+        small, large = sorted((sets[step.i], sets[step.j]), key=len)
+        for k, fixed in enumerate(_some_bit_set(small)):
+            free = [c for c in large if c not in small[:k]]
+            if small[k] in free:
+                grid[_grid_index(base_n, fixed)] = False
+            elif len(free) <= 3:
+                for more in _some_bit_set(free):
+                    grid[_grid_index(base_n, fixed + more)] = False
+            else:
+                clear = _grid_index(base_n, fixed + [(c, 0) for c in free])
+                kept = grid[clear].copy()
+                grid[_grid_index(base_n, fixed)] = False
+                grid[clear] = kept
+        sets.append(tuple(sorted(set(small) | set(large), reverse=True)))
+    return valid
+
+
+def _some_bit_set(bits) -> list[list[tuple[int, int]]]:
+    """``(bit, value)`` fixes of disjoint views whose union is "some bit of
+    ``bits`` is set": per bit, that bit set and the bits before it clear.
+    Bits run highest first, so the larger views fix the outer axes."""
+    return [[(c, 0) for c in bits[:k]] + [(b, 1)] for k, b in enumerate(bits)]
+
+
 def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport) -> VerificationVerdict:
     """Exhaustively compare the base matrix with its factored counterpart.
 
@@ -389,40 +433,42 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
     base size and ``_VERIFY_BLOCK_BITS`` (at most ``final_n``), and their
     minimum over the ancilla assignments is folded in block by block, so no
     2^final_n array is held.  The blocks are walked and folded in the
-    narrowest dtype that holds them exactly, and the folded minima are
-    widened to int64 or float64 before any difference is taken.
+    narrowest dtype that holds them exactly.
+
+    When both matrices are integral, the base energies are walked narrow too,
+    and the two are compared in their own dtypes with ``!=``, ``<`` and
+    ``==``: no difference is taken, so none can overflow.  Otherwise the
+    folded minima are widened to float64 and the float64 (or int64) base
+    energies subtracted, and the differences are held to ``FLOAT_TOL``.
+    Validity masks the compares; see :func:`_valid_assignments`.
     """
     if q.n != report.base_n or q_mod.n != report.final_n:
         raise ParameterError("report does not match the supplied matrices")
     for k, step in enumerate(report.steps):
         _check_step(q.n, k, step)
 
-    # q_mod is the larger, so its blocks refuse first, before any grid.
-    blocks = _energy_blocks(q_mod, min(q_mod.n, max(q.n, _VERIFY_BLOCK_BITS)), narrow=True)
-    base_energies = all_energies(q)
-    best_mod = _best_over_ancillas(blocks, q.n)
-    best_mod = best_mod.astype(np.int64 if best_mod.dtype.kind == "i" else np.float64)
-
     exact = q.is_integral and q_mod.is_integral
-    tol = 0 if exact else FLOAT_TOL
+    # q_mod is the larger, so its blocks refuse first, before any grid.  The
+    # base is drawn after the fold, so the walk and the base are never held
+    # together.
+    blocks = _energy_blocks(q_mod, min(q_mod.n, max(q.n, _VERIFY_BLOCK_BITS)), narrow=True)
+    base_blocks = _energy_blocks(q, q.n, narrow=exact)
+    best_mod = _best_over_ancillas(blocks, q.n)
+    [(_, base_energies)] = base_blocks
+    valid = _valid_assignments(q.n, report.steps)
 
-    # Replay the steps on all base assignments at once, each ancilla the OR of
-    # its pair: valid iff no factored pair ends up fully set.  Bit k is a
-    # boolean array on axis -1-k, broadcast against the (2,) * base_n grid.
-    bits = [np.array([False, True]).reshape((2,) + (1,) * k) for k in range(q.n)]
-    valid = np.ones((2,) * q.n, dtype=bool)
-    for step in report.steps:
-        bi, bj = bits[step.i], bits[step.j]
-        valid &= ~(bi & bj)
-        bits.append(bi | bj)
-    valid = valid.reshape(-1)
+    if exact:
+        valid_ok = not np.any(valid & (best_mod != base_energies))
+        invalid_ok = not np.any(~valid & (best_mod < base_energies))
+        return VerificationVerdict(valid_ok, invalid_ok, bool(best_mod.min() == base_energies.min()))
 
+    tol = FLOAT_TOL
     # Two finite float energies may differ by more than float64 holds; the
     # difference is then +-inf, which gives the right verdict.
+    best_mod = best_mod.astype(np.float64)
     with np.errstate(over="ignore"):
         diff = best_mod - base_energies
         lowest_gap = best_mod.min() - base_energies.min()
-    valid_ok = not np.any(np.abs(diff[valid]) > tol)
-    invalid_ok = not np.any(diff[~valid] < -tol)
-    minimum_ok = bool(abs(lowest_gap) <= tol)
-    return VerificationVerdict(valid_ok, invalid_ok, minimum_ok)
+    invalid_ok = not np.any(~valid & (diff < -tol))
+    valid_ok = not np.any(valid & (np.abs(diff, out=diff) > tol))
+    return VerificationVerdict(valid_ok, invalid_ok, bool(abs(lowest_gap) <= tol))

@@ -88,12 +88,6 @@ def permute_vertices(g: Graph, perm: Iterable[int]) -> Graph:
 # -- Edge-list text format: header "v e", then one "i j" line per edge,
 #    0-based with i < j, sorted lexicographically.
 
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.v} {len(g.edges)}"]
-    lines.extend(f"{i} {j}" for i, j in g.sorted_edges())
-    return "\n".join(lines) + "\n"
-
-
 def parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -58,11 +59,6 @@ class ParameterError(ValueError):
 Bits = Sequence[int]
 
 
-def bits_from_index(m: int, n: int) -> tuple[int, ...]:
-    """Unpack assignment index ``m`` into a bit tuple (bit i of m = x_i)."""
-    return tuple((m >> i) & 1 for i in range(n))
-
-
 class QuboMatrix:
     """Symmetric real QUBO matrix with sparse upper-triangular storage."""
 
@@ -90,7 +86,7 @@ class QuboMatrix:
 
     @offset.setter
     def offset(self, value: float) -> None:
-        _check_not_bool("offset", value)
+        _check_number("offset", value)
         if not _finite(value):
             raise ParameterError("offset must be finite")
         self._offset = value + 0  # -0.0 + 0 is 0.0: a zero offset has no sign
@@ -104,9 +100,10 @@ class QuboMatrix:
 
     def __setitem__(self, key: tuple[int, int], value: float) -> None:
         k = self._key(*key)
-        # First, as False == 0 would delete the entry; formatting the label on every write is slow.
-        if isinstance(value, bool):
-            _check_not_bool(f"coefficient at {k}", value)
+        # First, as False == 0 would delete the entry and a str has no float
+        # value; an int or float skips it, as formatting the label is slow.
+        if type(value) is not int and type(value) is not float:
+            _check_number(f"coefficient at {k}", value)
         self._write(k, value)
 
     def _write(self, k: tuple[int, int], value: float) -> None:
@@ -230,9 +227,10 @@ def _check_json(what: str, value, kinds: type | tuple[type, ...]) -> None:
         raise ParameterError(f"{what} must be {expected}, got {value!r}")
 
 
-def _check_not_bool(what: str, value) -> None:
-    # A bool would be written to JSON as true/false, which the loaders refuse.
-    if isinstance(value, bool):
+def _check_number(what: str, value) -> None:
+    # A bool would be written to JSON as true/false, which the loaders refuse;
+    # a str or None has no float value for _finite to test.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{what} must be a number, got {value!r}")
 
 

@@ -15,7 +15,6 @@ from quboreduce.qubo import (
     _check_json,
     _grid_index,
     all_energies,
-    bits_from_index,
     coupling_count,
 )
 
@@ -44,6 +43,19 @@ def demo_qubo(demo_graph):
 @pytest.fixture
 def demo_factored():
     return QuboMatrix(7, DEMO_FACTORED_ENTRIES)
+
+
+def bits_from_index(m: int, n: int) -> tuple[int, ...]:
+    """Unpack assignment index ``m`` into a bit tuple (bit i of m = x_i)."""
+    return tuple((m >> i) & 1 for i in range(n))
+
+
+def format_edge_list(g: Graph) -> str:
+    """The edge-list text that ``graphs.parse_edge_list`` reads: a ``v m``
+    header, then one ``i j`` line per edge in sorted order."""
+    lines = [f"{g.v} {len(g.edges)}"]
+    lines.extend(f"{i} {j}" for i, j in g.sorted_edges())
+    return "\n".join(lines) + "\n"
 
 
 def random_qubo(rng: random.Random, n: int, density: float = 0.5, lo: int = -5, hi: int = 5) -> QuboMatrix:

@@ -38,9 +38,9 @@ from quboreduce import (
     verify_equivalence,
 )
 from quboreduce.graphs import permute_vertices, sample_permutation
-from quboreduce.qubo import QuboMatrix, all_energies, bits_from_index
+from quboreduce.qubo import QuboMatrix, all_energies
 
-from conftest import DEMO_EDGES, DEMO_FACTORED_ENTRIES, random_qubo
+from conftest import DEMO_EDGES, DEMO_FACTORED_ENTRIES, bits_from_index, random_qubo
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

@@ -26,9 +26,9 @@ from quboreduce import factoring
 from quboreduce.circuits import _block_schedule, cost_schedule, format_gate_list, schedule_metrics
 from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.factoring import _factoring_loop, default_z, dense_mirror, factoring_trajectory
-from quboreduce.qubo import bits_from_index
 
 from conftest import (
+    bits_from_index,
     evolve,
     random_float_qubo,
     random_qubo,

@@ -28,10 +28,10 @@ from quboreduce.experiments import (
     reduction_table,
     run_sweep,
 )
-from quboreduce.graphs import format_edge_list, permute_vertices
+from quboreduce.graphs import permute_vertices
 from quboreduce.qubo import ENUMERATION_GUARD
 
-from conftest import DEMO_EDGES, random_float_qubo, random_qubo, reference_spectrum
+from conftest import DEMO_EDGES, format_edge_list, random_float_qubo, random_qubo, reference_spectrum
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"

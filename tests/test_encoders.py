@@ -26,9 +26,8 @@ from quboreduce.encoders import (
 )
 from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.graphs import permute_vertices, sample_permutation
-from quboreduce.qubo import bits_from_index
 
-from conftest import DEMO_EDGES
+from conftest import DEMO_EDGES, bits_from_index
 
 
 def triangle():

@@ -43,9 +43,9 @@ from quboreduce.factoring import (
     is_conflicting,
 )
 from quboreduce.graphs import permute_vertices, sample_permutation
-from quboreduce.qubo import CapacityError, all_energies, bits_from_index
+from quboreduce.qubo import CapacityError, all_energies
 
-from conftest import random_qubo, reference_dense_mirror, reference_enhance, reference_verify
+from conftest import bits_from_index, random_qubo, reference_dense_mirror, reference_enhance, reference_verify
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -320,6 +320,7 @@ class TestEnhance:
         ((1, 4), {0, 2, 5}, 0, "penalty z must be positive and finite, got 0"),
         ((1, 4), {0, 2, 5}, -3, "penalty z must be positive and finite, got -3"),
         ((1, 4), {0, 2, 5}, True, "penalty z must be a number, got True"),
+        ((1, 4), {0, 2, 5}, "3", "penalty z must be a number, got '3'"),
     ])
     def test_single_fault_messages(self, demo_qubo, pair, syms, z, message):
         before = demo_qubo.dumps()
@@ -699,6 +700,64 @@ class TestVerifyEquivalence:
         finally:
             tracemalloc.stop()
         assert peak < (2 * anc + 8) * 2**base * 8
+
+    @pytest.mark.parametrize("scale", [1, 0.75], ids=["int", "float"])
+    @pytest.mark.parametrize("extra_bits", [0, 1], ids=["one-row-blocks", "two-row-blocks"])
+    def test_steps_over_ancillas_match_reference(self, demo_qubo, monkeypatch, scale, extra_bits):
+        # Hand-built chains with no syms: an ancilla paired with the low and
+        # the high qubit of its own set, two ancillas, two ancillas sharing
+        # a base qubit, and sets of four or more bits against one, which
+        # write all but the all-clear view.  Each matrix is checked sound,
+        # with each base qubit's diagonal raised in turn, which a row wrongly
+        # marked invalid would hide, and with the first pair's coupling
+        # lowered, so that every verdict field is seen both ways.
+        chains = {
+            "own-low-bit": [(1, 4), (6, 1)],
+            "own-high-bit": [(1, 4), (6, 4)],
+            "two-ancillas": [(1, 4), (2, 5), (6, 7)],
+            "shared-bit": [(1, 4), (4, 5), (6, 7), (8, 4)],
+            "four-bit-set": [(0, 1), (6, 2), (7, 3), (8, 4)],
+            "long-chain": [(0, 1), (6, 2), (7, 3), (8, 4), (9, 2), (10, 5), (11, 8)],
+        }
+        q = QuboMatrix(6, {k: scale * v for k, v in demo_qubo.entries()}, scale * demo_qubo.offset)
+        monkeypatch.setattr(factoring, "_VERIFY_BLOCK_BITS", q.n + extra_bits)
+        seen = set()
+        for label, pairs in chains.items():
+            for z in (default_z(q), scale):
+                q_mod = q
+                for pair in pairs:
+                    q_mod = enhance(q_mod, pair, (), z)
+                report = FactoringReport(q.n, z, [FactoringStep(q.n + k, *p, ()) for k, p in enumerate(pairs)])
+                changed = [q_mod.copy(q_mod.n) for _ in range(q.n + 1)]
+                for r in range(q.n):
+                    changed[r][r, r] += scale
+                changed[-1][pairs[0]] -= 8 * scale
+                for m in [q_mod, *changed]:
+                    verdict = verify_equivalence(q, m, report)
+                    assert verdict == reference_verify(q, m, report), (label, z)
+                    seen.add(dataclasses.astuple(verdict))
+        assert all(set(values) == {False, True} for values in zip(*seen))
+
+    def test_integral_compare_holds_no_int64_array_of_the_base(self):
+        # 16 base qubits and 3 ancillas, both walked in int8: the walk holds
+        # a block and three terms, 4 * 2^16 bytes.  After it, the folded
+        # minima, the base energies, the validity mask and the compares take
+        # a byte per assignment each; one int64 array of 2^16 energies,
+        # 8 * 2^16 bytes, would pass the bound on its own.
+        base, anc = 16, 3
+        q = QuboMatrix(base, {(k % base, (3 * k) % base): k % 7 - 3 for k in range(40)})
+        q_mod = QuboMatrix(base + anc, {(k % (base + anc), (5 * k) % (base + anc)): k % 7 - 3 for k in range(60)})
+        report = FactoringReport(base, 1, [FactoringStep(base + k, k, k + 1, ()) for k in range(anc)])
+        for m in (q, q_mod):
+            assert {block.dtype for _, block in qubo._energy_blocks(m, base, narrow=True)} == {np.dtype(np.int8)}
+        tracemalloc.start()
+        try:
+            verdict = verify_equivalence(q, q_mod, report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict == reference_verify(q, q_mod, report)
+        assert peak < (anc + 1) * 2**base + 4 * 2**base
 
     def test_energies_whose_difference_overflows(self):
         # Both energies of x0 = 1 are finite, and their difference is -inf.

@@ -6,13 +6,12 @@ import pytest
 
 from quboreduce import Graph, ParameterError, complement, sample_graph
 from quboreduce.graphs import (
-    format_edge_list,
     parse_edge_list,
     permute_vertices,
     sample_permutation,
 )
 
-from conftest import DEMO_EDGES, DEMO_NON_EDGES
+from conftest import DEMO_EDGES, DEMO_NON_EDGES, format_edge_list
 
 
 class TestGraph:

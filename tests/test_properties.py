@@ -2,6 +2,7 @@
 conflict list, and the coupling count and landscape of each factoring step,
 on small generated inputs."""
 
+import dataclasses
 import json
 import math
 from unittest.mock import patch
@@ -13,7 +14,10 @@ from hypothesis import strategies as st
 from quboreduce import Gate, GateList, Graph, QuboMatrix, coupling_count, energy, factoring, qubo, spectrum
 from quboreduce.circuits import _GATE_FIELDS, _block_schedule, cost_schedule, depth, format_gate_list
 from quboreduce.factoring import (
+    FactoringReport,
+    FactoringStep,
     _factoring_loop,
+    default_z,
     dense_mirror,
     factor_out,
     factoring_trajectory,
@@ -21,11 +25,13 @@ from quboreduce.factoring import (
     is_conflicting,
     verify_equivalence,
 )
-from quboreduce.graphs import all_pairs, format_edge_list, parse_edge_list
-from quboreduce.qubo import all_energies, bits_from_index, min_energy_over_ancillas
+from quboreduce.graphs import all_pairs, parse_edge_list
+from quboreduce.qubo import all_energies, min_energy_over_ancillas
 
 from conftest import (
     assert_bitwise_reference,
+    bits_from_index,
+    format_edge_list,
     read_gate_list,
     reference_depth,
     reference_enhance,
@@ -33,6 +39,7 @@ from conftest import (
     reference_all_energies,
     reference_loads,
     reference_spectrum,
+    reference_verify,
 )
 
 SMALL = settings(max_examples=60, deadline=None)
@@ -404,6 +411,63 @@ def test_loads_matches_the_reference_loader(text):
     loaded = _loaded(QuboMatrix.loads, text)
     event("refused" if len(loaded) == 2 else "loaded")
     assert loaded == _loaded(reference_loads, text)
+
+
+def _ancilla_chain(q, pairs, z, moves=()):
+    """``(q, q_mod, report)``: ``q`` stepped through ``enhance`` on each pair
+    with no syms, then ``delta`` added to each ``(cell, delta)`` of ``moves``
+    in ``q_mod``."""
+    q_mod = q
+    for pair in pairs:
+        q_mod = factoring.enhance(q_mod, pair, (), z)
+    for cell, delta in moves:
+        q_mod[cell] += delta
+    return q, q_mod, FactoringReport(q.n, z, [FactoringStep(q.n + k, *pair, ()) for k, pair in enumerate(pairs)])
+
+
+@st.composite
+def ancilla_chains(draw):
+    # A QUBO of 3 to 8 qubits, integral, in quarters (walked) or in tenths
+    # (filled in order), and 1 to 4 steps on any two earlier qubits, at the
+    # strong default z or a weak one.  A step with no syms only adds its
+    # penalty, which keeps valid energies and never lowers invalid ones, so
+    # q_mod may have one coefficient moved as well.
+    n = draw(st.integers(3, 8))
+    scale = draw(st.sampled_from((1, 0.25, 0.1)))
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    entries = draw(st.dictionaries(st.sampled_from(cells), st.integers(-5, 5)))
+    q = QuboMatrix(n, {k: scale * v for k, v in entries.items()}, scale * draw(st.integers(-5, 5)))
+    z = draw(st.sampled_from((default_z(q) or scale, scale)))
+    steps = draw(st.integers(1, 4))
+    pairs = [tuple(draw(st.lists(st.integers(0, n + k - 1), min_size=2, max_size=2, unique=True))) for k in range(steps)]
+    final = [(i, j) for i in range(n + steps) for j in range(i, n + steps)]
+    moves = draw(st.lists(st.tuples(st.sampled_from(final), st.sampled_from((1, -1, -8)).map(scale.__mul__)), max_size=1))
+    return _ancilla_chain(q, pairs, z, moves)
+
+
+_THREE_QUBITS = QuboMatrix(3, {(0, 0): -1, (1, 1): -1, (2, 2): -1, (0, 1): 3})
+
+
+def test_verify_matches_the_reference_on_ancilla_chains():
+    # Steps over ancillas and over the qubits of an ancilla's own set, in
+    # blocks of one to sixteen rows.  The two examples alone see every
+    # verdict field both ways; the drawn chains mostly keep the landscape.
+    seen = set()
+
+    @SMALL
+    @given(ancilla_chains(), st.integers(0, 4))
+    @example(_ancilla_chain(_THREE_QUBITS, [(0, 1)], 6), 0)
+    @example(_ancilla_chain(_THREE_QUBITS, [(0, 1), (3, 2)], 6, [((0, 1), -8), ((2, 2), 1)]), 1)
+    def check(case, extra_bits):
+        q, q_mod, report = case
+        with patch.object(factoring, "_VERIFY_BLOCK_BITS", q.n + extra_bits):
+            verdict = verify_equivalence(q, q_mod, report)
+        assert verdict == reference_verify(q, q_mod, report)
+        event(f"verdict {dataclasses.astuple(verdict)}")
+        seen.add(dataclasses.astuple(verdict))
+
+    check()
+    assert all(set(values) == {False, True} for values in zip(*seen))
 
 
 @SMALL

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import sys
 import tracemalloc
 from collections.abc import Sequence
@@ -25,9 +26,16 @@ from quboreduce import (
 )
 from quboreduce import factoring, qubo
 from quboreduce.factoring import FactoringReport, FactoringStep, is_conflicting, verify_equivalence
-from quboreduce.qubo import ENUMERATION_GUARD, all_energies, bits_from_index
+from quboreduce.qubo import ENUMERATION_GUARD, all_energies
 
-from conftest import assert_bitwise_reference, random_float_qubo, random_qubo, reference_all_energies, reference_spectrum
+from conftest import (
+    assert_bitwise_reference,
+    bits_from_index,
+    random_float_qubo,
+    random_qubo,
+    reference_all_energies,
+    reference_spectrum,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -81,6 +89,24 @@ class TestQuboMatrix:
         with pytest.raises(ParameterError, match="must be a number"):
             q[1, 0] = True
         assert len(q) == 0
+
+    @pytest.mark.parametrize("value", ["1", None, b"1", 1j, [1]], ids=["str", "none", "bytes", "complex", "list"])
+    def test_rejects_non_numbers(self, value):
+        # math.isfinite alone would raise a bare TypeError for each of these.
+        with pytest.raises(ParameterError, match=f"^offset must be a number, got {re.escape(repr(value))}$"):
+            QuboMatrix(2, offset=value)
+        with pytest.raises(ParameterError, match=f"^coefficient at \\(0, 1\\) must be a number, got {re.escape(repr(value))}$"):
+            QuboMatrix(2, {(0, 1): value})
+        q = QuboMatrix(2, {(0, 0): 1}, offset=2)
+        with pytest.raises(ParameterError, match=f"^offset must be a number, got {re.escape(repr(value))}$"):
+            q.offset = value
+        with pytest.raises(ParameterError, match="must be a number"):
+            q[1, 0] = value
+        assert q == QuboMatrix(2, {(0, 0): 1}, offset=2)
+
+    def test_accepts_numpy_numbers(self):
+        q = QuboMatrix(2, {(0, 0): np.int64(3), (0, 1): np.float32(0.5)}, offset=np.float64(0.25))
+        assert q[0, 0] == 3 and q[0, 1] == 0.5 and q.offset == 0.25
 
     def test_rejects_out_of_range(self):
         q = QuboMatrix(2)
