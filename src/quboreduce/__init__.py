@@ -48,7 +48,6 @@ from .qubo import (
     SpectrumEntry,
     coupling_count,
     energy,
-    min_energy_over_ancillas,
     spectrum,
 )
 

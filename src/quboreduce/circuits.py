@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qubo import ParameterError, QuboMatrix, _check_json
+from .qubo import ParameterError, QuboMatrix, _check_json, _check_number
 
 # The gamma and beta of every layer when none are given.
 DEFAULT_ANGLE = 0.5
@@ -86,6 +86,8 @@ class QaoaParams:
             raise ParameterError(f"layer count must be positive, got {self.p}")
         if len(self.gammas) != self.p or len(self.betas) != self.p:
             raise ParameterError("need exactly p gammas and p betas")
+        for a in (*self.gammas, *self.betas):
+            _check_number("QAOA angle", a)
         if not all(math.isfinite(a) for a in (*self.gammas, *self.betas)):
             raise ParameterError(f"QAOA angles must be finite, got gammas {self.gammas} and betas {self.betas}")
 

@@ -29,8 +29,10 @@ from .qubo import (
     FLOAT_TOL,
     ParameterError,
     QuboMatrix,
+    _FLOAT_EXACT_BOUND,
     _check_json,
     _check_number,
+    _dyadic,
     _energy_blocks,
     _finite,
     _grid_index,
@@ -73,6 +75,8 @@ class FactoringReport:
         try:
             base_n, final_n, z, raw = data["base_n"], data["final_n"], data["z"], data["steps"]
             _check_json("base_n", base_n, int)
+            if base_n < 1:
+                raise ParameterError(f"base_n must be positive, got {base_n}")
             _check_json("final_n", final_n, int)
             _check_json("z", z, (int, float))
             _check_z(z)
@@ -422,6 +426,23 @@ def _some_bit_set(bits) -> list[list[tuple[int, int]]]:
     return [[(c, 0) for c in bits[:k]] + [(b, 1)] for k, b in enumerate(bits)]
 
 
+def _integral_multiples(q: QuboMatrix, q_mod: QuboMatrix) -> list[QuboMatrix] | None:
+    """``D * q`` and ``D * q_mod`` as integral matrices, D the largest of
+    both matrices' :func:`_dyadic` denominators, when FLOAT_TOL * D < 1 and
+    each has sum |m|*(D/d) < 2**53; otherwise None."""
+    (q_ratios, q_scale), (mod_ratios, mod_scale) = _dyadic(q), _dyadic(q_mod)
+    scale = max(q_scale, mod_scale)
+    multiples = []
+    for m, ratios in ((q, q_ratios), (q_mod, mod_ratios)):
+        offset, *values = (k * (scale // d) for k, d in ratios)
+        if FLOAT_TOL * scale >= 1 or abs(offset) + sum(map(abs, values)) >= _FLOAT_EXACT_BOUND:
+            return None
+        multiple = QuboMatrix(m.n, offset=offset)
+        multiple._entries = dict(zip(m._entries, values))
+        multiples.append(multiple)
+    return multiples
+
+
 def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport) -> VerificationVerdict:
     """Exhaustively compare the base matrix with its factored counterpart.
 
@@ -435,12 +456,17 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
     2^final_n array is held.  The blocks are walked and folded in the
     narrowest dtype that holds them exactly.
 
-    When both matrices are integral, the base energies are walked narrow too,
-    and the two are compared in their own dtypes with ``!=``, ``<`` and
-    ``==``: no difference is taken, so none can overflow.  Otherwise the
-    folded minima are widened to float64 and the float64 (or int64) base
-    energies subtracted, and the differences are held to ``FLOAT_TOL``.
-    Validity masks the compares; see :func:`_valid_assignments`.
+    A float pair is compared as its integral multiple by D, the common
+    power-of-two denominator of its values m/d, when FLOAT_TOL * D < 1 and
+    each matrix has sum |m|*(D/d) < 2**53.  Its float energies are then
+    exactly E_int / D, so two that differ do so by at least 1/D >
+    FLOAT_TOL, and the verdict is the float compare's.  An integral pair's
+    base energies are walked narrow too, and the two are compared in their
+    own dtypes with ``!=``, ``<`` and ``==``: no difference is taken, so
+    none can overflow.  Every other pair subtracts the float64 (or int64)
+    base energies from the folded minima, and holds the differences to
+    ``FLOAT_TOL``.  Validity masks the compares; see
+    :func:`_valid_assignments`.
     """
     if q.n != report.base_n or q_mod.n != report.final_n:
         raise ParameterError("report does not match the supplied matrices")
@@ -448,6 +474,8 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
         _check_step(q.n, k, step)
 
     exact = q.is_integral and q_mod.is_integral
+    if not exact and (multiples := _integral_multiples(q, q_mod)):
+        (q, q_mod), exact = multiples, True
     # q_mod is the larger, so its blocks refuse first, before any grid.  The
     # base is drawn after the fold, so the walk and the base are never held
     # together.
@@ -462,13 +490,11 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
         invalid_ok = not np.any(~valid & (best_mod < base_energies))
         return VerificationVerdict(valid_ok, invalid_ok, bool(best_mod.min() == base_energies.min()))
 
-    tol = FLOAT_TOL
     # Two finite float energies may differ by more than float64 holds; the
     # difference is then +-inf, which gives the right verdict.
-    best_mod = best_mod.astype(np.float64)
     with np.errstate(over="ignore"):
         diff = best_mod - base_energies
         lowest_gap = best_mod.min() - base_energies.min()
-    invalid_ok = not np.any(~valid & (diff < -tol))
-    valid_ok = not np.any(valid & (np.abs(diff, out=diff) > tol))
-    return VerificationVerdict(valid_ok, invalid_ok, bool(abs(lowest_gap) <= tol))
+    invalid_ok = not np.any(~valid & (diff < -FLOAT_TOL))
+    valid_ok = not np.any(valid & (np.abs(diff, out=diff) > FLOAT_TOL))
+    return VerificationVerdict(valid_ok, invalid_ok, bool(abs(lowest_gap) <= FLOAT_TOL))

@@ -31,11 +31,6 @@ _INT_ENERGY_BOUND = 2**62
 # dyadic numbers whose numerators over one 2**e stay below this never round.
 _FLOAT_EXACT_BOUND = 2**53
 
-# A float32 holds k * 2**-e exactly for every integer |k| < 2**24, and a
-# nonzero one as a normal number, not a slow subnormal, while e <= 126.
-_FLOAT32_EXACT_BOUND = 2**24
-_FLOAT32_SCALE_BOUND = 2**126
-
 # Comparison tolerance for QUBOs with non-integer coefficients.
 FLOAT_TOL = 1e-9
 
@@ -312,13 +307,11 @@ def _energy_blocks(q: QuboMatrix, w: int, narrow: bool = False) -> Iterator[tupl
     :func:`all_energies` does, adding a coefficient whose high bits are all
     set to its view of the low bits.
 
-    With ``narrow`` the walk runs in the narrowest dtype that holds every
-    partial sum exactly, so it moves fewer bytes: for an integral matrix the
-    smallest of int8 to int64 that holds +-(|offset| + sum |Q[i,j]|), for
-    exact floats float32 when, in :func:`_sums_exact`'s terms, sum
-    |m|*(D/d) < 2**24 and D <= 2**126, else float64.  A narrow block,
-    widened, is the same slice of :func:`all_energies`, value and sign of
-    zero.
+    With ``narrow`` an integral matrix walks in the smallest of int8 to
+    int64 that holds +-(|offset| + sum |Q[i,j]|), so it moves fewer bytes;
+    a narrow block, widened, is the same slice of :func:`all_energies`.
+    Float matrices walk in float64 either way: verify_equivalence hands an
+    exactly-summing float pair over as its integral multiple.
     """
     if q.n > ENUMERATION_GUARD:
         raise CapacityError(f"n={q.n} exceeds enumeration guard {ENUMERATION_GUARD}")
@@ -329,23 +322,24 @@ def _energy_blocks(q: QuboMatrix, w: int, narrow: bool = False) -> Iterator[tupl
         # A signed type holds one more negative value than positive ones, so
         # the type of -1 - total is the narrowest that holds +total too.
         return _walked_blocks(q, w, np.min_scalar_type(-1 - total) if narrow else np.int64)
-    if narrow and _sums_exact(q, _FLOAT32_EXACT_BOUND, _FLOAT32_SCALE_BOUND):
-        return _walked_blocks(q, w, np.float32)
-    if _sums_exact(q):
-        return _walked_blocks(q, w, np.float64)
-    return _in_order_blocks(q, w)
+    return _walked_blocks(q, w, np.float64) if _sums_exact(q) else _in_order_blocks(q, w)
 
 
-def _sums_exact(q: QuboMatrix, bound: int = _FLOAT_EXACT_BOUND, max_scale: float = math.inf) -> bool:
+def _dyadic(q: QuboMatrix) -> tuple[list[tuple[int, int]], int]:
+    """The offset and the coefficients, in storage order, as ratios m/d of
+    the float64 numbers the energy array adds, each d a power of two, and D
+    the largest d.  An int is taken as (v, 1): float(v) rounds only past
+    2**53, where no sum test of these ratios passes either way."""
+    ratios = [(v, 1) if isinstance(v, int) else float(v).as_integer_ratio() for v in (q.offset, *q._entries.values())]
+    return ratios, max(d for _, d in ratios)
+
+
+def _sums_exact(q: QuboMatrix) -> bool:
     """True when every sum of the offset and any coefficients is exact in
-    float64, whatever the order of the additions.  The values are taken as
-    the float64 numbers the energy array adds, whose ratios m/d all have a
-    power of two d.  With D the largest d, the test is sum |m|*(D/d) <
-    ``bound`` and D <= ``max_scale``; float32's bounds make the same test
-    for float32."""
-    ratios = [float(v).as_integer_ratio() for v in (q.offset, *q._entries.values())]
-    scale = max(d for _, d in ratios)
-    return scale <= max_scale and sum(abs(m) * (scale // d) for m, d in ratios) < bound
+    float64, whatever the order of the additions: with :func:`_dyadic`'s
+    ratios m/d and D, sum |m|*(D/d) < 2**53."""
+    ratios, scale = _dyadic(q)
+    return sum(abs(m) * (scale // d) for m, d in ratios) < _FLOAT_EXACT_BOUND
 
 
 def _walked_blocks(q: QuboMatrix, w: int, dtype) -> Iterator[tuple[int, np.ndarray]]:
@@ -486,23 +480,3 @@ def spectrum(q: QuboMatrix) -> Spectrum:
             np.subtract(energies, low, out=keys, casting="unsafe")
     return Spectrum(q.n, energies, np.argsort(keys, kind="stable"))
 
-
-def min_energy_over_ancillas(q_mod: QuboMatrix, base_n: int, x: Bits) -> float:
-    """Best energy of ``x`` extended by every possible ancilla assignment.
-
-    One grid over the ancilla bits holds each extension's energy as a Python
-    number, adding the coefficients in (i, j) order, so the result is
-    exactly :func:`energy` of the first best extension in ancilla index
-    order (ints stay exact past int64).
-    """
-    if len(x) != base_n or base_n > q_mod.n:
-        raise DimensionError(f"base length {len(x)} incompatible with base_n={base_n}, n={q_mod.n}")
-    num_anc = q_mod.n - base_n
-    if num_anc > ENUMERATION_GUARD:
-        raise CapacityError(f"{num_anc} ancillas exceed enumeration guard {ENUMERATION_GUARD}")
-    grid = np.full((2,) * num_anc, q_mod.offset, dtype=object)
-    for (i, j), v in q_mod.entries():
-        if (i < base_n and not x[i]) or (j < base_n and not x[j]):
-            continue
-        grid[_grid_index(num_anc, ((k - base_n, 1) for k in (i, j) if k >= base_n))] += v
-    return min(grid.reshape(-1))

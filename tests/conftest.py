@@ -9,8 +9,10 @@ from quboreduce.circuits import cost_schedule, schedule_metrics
 from quboreduce.experiments import DEFAULT_P_VALUES, SweepRecord, build_problem_qubo
 from quboreduce.factoring import VerificationVerdict, _check_z, _step_cells, factoring_trajectory
 from quboreduce.qubo import (
+    ENUMERATION_GUARD,
     FLOAT_TOL,
     CapacityError,
+    DimensionError,
     ParameterError,
     _check_json,
     _grid_index,
@@ -48,6 +50,28 @@ def demo_factored():
 def bits_from_index(m: int, n: int) -> tuple[int, ...]:
     """Unpack assignment index ``m`` into a bit tuple (bit i of m = x_i)."""
     return tuple((m >> i) & 1 for i in range(n))
+
+
+def min_energy_over_ancillas(q_mod: QuboMatrix, base_n: int, x) -> float:
+    """Best energy of ``x`` extended by every possible ancilla assignment:
+    verify_equivalence's per-assignment oracle.
+
+    One grid over the ancilla bits holds each extension's energy as a Python
+    number, adding the coefficients in (i, j) order, so the result is
+    exactly ``qubo.energy`` of the first best extension in ancilla index
+    order (ints stay exact past int64).
+    """
+    if len(x) != base_n or base_n > q_mod.n:
+        raise DimensionError(f"base length {len(x)} incompatible with base_n={base_n}, n={q_mod.n}")
+    num_anc = q_mod.n - base_n
+    if num_anc > ENUMERATION_GUARD:
+        raise CapacityError(f"{num_anc} ancillas exceed enumeration guard {ENUMERATION_GUARD}")
+    grid = np.full((2,) * num_anc, q_mod.offset, dtype=object)
+    for (i, j), v in q_mod.entries():
+        if (i < base_n and not x[i]) or (j < base_n and not x[j]):
+            continue
+        grid[_grid_index(num_anc, ((k - base_n, 1) for k in (i, j) if k >= base_n))] += v
+    return min(grid.reshape(-1))
 
 
 def format_edge_list(g: Graph) -> str:

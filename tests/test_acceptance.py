@@ -29,7 +29,6 @@ from quboreduce import (
     graph_isomorphism_qubo,
     hamilton_cycle_qubo,
     max_clique_qubo,
-    min_energy_over_ancillas,
     reduction_table,
     run_sweep,
     sample_graph,
@@ -40,7 +39,7 @@ from quboreduce import (
 from quboreduce.graphs import permute_vertices, sample_permutation
 from quboreduce.qubo import QuboMatrix, all_energies
 
-from conftest import DEMO_EDGES, DEMO_FACTORED_ENTRIES, bits_from_index, random_qubo
+from conftest import DEMO_EDGES, DEMO_FACTORED_ENTRIES, bits_from_index, min_energy_over_ancillas, random_qubo
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

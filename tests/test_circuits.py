@@ -146,6 +146,18 @@ class TestBuildCircuit:
         with pytest.raises(ParameterError, match="finite"):
             QaoaParams(len(gammas), gammas, betas)
 
+    @pytest.mark.parametrize("make", [
+        lambda: QaoaParams(1, (True,), (0.5,)),
+        lambda: QaoaParams(2, (0.5, 0.5), (0.5, False)),
+        lambda: QaoaParams.constant(1, gamma=True),
+        lambda: QaoaParams.constant(3, beta=False),
+    ], ids=["gamma", "beta", "constant-gamma", "constant-beta"])
+    def test_rejects_bool_angles(self, make):
+        # A bool is not a number here, as for the layer count and z: True
+        # would print angles computed from 1.
+        with pytest.raises(ParameterError, match="^QAOA angle must be a number, got (True|False)$"):
+            make()
+
     def test_equal_gates_are_one_object(self, demo_qubo, demo_factored):
         # Pins the sharing, as test_fills_no_second_array pins all_energies'
         # memory: a constant p-layer circuit holds one H and one RX object

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import re
 import sys
@@ -27,7 +28,6 @@ from quboreduce import (
     graph_isomorphism_qubo,
     hamilton_cycle_qubo,
     max_clique_qubo,
-    min_energy_over_ancillas,
     sample_graph,
     spectrum,
     vertex_cover_qubo,
@@ -45,7 +45,14 @@ from quboreduce.factoring import (
 from quboreduce.graphs import permute_vertices, sample_permutation
 from quboreduce.qubo import CapacityError, all_energies
 
-from conftest import bits_from_index, random_qubo, reference_dense_mirror, reference_enhance, reference_verify
+from conftest import (
+    bits_from_index,
+    min_energy_over_ancillas,
+    random_qubo,
+    reference_dense_mirror,
+    reference_enhance,
+    reference_verify,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -549,6 +556,12 @@ class TestFactorOut:
         with pytest.raises(ParameterError, match="must be positive and finite"):
             FactoringReport.loads('{"base_n": 4, "final_n": 4, "z": %s, "steps": []}' % z)
 
+    @pytest.mark.parametrize("base_n", [0, -2])
+    def test_report_rejects_a_base_n_no_matrix_has(self, base_n):
+        # QuboMatrix refuses n < 1, so no pair of matrices matches such a report.
+        with pytest.raises(ParameterError, match=f"^base_n must be positive, got {base_n}$"):
+            FactoringReport.loads('{"base_n": %d, "final_n": %d, "z": 1, "steps": []}' % (base_n, base_n))
+
     @pytest.mark.parametrize("z", [0, -1])
     def test_rejects_nonpositive_z_when_nothing_factors(self, z):
         q = vertex_cover_qubo(sample_graph(30, 131, seed=0), 3)
@@ -667,22 +680,65 @@ class TestVerifyEquivalence:
 
     @pytest.mark.parametrize("scale, z, dtypes", [
         (1, 20, (np.int8, np.int16)),
-        (0.25, 2**20, (np.float32, np.float64)),
-    ], ids=["int8-int16", "float32-float64"])
+        (0.25, 2**20, (np.int8, np.int32)),
+    ], ids=["int8-int16", "quarters-int8-int32"])
     @pytest.mark.parametrize("block_bits", [6, 16], ids=["walked", "one-block"])
     def test_factored_matrix_walks_wider_than_the_base(self, demo_qubo, monkeypatch, scale, z, dtypes, block_bits):
-        # The penalty z alone takes q_mod past int8's total or float32's
-        # units; the verdict, also of a broken q_mod, is the reference's.
+        # The penalty z alone takes q_mod past int8's total; the verdict, also
+        # of a broken q_mod, is the reference's.  The quarter-scaled pair is
+        # compared as its integral multiple with D = 4.
         monkeypatch.setattr(factoring, "_VERIFY_BLOCK_BITS", block_bits)
         q = QuboMatrix(demo_qubo.n, {k: scale * v for k, v in demo_qubo.entries()}, scale * demo_qubo.offset)
         q_mod, report = factor_out(q, 1, z)
-        for m, dtype in zip((q, q_mod), dtypes):
-            assert {block.dtype for _, block in qubo._energy_blocks(m, q.n, narrow=True)} == {np.dtype(dtype)}
+        walked = []
+        blocks = factoring._energy_blocks
+        monkeypatch.setattr(factoring, "_energy_blocks", lambda m, *a, **k: walked.append(m) or blocks(m, *a, **k))
         assert verify_equivalence(q, q_mod, report) == reference_verify(q, q_mod, report) == VerificationVerdict(
             True, True, True)
+        for m, multiple, dtype in zip((q_mod, q), walked, dtypes[::-1]):
+            assert multiple.is_integral
+            assert multiple == QuboMatrix(m.n, {k: round(v / scale) for k, v in m.entries()}, round(m.offset / scale))
+            assert {block.dtype for _, block in blocks(multiple, q.n, narrow=True)} == {np.dtype(dtype)}
         q_mod[0, 0] += scale
         assert verify_equivalence(q, q_mod, report) == reference_verify(q, q_mod, report) == VerificationVerdict(
             False, True, False)
+
+    @pytest.mark.parametrize("e, multiple", [(29, True), (30, False)], ids=["D-2**29", "D-2**30"])
+    def test_a_unit_of_2_to_the_minus_e_shows_while_tol_times_d_is_below_1(self, demo_qubo, e, multiple):
+        # Scaled by 2**-e, raising a diagonal by one unit costs valid rows
+        # 2**-e more.  At D = 2**29 the pair compares as its integral
+        # multiple and the change shows; at D = 2**30 it compares in float64,
+        # where 2**-30 < FLOAT_TOL hides it, as that compare always has.
+        q_mod, report = factor_out(demo_qubo, 1, 9)
+        q_mod[3, 3] += 1
+        q, q_mod = (QuboMatrix(m.n, {k: math.ldexp(v, -e) for k, v in m.entries()}, 0.0) for m in (demo_qubo, q_mod))
+        assert (factoring._integral_multiples(q, q_mod) is not None) == multiple
+        verdict = verify_equivalence(q, q_mod, report)
+        assert verdict == reference_verify(q, q_mod, report)
+        assert verdict == VerificationVerdict(not multiple, True, True)
+
+    def test_integral_base_with_a_float_factored_matrix(self, demo_qubo):
+        # z = 16.5 writes halves into the step's cells, so the pair compares
+        # as its multiple by D = 2, and a change of half a unit shows.
+        q_mod, report = factor_out(demo_qubo, 1, 16.5)
+        doubled = factoring._integral_multiples(demo_qubo, q_mod)
+        assert doubled == [QuboMatrix(m.n, {k: int(2 * v) for k, v in m.entries()}) for m in (demo_qubo, q_mod)]
+        verdict = verify_equivalence(demo_qubo, q_mod, report)
+        assert verdict == reference_verify(demo_qubo, q_mod, report) == VerificationVerdict(True, True, True)
+        q_mod[3, 3] += 0.5
+        verdict = verify_equivalence(demo_qubo, q_mod, report)
+        assert verdict == reference_verify(demo_qubo, q_mod, report) == VerificationVerdict(False, True, True)
+
+    def test_an_int_that_float_rounds_stays_on_the_float_path(self):
+        # float(2**60 + 1) is 2.0**60.  Taken as 2**60 + 1 over 1, the int
+        # sums past 2**53, so the pair is never scaled, and the float64
+        # compare reads the two energies as equal, as it always has.
+        q = QuboMatrix(2, {(0, 0): 2**60 + 1, (1, 1): -1})
+        q_mod = QuboMatrix(2, {(0, 0): 2.0**60, (1, 1): -1.0})
+        report = FactoringReport(2, 1, [])
+        assert factoring._integral_multiples(q, q_mod) is None
+        verdict = verify_equivalence(q, q_mod, report)
+        assert verdict == reference_verify(q, q_mod, report) == VerificationVerdict(True, True, True)
 
     @pytest.mark.parametrize("value", [lambda k: k % 7 - 3, lambda k: (k % 7 - 3) / 4, lambda k: 1 / (k + 3)],
                              ids=["int", "dyadic", "in-order"])

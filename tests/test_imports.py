@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module, and every
+"""Every name a library module imports is used in that module, every
 module-level private function and private constant is used somewhere in the
-library.
+library, and every public function is reached from the library, its CLI or
+its ``__init__`` exports, but for the named exceptions.
 
 ``__init__.py`` is skipped for imports: its imports are the package's
 re-exports.
@@ -54,9 +55,10 @@ def referenced_names(node: ast.AST) -> Counter:
     return names
 
 
-def unused_private_functions(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_name`` functions that no library module refers to
-    outside their own ``def``."""
+def unreferenced_functions(sources: dict[str, str], public: bool = False) -> list[str]:
+    """Module-level ``_name`` functions, or with ``public`` the others, that
+    no library module refers to outside their own ``def``.  An import in
+    ``__init__.py``, the package's export, is a reference."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
     return sorted(
@@ -64,7 +66,7 @@ def unused_private_functions(sources: dict[str, str]) -> list[str]:
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("_")
+        and node.name.startswith("_") != public
         and everywhere[node.name] == referenced_names(node)[node.name]
     )
 
@@ -74,11 +76,33 @@ def test_detects_unused_private_function():
         "a.py": "def _kept():\n    pass\ndef _dead():\n    _dead()\ndef _imported():\n    pass\n",
         "b.py": "from .a import _imported\n_kept()\n",
     }
-    assert unused_private_functions(sources) == ["a.py: _dead"]
+    assert unreferenced_functions(sources) == ["a.py: _dead"]
 
 
 def test_no_unused_private_functions():
-    assert unused_private_functions(SOURCES) == []
+    assert unreferenced_functions(SOURCES) == []
+
+
+# Public functions that nothing in the library reaches, each kept for a reason.
+UNREACHED_PUBLIC_FUNCTIONS = {
+    "factoring.py: factoring_trajectory": "perfbench/spans.py TARGETS wraps it by name",
+    "factoring.py: is_conflicting": "the documented exhaustive oracle of the conflict test",
+}
+
+
+def test_detects_unreached_public_function():
+    sources = {
+        "a.py": "def called():\n    pass\ndef dead():\n    dead()\n"
+                "def exported():\n    pass\ndef _private():\n    pass\n",
+        "cli.py": "from .a import called\ndef main():\n    called()\n",
+        "__init__.py": "from .a import exported\n",
+        "__main__.py": "from .cli import main\nmain()\n",
+    }
+    assert unreferenced_functions(sources, public=True) == ["a.py: dead"]
+
+
+def test_every_public_function_is_reached():
+    assert unreferenced_functions(SOURCES, public=True) == sorted(UNREACHED_PUBLIC_FUNCTIONS)
 
 
 def unused_private_constants(sources: dict[str, str]) -> list[str]:

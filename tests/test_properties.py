@@ -26,12 +26,13 @@ from quboreduce.factoring import (
     verify_equivalence,
 )
 from quboreduce.graphs import all_pairs, parse_edge_list
-from quboreduce.qubo import all_energies, min_energy_over_ancillas
+from quboreduce.qubo import all_energies
 
 from conftest import (
     assert_bitwise_reference,
     bits_from_index,
     format_edge_list,
+    min_energy_over_ancillas,
     read_gate_list,
     reference_depth,
     reference_enhance,
@@ -220,9 +221,8 @@ def test_energy_blocks_are_slices_of_the_reference(q):
        | dyadic_qubos(8) | dyadic_qubos(8, st.integers(-130, 10)))
 def test_narrow_blocks_widen_to_slices_of_the_reference(q):
     # The narrow walk of verify_equivalence: small ints walk in int8 or
-    # int16, dyadic floats with few units over a scale up to 2**126 in
-    # float32, scales of 2**-127 to 2**-130 in float64.  Widening is exact,
-    # so each block must read as the slice.
+    # int16, and floats in float64 at every scale, 2**-130 included.
+    # Widening is exact, so each block must read as the slice.
     expected = reference_all_energies(q)
     for w in range(1, q.n + 1):
         for h, block in qubo._energy_blocks(q, w, narrow=True):
@@ -262,6 +262,42 @@ def test_factoring_at_default_z_preserves_the_landscape(q):
     assume(report.steps)
     event("float" if not q.is_integral else "integer")
     assert verify_equivalence(q, q_mod, report).all_ok
+
+
+@st.composite
+def scaled_factored_pairs(draw):
+    # An integral factored pair, sometimes with one cell of q_mod raised or
+    # lowered by one, and an exponent e to scale it by 2**-e.
+    q = draw(penalty_qubos())
+    q_mod, report = factor_out(q, 3)
+    cells = [(i, j) for i in range(q_mod.n) for j in range(i, q_mod.n)]
+    for cell, unit in draw(st.lists(st.tuples(st.sampled_from(cells), st.sampled_from((1, -1))), max_size=1)):
+        q_mod[cell] += unit
+    return q, q_mod, report, draw(st.integers(0, 40))
+
+
+def _scaled(m: QuboMatrix, e: int) -> QuboMatrix:
+    return QuboMatrix(m.n, {k: math.ldexp(v, -e) for k, v in m.entries()}, math.ldexp(m.offset, -e))
+
+
+@SMALL
+@given(scaled_factored_pairs())
+def test_verify_of_a_scaled_pair_is_the_float_compare(case):
+    # Scaled by 2**-e, the values are m/D with D at most 2**e.  Up to
+    # e = 29, FLOAT_TOL * D < 1 and the pair compares as its integral
+    # multiple, so its verdict is the unscaled pair's, a unit change
+    # included.  Past that it may compare in float64, where a unit of 2**-e
+    # can hide under FLOAT_TOL; the reference reads it the same way.
+    q, q_mod, report, e = case
+    scaled_q, scaled_mod = _scaled(q, e), _scaled(q_mod, e)
+    multiples = factoring._integral_multiples(scaled_q, scaled_mod)
+    event("integral multiple" if multiples else "float compare")
+    verdict = verify_equivalence(scaled_q, scaled_mod, report)
+    assert verdict == reference_verify(scaled_q, scaled_mod, report)
+    event(f"verdict {dataclasses.astuple(verdict)}")
+    if e <= 29:
+        assert multiples is not None
+        assert verdict == verify_equivalence(q, q_mod, report)
 
 
 @SMALL

@@ -20,7 +20,6 @@ from quboreduce import (
     coupling_count,
     energy,
     max_clique_qubo,
-    min_energy_over_ancillas,
     sample_graph,
     spectrum,
 )
@@ -31,6 +30,7 @@ from quboreduce.qubo import ENUMERATION_GUARD, all_energies
 from conftest import (
     assert_bitwise_reference,
     bits_from_index,
+    min_energy_over_ancillas,
     random_float_qubo,
     random_qubo,
     reference_all_energies,
@@ -624,33 +624,43 @@ class TestNarrowWalk:
                 assert np.array_equal(block.astype(np.int64), expected[h << w : (h + 1) << w])
         assert all_energies(q).dtype == np.int64
 
-    @pytest.mark.parametrize("q, dtype", [
+    @pytest.mark.parametrize("q, walked", [
         # Numerators over the largest denominator, 4: 1 + (2**24 - 2), then 1 + (2**24 - 1).
-        (QuboMatrix(2, {(0, 0): 0.25, (1, 1): (2**24 - 2) / 4}, 0.0), np.float32),
-        (QuboMatrix(2, {(0, 0): 0.25, (1, 1): (2**24 - 1) / 4}, 0.0), np.float64),
-        # A scale of 2**126 keeps every nonzero sum a normal float32; 2**127 does not.
-        (QuboMatrix(2, {(0, 0): 3 * 2.0**-126, (1, 1): -(2.0**-126)}, 0.0), np.float32),
-        (QuboMatrix(2, {(0, 0): 3 * 2.0**-127, (1, 1): -(2.0**-127)}, 0.0), np.float64),
-        (QuboMatrix(2, {(0, 0): 0.1, (1, 1): 0.25}, 0.0), np.float64),
+        (QuboMatrix(2, {(0, 0): 0.25, (1, 1): (2**24 - 2) / 4}, 0.0), True),
+        (QuboMatrix(2, {(0, 0): 0.25, (1, 1): (2**24 - 1) / 4}, 0.0), True),
+        # Scales of 2**-126 and 2**-127, the edge of float32's normal range.
+        (QuboMatrix(2, {(0, 0): 3 * 2.0**-126, (1, 1): -(2.0**-126)}, 0.0), True),
+        (QuboMatrix(2, {(0, 0): 3 * 2.0**-127, (1, 1): -(2.0**-127)}, 0.0), True),
+        (QuboMatrix(2, {(0, 0): 0.1, (1, 1): 0.25}, 0.0), False),
     ], ids=["units-2**24-1", "units-2**24", "scale-2**126", "scale-2**127", "in-order"])
-    def test_float_bounds(self, q, dtype):
+    def test_float_bounds(self, q, walked, monkeypatch):
+        # A narrow float walk is float64 at every unit count and scale, and a
+        # matrix whose sums can round is filled in (i, j) order instead.
+        calls = []
+        in_order = qubo._in_order_blocks
+        monkeypatch.setattr(qubo, "_in_order_blocks", lambda *args: calls.append(args) or in_order(*args))
         expected = reference_all_energies(q)
         for w in (1, 2):
             for h, block in _narrow_blocks(q, w):
-                assert block.dtype == dtype
+                assert block.dtype == np.float64
                 piece = expected[h << w : (h + 1) << w]
-                assert np.array_equal(block.astype(np.float64), piece)
+                assert np.array_equal(block, piece)
                 assert np.array_equal(np.signbit(block), np.signbit(piece))
+        assert bool(calls) != walked
 
     def test_exhaustive_workload_instances(self):
         # The benchmark's 21-qubit factored max_clique at seed 23 walks in
-        # int16, and its float twin in float32.
+        # int16.  Its float twin verifies as its integral multiple, with
+        # D = 1 the same matrix, so it walks in int16 too.
         q = max_clique_qubo(sample_graph(17, 60, 23), 3)
         q_mod, _ = factoring.factor_out(q, 4, factoring.default_z(q))
         expected = all_energies(q_mod)
-        for m, dtype in ((q_mod, np.int16), (as_float(q_mod), np.float32)):
+        float_q, float_mod = factoring._integral_multiples(as_float(q), as_float(q_mod))
+        assert float_q.is_integral and float_mod.is_integral
+        assert (float_q, float_mod) == (q, q_mod)
+        for m in (q_mod, float_mod):
             for h, block in qubo._energy_blocks(m, 17, narrow=True):
-                assert block.dtype == dtype
+                assert block.dtype == np.int16
                 assert np.array_equal(block, expected[h << 17 : (h + 1) << 17])
 
 
