@@ -5,6 +5,7 @@ from .circuits import (
     Gate,
     GateList,
     IsingForm,
+    QaoaCircuit,
     QaoaParams,
     basis_phase,
     build_circuit,

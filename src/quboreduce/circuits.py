@@ -1,21 +1,21 @@
-"""QAOA gate-list construction, CNOT counting, depth scheduling, and the
-basis-state phase of a diagonal circuit, for checking the cost layer.
+"""QAOA circuit construction, CNOT counting, depth scheduling, and the
+basis-state phase of a diagonal gate list, for checking the cost layer.
 
 The gate set is {H, RX, RZ, CNOT}; each coupling term compiles to
 CNOT-RZ-CNOT, so a circuit over a QUBO whose spin form has C couplings and p
 layers contains exactly 2*C*p CNOT gates.  Connectivity is all-to-all (no
 routing) and every gate occupies one time step on each operand qubit; depth is
 the ASAP schedule length of the qubit-dependency DAG.  A ``CostSchedule`` fixes
-one cost layer's gate order; ``build_circuit`` emits gates from it and
-``schedule_metrics`` reads the CNOT count and depth of every requested layer
-count off it in one frontier pass, without building any.  A sweep reads the
-schedule off the factoring loop's dense mirror block (``_block_schedule``),
-with the same float operations as the spin form, so it builds no
-``IsingForm``.  ``Gate`` is immutable, so ``build_circuit`` shares equal
-gates: one CNOT object per pair stands at both ends of its CNOT-RZ-CNOT in
-every layer, and layers with the same gamma (or beta) are one list of gates
-spliced in again.  ``depth`` is one pass over the gates that branches on
-their arity.
+one cost layer's gate order, and the gate list and its metrics derive from
+it.  ``build_circuit`` returns a ``QaoaCircuit`` (the schedule, the spin form
+and the layer angles) and builds no gate.  ``format_gate_list`` writes each
+distinct gamma's cost layer and each distinct beta's mixer once, and
+``cnot_count`` and ``depth`` come from ``schedule_metrics``, the frontier
+pass the sweep reads its metrics with.  A sweep reads the schedule off the
+factoring loop's dense mirror block (``_block_schedule``), with the same
+float operations as the spin form, so it builds no ``IsingForm``.
+``QaoaCircuit.gates`` builds ``Gate`` objects for a walk gate by gate;
+``basis_phase`` walks explicit gate lists such as ``build_cost_layer``'s.
 
 Angle convention: RZ(theta) = diag(exp(-i theta/2), exp(+i theta/2)), gamma
 multiplies the cost layer and beta the mixer.
@@ -24,14 +24,14 @@ multiplies the cost layer and beta the mixer.
 from __future__ import annotations
 
 import cmath
-import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qubo import ParameterError, QuboMatrix, _check_json, _check_number
+from .qubo import ParameterError, QuboMatrix, _check_json, _check_number, _finite
 
 # The gamma and beta of every layer when none are given.
 DEFAULT_ANGLE = 0.5
@@ -57,10 +57,15 @@ class Gate:
             )
         if operands == 2 and self.qubits[0] == self.qubits[1]:
             raise ParameterError(f"{self.kind} needs two distinct operands, got {self.qubits}")
-        if angles and not math.isfinite(self.angle):
-            raise ParameterError(f"{self.kind} angle must be finite, got {self.angle}")
+        if angles:
+            _check_angle(self.kind, self.angle)
         if angles and self.angle == 0:  # RZ(-0) is RZ(0): store 0.0, so equal angles print alike
             object.__setattr__(self, "angle", 0.0)
+
+
+def _check_angle(kind: str, angle) -> None:
+    if not _finite(angle):
+        raise ParameterError(f"{kind} angle must be finite, got {angle}")
 
 
 @dataclass
@@ -88,7 +93,7 @@ class QaoaParams:
             raise ParameterError("need exactly p gammas and p betas")
         for a in (*self.gammas, *self.betas):
             _check_number("QAOA angle", a)
-        if not all(math.isfinite(a) for a in (*self.gammas, *self.betas)):
+        if not all(_finite(a) for a in (*self.gammas, *self.betas)):
             raise ParameterError(f"QAOA angles must be finite, got gammas {self.gammas} and betas {self.betas}")
 
     @classmethod
@@ -207,23 +212,51 @@ def build_cost_layer(q: QuboMatrix, gamma: float) -> GateList:
     return GateList(q.n, _cost_layer(schedule, ising, gamma, _pair_cnots(schedule)))
 
 
-def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = DEFAULT_ORDER) -> GateList:
+@dataclass(frozen=True)
+class QaoaCircuit:
+    """``build_circuit``'s circuit, held as the cost schedule, the spin form
+    that gives its RZ angles, and the layer angles, with no gate built."""
+
+    n: int
+    schedule: CostSchedule
+    ising: IsingForm
+    params: QaoaParams
+
+    @cached_property
+    def gates(self) -> list[Gate]:
+        """The circuit's gates, built on first read.  Equal gates are one
+        object: each pair's CNOT at both ends of its triple in every layer,
+        and each distinct gamma's cost layer and beta's mixer, spliced in
+        wherever it recurs."""
+        cnots = _pair_cnots(self.schedule)
+        gates = [Gate("H", (qb,)) for qb in range(self.n)]
+        cost_layers, mixers = {}, {}
+        for gamma, beta in zip(self.params.gammas, self.params.betas):
+            if gamma not in cost_layers:
+                cost_layers[gamma] = _cost_layer(self.schedule, self.ising, gamma, cnots)
+            gates += cost_layers[gamma]
+            if beta not in mixers:
+                mixers[beta] = [Gate("RX", (qb,), 2 * beta) for qb in range(self.n)]
+            gates += mixers[beta]
+        return gates
+
+
+def build_circuit(q: QuboMatrix, params: QaoaParams, order: str = DEFAULT_ORDER) -> QaoaCircuit:
     """Full QAOA circuit: H on every qubit, then p alternating cost and mixer
-    layers.  Each distinct gamma's cost layer and each distinct beta's mixer
-    is built once and spliced in wherever it recurs."""
+    layers.  The first angle in emission order that ``Gate`` would refuse
+    raises.  Rounding is monotone in magnitude, so one product with the sum
+    of the |terms| (not finite if a term is not) clears a cost layer.
+    ``2 * float(gamma)`` is ``2 * gamma``, or inf where an int overflows."""
     ising, schedule = _ising_schedule(q, order)
-    cnots = _pair_cnots(schedule)
-    c = GateList(q.n, [Gate("H", (qb,)) for qb in range(q.n)])
-    cost_layers: dict[float, list[Gate]] = {}
-    mixers: dict[float, list[Gate]] = {}
+    terms = [ising.h[i] for i in schedule.h_support] + [ising.couplings[pair] for pair in schedule.pairs]
+    bound = sum(map(abs, terms))
     for gamma, beta in zip(params.gammas, params.betas):
-        if gamma not in cost_layers:
-            cost_layers[gamma] = _cost_layer(schedule, ising, gamma, cnots)
-        c.gates += cost_layers[gamma]
-        if beta not in mixers:
-            mixers[beta] = [Gate("RX", (qb,), 2 * beta) for qb in range(q.n)]
-        c.gates += mixers[beta]
-    return c
+        scale = 2 * float(gamma)
+        if not _finite(scale * bound):
+            for v in terms:
+                _check_angle("RZ", scale * v)
+        _check_angle("RX", 2 * beta)
+    return QaoaCircuit(q.n, schedule, ising, params)
 
 
 def schedule_metrics(schedule: CostSchedule, p_values: Sequence[int]) -> list[tuple[int, int]]:
@@ -248,24 +281,13 @@ def schedule_metrics(schedule: CostSchedule, p_values: Sequence[int]) -> list[tu
     return [(2 * len(schedule.pairs) * p, depths[p]) for p in p_values]
 
 
-def cnot_count(c: GateList) -> int:
-    return sum(1 for g in c.gates if g.kind == "CNOT")
+def cnot_count(c: QaoaCircuit) -> int:
+    return 2 * len(c.schedule.pairs) * c.params.p
 
 
-def depth(c: GateList) -> int:
-    """ASAP schedule length: gates on disjoint qubits share a time step.  A
-    one-qubit gate adds 1 to its qubit's frontier; a two-qubit gate sets
-    both of its frontiers to the larger plus 1."""
-    frontier = [0] * c.n
-    for g in c.gates:
-        qubits = g.qubits
-        if len(qubits) == 1:
-            frontier[qubits[0]] += 1
-        else:
-            i, k = qubits
-            a, b = frontier[i], frontier[k]
-            frontier[i] = frontier[k] = (a if a > b else b) + 1
-    return max(frontier, default=0)
+def depth(c: QaoaCircuit) -> int:
+    """ASAP schedule length: gates on disjoint qubits share a time step."""
+    return schedule_metrics(c.schedule, [c.params.p])[0][1]
 
 
 def basis_phase(c: GateList, x: Sequence[int]) -> complex:
@@ -294,21 +316,21 @@ def basis_phase(c: GateList, x: Sequence[int]) -> complex:
 #    the kind, its operands and its angle if any ("H q", "RX q angle",
 #    "RZ q angle", "CNOT q1 q2").  Angles carry 17 significant digits.
 
-def _gate_line(g: Gate) -> str:
-    line = g.kind
-    for qb in g.qubits:
-        line = f"{line} {qb}"
-    return line if g.angle is None else f"{line} {g.angle:.17g}"
-
-
-def format_gate_list(c: GateList) -> str:
-    # Each distinct gate object is formatted once.  The memo is keyed by
-    # object, which is faster than hashing the gate's fields.
-    memo: dict[int, str] = {}
-    lines = [f"qubits {c.n}"]
-    for g in c.gates:
-        line = memo.get(id(g))
-        if line is None:
-            line = memo[id(g)] = _gate_line(g)
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+def format_gate_list(c: QaoaCircuit) -> str:
+    """The circuit's text, with each distinct gamma's cost layer and each
+    distinct beta's mixer formatted once and joined in wherever it recurs.
+    ``+ 0`` makes a -0.0 angle 0.0, as ``Gate`` stores it, so it prints 0."""
+    schedule, h, couplings = c.schedule, c.ising.h, c.ising.couplings
+    cost_texts, mixer_texts = {}, {}
+    parts = [f"qubits {c.n}\n", *[f"H {qb}\n" for qb in range(c.n)]]
+    for gamma, beta in zip(c.params.gammas, c.params.betas):
+        if gamma not in cost_texts:
+            lines = [f"RZ {i} {2 * gamma * h[i] + 0:.17g}\n" for i in schedule.h_support]
+            lines += [f"CNOT {i} {k}\nRZ {k} {2 * gamma * couplings[i, k] + 0:.17g}\nCNOT {i} {k}\n"
+                      for i, k in schedule.pairs]
+            cost_texts[gamma] = "".join(lines)
+        if beta not in mixer_texts:
+            angle = f"{2 * beta + 0:.17g}"
+            mixer_texts[beta] = "".join([f"RX {qb} {angle}\n" for qb in range(c.n)])
+        parts += (cost_texts[gamma], mixer_texts[beta])
+    return "".join(parts)

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .circuits import (
     DEFAULT_ORDER,
-    GateList,
+    QaoaCircuit,
     QaoaParams,
     _block_schedule,
     build_circuit,
@@ -137,8 +137,8 @@ def sweep_circuit(
     num_ancillas: int,
     params: QaoaParams,
     order: str = DEFAULT_ORDER,
-) -> GateList:
-    """The gate list behind the default-z sweep rows at one ancilla budget:
+) -> QaoaCircuit:
+    """The circuit behind the default-z sweep rows at one ancilla budget:
     the circuit of the matrix those rows measure.  In the default order its
     CNOT count and depth are the row's for ``params.p`` layers."""
     q_mod, _ = factor_out(build_problem_qubo(setting), num_ancillas)

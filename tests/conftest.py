@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from quboreduce import Gate, GateList, Graph, QuboMatrix, SpectrumEntry, complement, max_clique_qubo
-from quboreduce.circuits import cost_schedule, schedule_metrics
+from quboreduce.circuits import (
+    build_circuit,
+    cnot_count,
+    cost_schedule,
+    depth,
+    format_gate_list,
+    qubo_to_ising,
+    schedule_metrics,
+)
 from quboreduce.experiments import DEFAULT_P_VALUES, SweepRecord, build_problem_qubo
 from quboreduce.factoring import VerificationVerdict, _check_z, _step_cells, factoring_trajectory
 from quboreduce.qubo import (
@@ -162,9 +170,45 @@ def reference_verify(q, q_mod, report):
     return VerificationVerdict(valid_ok, invalid_ok, minimum_ok)
 
 
+def reference_circuit(q: QuboMatrix, params, order) -> GateList:
+    """``build_circuit``'s gates added through the range-checked
+    ``GateList.append``, one new object per gate."""
+    schedule = cost_schedule(q, order)
+    ising = qubo_to_ising(q)
+    h, couplings = ising.h, ising.couplings
+    c = GateList(q.n)
+    for qb in range(q.n):
+        c.append(Gate("H", (qb,)))
+    for gamma, beta in zip(params.gammas, params.betas):
+        for i in schedule.h_support:
+            c.append(Gate("RZ", (i,), 2 * gamma * h[i]))
+        for i, k in schedule.pairs:
+            c.append(Gate("CNOT", (i, k)))
+            c.append(Gate("RZ", (k,), 2 * gamma * couplings[(i, k)]))
+            c.append(Gate("CNOT", (i, k)))
+        for qb in range(q.n):
+            c.append(Gate("RX", (qb,), 2 * beta))
+    return c
+
+
+def assert_circuit_matches_reference(q: QuboMatrix, params, order) -> str:
+    """``build_circuit``'s gates, text, depth and CNOT count against
+    ``reference_circuit`` and the per-gate oracles; returns the text."""
+    c = build_circuit(q, params, order)
+    ref = reference_circuit(q, params, order)
+    assert (c.n, c.gates) == (ref.n, ref.gates)
+    text = format_gate_list(c)
+    assert text == reference_format_gate_list(ref)
+    assert read_gate_list(text).gates == c.gates
+    assert depth(c) == reference_depth(ref)
+    assert cnot_count(c) == sum(g.kind == "CNOT" for g in ref.gates)
+    return text
+
+
 def reference_depth(c: GateList) -> int:
-    """ASAP depth with a generator max() over each gate's operands: the
-    ``circuits.depth`` that the arity-branched pass replaced."""
+    """ASAP depth of a gate list, with a generator max() over each gate's
+    operands: the per-gate walk that ``circuits.depth``, read off the cost
+    schedule, must agree with."""
     frontier = [0] * c.n
     total = 0
     for g in c.gates:
@@ -243,8 +287,9 @@ def reference_evolve(c: GateList, state: np.ndarray) -> np.ndarray:
 
 
 def reference_format_gate_list(c: GateList) -> str:
-    """The gate-list text with every gate formatted anew: the
-    ``circuits.format_gate_list`` that memoises by gate object replaced."""
+    """The gate-list text of any gate list, with every gate formatted anew:
+    the oracle for ``circuits.format_gate_list``, which formats each layer
+    of a ``QaoaCircuit`` off its schedule."""
     lines = [f"qubits {c.n}"]
     for g in c.gates:
         line = g.kind

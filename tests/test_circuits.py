@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 import sys
@@ -22,21 +23,41 @@ from quboreduce import (
     energy,
     qubo_to_ising,
 )
-from quboreduce import factoring
+from quboreduce import circuits, factoring
 from quboreduce.circuits import _block_schedule, cost_schedule, format_gate_list, schedule_metrics
 from quboreduce.experiments import build_problem_qubo, builtin_settings
-from quboreduce.factoring import _factoring_loop, default_z, dense_mirror, factoring_trajectory
+from quboreduce.factoring import _factoring_loop, default_z, dense_mirror, factor_out, factoring_trajectory
 
 from conftest import (
+    assert_circuit_matches_reference,
     bits_from_index,
     evolve,
     random_float_qubo,
     random_qubo,
     read_gate_list,
+    reference_circuit,
     reference_depth,
     reference_evolve,
     reference_format_gate_list,
 )
+
+# sha256 of format_gate_list and then "cnots=... depth=...\n" of
+# build_circuit(factor_out(q, 29)[0], QaoaParams.constant(p), order) for
+# every builtin_settings() instance q, each order of ("ascending", "packed")
+# and each p of (1, 3), in that nesting: the CLI `circuit` outputs.
+BUILTIN_GATE_LISTS_SHA256 = "db0b659ec8ac6b39cd03e946062fc4543799686e4a93dc399ee2deab0edfb5af"
+
+
+def test_builtin_gate_lists_are_pinned():
+    digest = hashlib.sha256()
+    for s in builtin_settings():
+        q_mod, _ = factor_out(build_problem_qubo(s), 29)
+        for order in ("ascending", "packed"):
+            for p in (1, 3):
+                c = build_circuit(q_mod, QaoaParams.constant(p), order)
+                digest.update(format_gate_list(c).encode())
+                digest.update(f"cnots={cnot_count(c)} depth={depth(c)}\n".encode())
+    assert digest.hexdigest() == BUILTIN_GATE_LISTS_SHA256
 
 
 class TestQuboToIsing:
@@ -147,6 +168,37 @@ class TestBuildCircuit:
             QaoaParams(len(gammas), gammas, betas)
 
     @pytest.mark.parametrize("make", [
+        lambda: QaoaParams.constant(1, 10**400),
+        lambda: QaoaParams(2, (0.5, 0.5), (0.5, -10**400)),
+    ], ids=["gamma", "beta"])
+    def test_rejects_an_int_angle_with_no_float_value(self, make):
+        with pytest.raises(ParameterError, match="^QAOA angles must be finite, got gammas "):
+            make()
+
+    @pytest.mark.parametrize("params, message", [
+        # 2 * 10**308 is an int with no float value: the gate's own angle.
+        (QaoaParams.constant(1, 0.5, 10**308), f"RX angle must be finite, got {2 * 10**308}"),
+        # 2 * 10**308 * h has no float value either; its float limit is -inf,
+        # as for the float gamma 1e308.
+        (QaoaParams.constant(1, 10**308), "RZ angle must be finite, got -inf"),
+    ], ids=["beta", "gamma"])
+    def test_an_int_angle_whose_gate_angle_overflows(self, demo_qubo, params, message):
+        with pytest.raises(ParameterError) as caught:
+            build_circuit(demo_qubo, params)
+        assert str(caught.value) == message
+
+    def test_builds_no_gate(self, demo_qubo, demo_factored):
+        # The text and the metrics come from the schedule; only .gates makes
+        # Gate objects, one per distinct gate.
+        for q in (demo_qubo, demo_factored):
+            with patch.object(circuits, "Gate", wraps=Gate) as made:
+                c = build_circuit(q, QaoaParams(3, (0.1, 0.2, 0.1), (0.3, 0.3, 0.4)), "packed")
+                format_gate_list(c), cnot_count(c), depth(c)
+                assert made.call_count == 0
+                distinct = len({id(g) for g in c.gates})
+                assert made.call_count == distinct > 0
+
+    @pytest.mark.parametrize("make", [
         lambda: QaoaParams(1, (True,), (0.5,)),
         lambda: QaoaParams(2, (0.5, 0.5), (0.5, False)),
         lambda: QaoaParams.constant(1, gamma=True),
@@ -176,27 +228,6 @@ class TestBuildCircuit:
             assert len({id(g) for g in c.gates}) == distinct
 
 
-def reference_circuit(q, params, order):
-    """``build_circuit``'s gates added through the range-checked
-    ``GateList.append``, as it added them before it skipped that check."""
-    schedule = cost_schedule(q, order)
-    ising = qubo_to_ising(q)
-    h, couplings = ising.h, ising.couplings
-    c = GateList(q.n)
-    for qb in range(q.n):
-        c.append(Gate("H", (qb,)))
-    for gamma, beta in zip(params.gammas, params.betas):
-        for i in schedule.h_support:
-            c.append(Gate("RZ", (i,), 2 * gamma * h[i]))
-        for i, k in schedule.pairs:
-            c.append(Gate("CNOT", (i, k)))
-            c.append(Gate("RZ", (k,), 2 * gamma * couplings[(i, k)]))
-            c.append(Gate("CNOT", (i, k)))
-        for qb in range(q.n):
-            c.append(Gate("RX", (qb,), 2 * beta))
-    return c
-
-
 def reference_qubos(rng):
     qubos = [random_qubo(rng, rng.randint(1, 9)) for _ in range(20)]
     qubos += [random_float_qubo(rng, rng.randint(1, 9)) for _ in range(20)]
@@ -207,16 +238,6 @@ def reference_qubos(rng):
     return qubos
 
 
-def assert_matches_reference(q, params, order):
-    c = build_circuit(q, params, order)
-    ref = reference_circuit(q, params, order)
-    assert c == ref
-    text = format_gate_list(c)
-    assert text == reference_format_gate_list(ref)
-    assert depth(c) == reference_depth(ref)
-    return text
-
-
 class TestBuildCircuitMatchesReference:
     @pytest.mark.parametrize("order", ["ascending", "packed"])
     def test_random_and_builtin_qubos(self, order):
@@ -224,7 +245,7 @@ class TestBuildCircuitMatchesReference:
         for q in reference_qubos(rng):
             p = rng.randint(1, 3)
             gammas, betas = ([rng.uniform(-2, 2) for _ in range(p)] for _ in range(2))
-            assert_matches_reference(q, QaoaParams(p, tuple(gammas), tuple(betas)), order)
+            assert_circuit_matches_reference(q, QaoaParams(p, tuple(gammas), tuple(betas)), order)
 
     @pytest.mark.parametrize("params", [
         QaoaParams.constant(1),
@@ -242,7 +263,7 @@ class TestBuildCircuitMatchesReference:
         rng = random.Random(22)
         for q in reference_qubos(rng):
             for order in ("ascending", "packed"):
-                text = assert_matches_reference(q, params, order)
+                text = assert_circuit_matches_reference(q, params, order)
                 if 0.0 in params.gammas:
                     assert " -0\n" not in text
 
@@ -253,7 +274,14 @@ class TestZeroAngles:
         gate = Gate(kind, (0,), -0.0)
         assert repr(gate.angle) == "0.0" and math.copysign(1, gate.angle) == 1
         assert gate == Gate(kind, (0,), 0.0)
-        assert format_gate_list(GateList(1, [gate])) == f"qubits 1\n{kind} 0 0\n"
+
+    def test_zero_angles_print_as_0(self):
+        # h0 = -1 and J01 = 0.5: a gamma of 0.0 gives RZ angles -0.0 and 0.0,
+        # and a beta of -0.0 gives RX angles -0.0.  Each prints as 0.
+        q = QuboMatrix(2, {(0, 0): 1, (0, 1): 2, (1, 1): -1})
+        c = build_circuit(q, QaoaParams(1, (0.0,), (-0.0,)))
+        expected = "qubits 2\nH 0\nH 1\nRZ 0 0\nCNOT 0 1\nRZ 1 0\nCNOT 0 1\nRX 0 0\nRX 1 0\n"
+        assert format_gate_list(c) == reference_format_gate_list(c) == expected
 
     def test_zero_and_negative_zero_gammas_share_one_cost_layer(self):
         q = QuboMatrix(3, {(0, 0): -1.0, (0, 1): 2.0, (1, 2): -3.0, (2, 2): 0.5})
@@ -267,23 +295,22 @@ class TestZeroAngles:
 
 
 class TestDepth:
-    def test_empty_circuit(self):
-        assert depth(GateList(3)) == 0
+    def test_empty_gate_list(self):
+        assert reference_depth(GateList(3)) == 0
 
-    def test_parallel_single_qubit_gates(self):
-        c = GateList(5)
-        for qb in range(5):
-            c.append(Gate("H", (qb,)))
-        assert depth(c) == 1
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_parallel_single_qubit_gates(self, p):
+        # No spin-form term: the H layer and each mixer are one step each.
+        c = build_circuit(QuboMatrix(5), QaoaParams.constant(p))
+        assert {g.kind for g in c.gates} == {"H", "RX"}
+        assert depth(c) == reference_depth(c) == p + 1
 
     def test_dependency_chain(self):
-        c = GateList(2)
-        c.append(Gate("H", (0,)))
-        c.append(Gate("H", (1,)))
-        c.append(Gate("CNOT", (0, 1)))
-        c.append(Gate("RZ", (1,), 0.3))
-        c.append(Gate("CNOT", (0, 1)))
-        assert depth(c) == 4
+        # h0 = h1 = 0 and J01 = 1: H, then CNOT-RZ-CNOT on both qubits, then RX.
+        q = QuboMatrix(2, {(0, 0): -2, (0, 1): 4, (1, 1): -2})
+        c = build_circuit(q, QaoaParams.constant(1))
+        assert [g.kind for g in c.gates] == ["H", "H", "CNOT", "RZ", "CNOT", "RX", "RX"]
+        assert depth(c) == reference_depth(c) == 5
 
     def test_removing_a_gate_never_increases_depth(self):
         rng = random.Random(14)
@@ -292,7 +319,7 @@ class TestDepth:
         d = depth(c)
         for skip in range(len(c.gates)):
             reduced = GateList(c.n, c.gates[:skip] + c.gates[skip + 1:])
-            assert depth(reduced) <= d
+            assert reference_depth(reduced) <= d
 
     def test_layer_scaling_bound(self):
         rng = random.Random(15)
@@ -317,7 +344,7 @@ class TestDepth:
 
 def reference_metrics(q, p, order):
     c = reference_circuit(q, QaoaParams.constant(p), order)
-    return cnot_count(c), reference_depth(c)
+    return sum(g.kind == "CNOT" for g in c.gates), reference_depth(c)
 
 
 class TestScheduleMetrics:
@@ -662,6 +689,11 @@ class TestGateValidation:
         with pytest.raises(ParameterError):
             Gate(kind, qubits, angle)
 
+    @pytest.mark.parametrize("kind", ["RZ", "RX"])
+    def test_rejects_an_int_angle_with_no_float_value(self, kind):
+        with pytest.raises(ParameterError, match=f"^{kind} angle must be finite, got {10**400}$"):
+            Gate(kind, (0,), 10**400)
+
     def test_operands_in_range(self):
         c = GateList(2)
         for gate in (Gate("H", (2,)), Gate("RX", (-1,), 0.5), Gate("RZ", (2,), 0.5), Gate("CNOT", (0, 2)),
@@ -679,13 +711,11 @@ class TestGateListFormat:
         assert restored.gates == c.gates
 
     def test_header_and_lines(self):
-        c = GateList(2)
-        c.append(Gate("H", (0,)))
-        c.append(Gate("RZ", (1,), 0.5))
-        c.append(Gate("CNOT", (0, 1)))
-        c.append(Gate("RX", (1,), 0.1))
-        text = format_gate_list(c)
+        # h = {1: -0.5} and J01 = 0.5; 2 * 0.05 is 0.10000000000000001 to 17 digits.
+        q = QuboMatrix(2, {(0, 0): -1.0, (0, 1): 2.0})
+        text = format_gate_list(build_circuit(q, QaoaParams.constant(1, gamma=0.5, beta=0.05)))
         assert text.splitlines()[0] == "qubits 2"
         assert "RZ 1 0.5" in text
         assert "CNOT 0 1" in text
-        assert text == "qubits 2\nH 0\nRZ 1 0.5\nCNOT 0 1\nRX 1 0.10000000000000001\n"
+        assert text == ("qubits 2\nH 0\nH 1\nRZ 1 -0.5\nCNOT 0 1\nRZ 1 0.5\nCNOT 0 1\n"
+                        "RX 0 0.10000000000000001\nRX 1 0.10000000000000001\n")

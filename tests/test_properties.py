@@ -1,6 +1,7 @@
-"""Property tests: file-format round trips, the enumerated energies, the
-conflict list, and the coupling count and landscape of each factoring step,
-on small generated inputs."""
+"""Property tests: file-format round trips, the QAOA circuit against its
+gate-by-gate reference, the enumerated energies, the conflict list, and the
+coupling count and landscape of each factoring step, on small generated
+inputs."""
 
 import dataclasses
 import json
@@ -8,11 +9,25 @@ import math
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from quboreduce import Gate, GateList, Graph, QuboMatrix, coupling_count, energy, factoring, qubo, spectrum
-from quboreduce.circuits import _GATE_FIELDS, _block_schedule, cost_schedule, depth, format_gate_list
+from quboreduce import (
+    Gate,
+    GateList,
+    Graph,
+    ParameterError,
+    QaoaParams,
+    QuboMatrix,
+    build_circuit,
+    coupling_count,
+    energy,
+    factoring,
+    qubo,
+    spectrum,
+)
+from quboreduce.circuits import _GATE_FIELDS, COUPLING_ORDERS, _block_schedule, cost_schedule
 from quboreduce.factoring import (
     FactoringReport,
     FactoringStep,
@@ -30,11 +45,12 @@ from quboreduce.qubo import all_energies
 
 from conftest import (
     assert_bitwise_reference,
+    assert_circuit_matches_reference,
     bits_from_index,
     format_edge_list,
     min_energy_over_ancillas,
     read_gate_list,
-    reference_depth,
+    reference_circuit,
     reference_enhance,
     reference_format_gate_list,
     reference_all_energies,
@@ -101,25 +117,13 @@ def gate_lists(draw):
 
 
 @st.composite
-def shared_gate_lists(draw):
-    # Gates added through GateList.append, then placed again at drawn
-    # positions, so that one object can stand at several places, as in
-    # build_circuit's lists; or all of them read back by read_gate_list, one
-    # object per line.  0.0 and -0.0 are drawn often: equal, yet printed
-    # differently.
-    n = draw(st.integers(1, 6))
-    pool = GateList(n)
-    kinds = [kind for kind, (operands, _) in _GATE_FIELDS.items() if operands <= n]
-    angles = st.sampled_from((0.0, -0.0)) | st.floats(allow_nan=False, allow_infinity=False)
-    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
-        operands, takes_angle = _GATE_FIELDS[kind]
-        qubits = draw(st.lists(st.integers(0, n - 1), min_size=operands, max_size=operands, unique=True))
-        pool.append(Gate(kind, tuple(qubits), draw(angles) if takes_angle else None))
-    positions = st.lists(st.integers(0, len(pool.gates) - 1), max_size=40) if pool.gates else st.just([])
-    c = GateList(n, [pool.gates[k] for k in draw(positions)])
-    if draw(st.booleans()):
-        c = read_gate_list(reference_format_gate_list(c))
-    return c
+def qaoa_params(draw):
+    # Few distinct angles, so layers repeat; 0.0 and -0.0 are equal keys that
+    # print alike; ints; and angles whose gates overflow.
+    p = draw(st.integers(1, 3))
+    angles = (st.sampled_from((0.0, -0.0, 0.5, 1e303, -1e308)) | st.integers(-3, 3)
+              | st.floats(-4, 4, allow_nan=False))
+    return QaoaParams(p, *(tuple(draw(st.lists(angles, min_size=p, max_size=p))) for _ in range(2)))
 
 
 _INTS = st.integers(-10**6, 10**6)
@@ -141,17 +145,26 @@ def test_edge_list_round_trip(g):
 @given(gate_lists())
 def test_gate_list_round_trip(c):
     # .17g angles parse back to the same double, the sign of zero included.
-    restored = read_gate_list(format_gate_list(c))
+    restored = read_gate_list(reference_format_gate_list(c))
     assert restored == c
     signs = [[math.copysign(1, g.angle) for g in m.gates if g.angle is not None] for m in (restored, c)]
     assert signs[0] == signs[1]
 
 
 @SMALL
-@given(shared_gate_lists())
-def test_depth_and_format_match_references(c):
-    assert depth(c) == reference_depth(c)
-    assert format_gate_list(c) == reference_format_gate_list(c)
+@given(qubos(_INTS, max_n=9) | qubos(_FLOATS, max_n=9), qaoa_params(), st.sampled_from(sorted(COUPLING_ORDERS)))
+def test_circuit_matches_the_reference_gate_by_gate(q, params, order):
+    # The gates, text, depth and CNOT count read off the schedule against
+    # the reference's gates; a refused angle raises the reference's error.
+    try:
+        reference_circuit(q, params, order)
+    except ParameterError as exc:
+        event("an angle is refused")
+        with pytest.raises(ParameterError) as caught:
+            build_circuit(q, params, order)
+        assert str(caught.value) == str(exc)
+        return
+    assert_circuit_matches_reference(q, params, order)
 
 
 @SMALL
