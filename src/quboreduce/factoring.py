@@ -125,6 +125,12 @@ def _blocks(rows: int, width: int):
         yield slice(start, min(start + step, rows))
 
 
+def _check_budget(num_ancillas) -> None:
+    _check_json("ancilla budget", num_ancillas, int)
+    if num_ancillas < 0:
+        raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
+
+
 def dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
     """Dense symmetric copy of ``q`` with room for ``num_ancillas`` more qubits,
     the array that :func:`get_conflict_list` and :func:`get_most_sym_qubits`
@@ -137,6 +143,7 @@ def dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
     the array holds the Python numbers themselves (dtype object).  An array
     that numpy cannot allocate raises CapacityError.
     """
+    _check_budget(num_ancillas)
     values = list(q._entries.values())
     room = min(num_ancillas, coupling_count(q))
     ints = sum(abs(v) for v in values if isinstance(v, int)) + (9 * abs(z) * room if isinstance(z, int) else 0)
@@ -147,10 +154,49 @@ def dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
         raise CapacityError(f"the dense mirror of {q.n + room} qubits cannot be allocated: {exc}") from exc
     if values:
         # Each cell is stored once, so the scatter needs no order.
-        rows, cols = np.array(list(q._entries)).T
+        cells = np.fromiter(chain.from_iterable(q._entries), dtype=np.intp, count=2 * len(values))
+        rows, cols = cells.reshape(-1, 2).T
         a[rows, cols] = values
         a[cols, rows] = values
     return a
+
+
+def _column_sums(m: np.ndarray) -> np.ndarray:
+    """Z of each column of ``m``: the sum of its negative coefficients, added
+    from row 0 down, the order the sparse entries run."""
+    z = np.zeros((1, m.shape[1]), dtype=m.dtype)
+    # accumulate adds row by row, whatever the shape; sum may add pairwise.
+    for rows in _blocks(len(m), m.shape[1]):
+        z = np.add.accumulate(np.concatenate((z[-1:], np.minimum(m[rows], 0))), axis=0)
+    return z[-1]
+
+
+def _conflicts(block: np.ndarray, z_rows: np.ndarray, z_cols: np.ndarray) -> np.ndarray:
+    """Whether each cell of ``block`` is a conflicting coupling: nonzero, and
+    above the negative energy available to its row and column,
+    a[r,c] > -Z[r] - Z[c]."""
+    return (block != 0) & (block > -z_rows[:, None] - z_cols)
+
+
+def _shared_counts(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """For each pair (i[p], j[p]), the number of other qubits to which both
+    couple with one identical nonzero value."""
+    counts = np.empty(len(i), dtype=np.intp)
+    for block in _blocks(len(i), a.shape[1]):
+        bi, bj = i[block], j[block]
+        row_i = a[bi]
+        shared = (row_i == a[bj]) & (row_i != 0)
+        # Off the diagonal only: column j of row i is their own coupling.
+        at = np.arange(len(bi))
+        shared[at, bi] = shared[at, bj] = False
+        counts[block] = shared.sum(axis=1)
+    return counts
+
+
+def _step_at(a: np.ndarray, i: int, j: int) -> FactoringStep:
+    """The step onto ancilla ``len(a)`` for the pair (i, j), syms sorted."""
+    syms = np.nonzero((a[i] == a[j]) & (a[i] != 0))[0].tolist()
+    return FactoringStep(len(a), i, j, tuple(k for k in syms if k not in (i, j)))
 
 
 def get_conflict_list(a: np.ndarray) -> np.ndarray:
@@ -166,14 +212,9 @@ def get_conflict_list(a: np.ndarray) -> np.ndarray:
     # Near the float64 limit a row sum may overflow to -inf, as a Python float
     # sum does, so the pairs stay those the sparse search finds.
     with np.errstate(over="ignore"):
-        # accumulate adds row by row, whatever the shape; sum may add pairwise.
-        z_row = np.zeros(n, dtype=a.dtype)
+        z = _column_sums(a)
         for rows in _blocks(n, n):
-            z_row = np.add.accumulate(np.vstack((z_row, np.minimum(a[rows], 0))), axis=0)[-1]
-        for rows in _blocks(n, n):
-            block = a[rows]
-            hit = (block != 0) & (block > -z_row[rows, None] - z_row)
-            i, j = np.nonzero(np.triu(hit, rows.start + 1))
+            i, j = np.nonzero(np.triu(_conflicts(a[rows], z[rows], z), rows.start + 1))
             found.append(np.stack((i + rows.start, j), axis=1))
     return np.concatenate(found) if found else np.empty((0, 2), dtype=np.intp)
 
@@ -183,23 +224,12 @@ def get_most_sym_qubits(a: np.ndarray, cl) -> FactoringStep:
     identical nonzero couplings with the most other qubits, syms sorted.
     Ties go to the pair scanned last; an empty list yields the sentinel
     ``FactoringStep(len(a), 0, 1, ())``."""
-    n = len(a)
     pairs = np.asarray(cl, dtype=np.intp).reshape(-1, 2)
     if not len(pairs):
-        return FactoringStep(n, 0, 1, ())
-    counts = np.empty(len(pairs), dtype=np.intp)
-    for block in _blocks(len(pairs), n):
-        i, j = pairs[block, 0], pairs[block, 1]
-        row_i = a[i]
-        shared = (row_i == a[j]) & (row_i != 0)
-        # Off the diagonal only: column j of row i is their own coupling.
-        at = np.arange(len(i))
-        shared[at, i] = shared[at, j] = False
-        counts[block] = shared.sum(axis=1)
+        return FactoringStep(len(a), 0, 1, ())
+    counts = _shared_counts(a, pairs[:, 0], pairs[:, 1])
     best = len(counts) - 1 - int(np.argmax(counts[::-1]))
-    i, j = pairs[best].tolist()
-    syms = np.nonzero((a[i] == a[j]) & (a[i] != 0))[0].tolist()
-    return FactoringStep(n, i, j, tuple(k for k in syms if k not in (i, j)))
+    return _step_at(a, *pairs[best].tolist())
 
 
 def _check_z(z) -> None:
@@ -278,17 +308,132 @@ def default_z(q: QuboMatrix):
     return reduce(operator.add, (abs(v) for _, v in q.entries()), 0)
 
 
+class _CarriedSearch:
+    """The loop's two searches on the mirror's leading ``(n, n)`` block,
+    carried from step to step.
+
+    The first search goes through :func:`get_conflict_list` and
+    :func:`get_most_sym_qubits`.  When it finds a step, the search keeps,
+    beside the mirror, each column's Z (see :func:`_column_sums`) and, in
+    the upper triangle of an array of the narrowest unsigned dtype that
+    holds the mirror's size, the shared count of every conflicting pair (0
+    for any other pair).  :meth:`take` writes a step and updates both from
+    the rows it wrote; see :func:`_factoring_loop`."""
+
+    def __init__(self, mirror: np.ndarray):
+        self.mirror = mirror
+        self.z = None
+        self.counts = None
+
+    def next_step(self, n: int) -> FactoringStep:
+        """The step the reference searches take on the leading ``(n, n)``
+        block, or the sentinel ``FactoringStep(n, 0, 1, ())`` when no
+        conflicting pair shares three or more qubits."""
+        if self.counts is not None:
+            return self._pick(n)
+        a = self.mirror[:n, :n]
+        cl = get_conflict_list(a)
+        if not len(cl):
+            return FactoringStep(n, 0, 1, ())
+        step = get_most_sym_qubits(a, cl)
+        if len(step.syms) >= 3:
+            size = len(self.mirror)
+            self.z = np.zeros(size, dtype=self.mirror.dtype)
+            with np.errstate(over="ignore"):
+                self.z[:n] = _column_sums(a)
+            self.counts = np.zeros((size, size), dtype=np.min_scalar_type(size))
+            self.counts[cl[:, 0], cl[:, 1]] = _shared_counts(a, cl[:, 0], cl[:, 1])
+        return step
+
+    def _pick(self, n: int) -> FactoringStep:
+        # The largest count, ties to the last pair in row-major order, as
+        # get_most_sym_qubits scans the conflict list.  A pair that does not
+        # conflict counts 0, so it is never the pick of a step.
+        counts = self.counts[:n, :n]
+        row_best = counts.max(axis=1)
+        top = row_best.max()
+        if top < 3:
+            return FactoringStep(n, 0, 1, ())
+        i = n - 1 - int(np.argmax(row_best[::-1] == top))
+        j = n - 1 - int(np.argmax(counts[i, ::-1] == top))
+        return _step_at(self.mirror[:n, :n], i, j)
+
+    def take(self, step: FactoringStep, z) -> None:
+        """Write ``step``'s cells into both triangles of the mirror and bring
+        Z and the counts up to date on the rows and columns it wrote."""
+        m, col_z, counts = self.mirror, self.z, self.counts
+        i, j, anc = step.i, step.j, step.ancilla
+        n = anc + 1
+        touched = np.array([i, j, anc, *step.syms], dtype=np.intp)
+        syms = touched[3:]
+        penalty = _step_cells(m.item, i, j, anc, (), z)
+        # Before the writes: each sym's coupling c_k to the pair and the
+        # counts on its row, read from both sides of the upper triangle.
+        c = m[i, syms]
+        held = counts[syms, :anc] + counts[:anc, syms].T
+        for (r, s), value in penalty:
+            m[r, s] = m[s, r] = value
+        m[syms, anc] = m[anc, syms] = c
+        m[touched[:2, None], syms] = m[syms[:, None], touched[:2]] = 0
+        # The touched rows are the touched columns: the mirror is symmetric.
+        rows = m[touched, :n]
+        with np.errstate(over="ignore"):
+            col_z[touched] = _column_sums(rows.T)
+            after = _conflicts(rows, col_z[touched], col_z[:n])
+        after[np.arange(len(touched)), touched] = False
+        # A pair (k, v) with a count, k a sym, conflicted before the step;
+        # if it still does, it keeps its count less [c_k = a'[v, x]] over x
+        # in (i, j, ancilla), read after the writes (held - lost may wrap
+        # only where a pair is not kept).  Every other conflicting pair on a
+        # touched row is counted afresh.
+        kept = after[3:, :anc] & (held > 0)
+        lost = (c[:, None] == rows[0, :anc]).view(np.uint8)
+        lost += c[:, None] == rows[1, :anc]
+        lost += c[:, None] == rows[2, :anc]
+        value = np.zeros(after.shape, dtype=counts.dtype)
+        value[3:, :anc] = (held - lost) * kept
+        after[3:, :anc] &= ~kept
+        ps, vs = np.nonzero(after)
+        value[ps, vs] = _shared_counts(m[:n, :n], touched[ps], vs)
+        # Each pair into the upper triangle: a touched row right of its
+        # diagonal, a touched column above it.
+        upper = np.arange(n) > touched[:, None]
+        counts[touched, :n] = value * upper
+        counts[:n, touched] = (value * ~upper).T
+
+
 def _factoring_loop(q: QuboMatrix, num_ancillas: int, z, read=None) -> FactoringReport:
     """Run the factoring loop to its end and return its report.  No ``z``
     means :func:`default_z` of ``q``.
 
-    The loop keeps only the dense mirror, writing each step's cells into both
-    triangles.  ``read``, when given, is called with the mirror's leading
-    ``(n, n)`` block once per trajectory matrix, before the next step
-    overwrites it; it is not called when the loop builds no mirror (no
-    budget, or no pair that could step)."""
-    if num_ancillas < 0:
-        raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
+    The loop keeps the dense mirror, writing each step's cells into both
+    triangles, and a :class:`_CarriedSearch` beside it.  ``read``, when
+    given, is called with the mirror's leading ``(n, n)`` block once per
+    trajectory matrix, before the next step overwrites it; it is not called
+    when the loop builds no mirror (no budget, or no pair that could step).
+
+    A step on (i, j) onto ancilla a with syms S writes cells only inside
+    T x T, T = {i, j, a} + S, so the searches change only there:
+
+    - Z of a column outside T gains a zero, from the new row a.  Z of each
+      column in T is summed again from row 0 down, the order the whole
+      search adds in, so no float bit moves.
+    - A cell outside the rows and columns of T keeps its value and both Z,
+      so its conflict test keeps its outcome.
+    - A pair (v, w) with v, w outside T keeps its rows, which have no
+      coupling to a, so it keeps its shared count.
+    - Row k in S loses c_k = a[i, k] at columns i and j and gains it at
+      column a.  So a pair (k, v), v outside {i, j, a}, that conflicts
+      before and after the step loses [c_k = a'[v, x]] summed over x in
+      (i, j, a), a' the matrix after the step: [c_k = a[v, i]] +
+      [c_k = a[v, j]] for v outside T, whose cell at a is 0, and
+      [c_k = c_v] for v in S, whose cells at i and j are 0 and at a c_v.
+    - Every other conflicting pair on a row of T is counted afresh: those
+      on rows i, j and a, and those whose count before the step was 0.  A
+      pair that does not conflict counts 0, so a count tells that the pair
+      conflicted, and a pair that starts to conflict is counted afresh.
+    """
+    _check_budget(num_ancillas)
     if z is None:
         z = default_z(q)
         if not z:
@@ -298,20 +443,16 @@ def _factoring_loop(q: QuboMatrix, num_ancillas: int, z, read=None) -> Factoring
     if not num_ancillas or not _step_possible(q):
         return report  # no step to take: skip the mirror
     mirror = dense_mirror(q, num_ancillas, z)
+    search = _CarriedSearch(mirror)
     for n in range(q.n, q.n + num_ancillas + 1):
-        a = mirror[:n, :n]
         if read is not None:
-            read(a)
+            read(mirror[:n, :n])
         if n == q.n + num_ancillas:
             break  # budget spent
-        cl = get_conflict_list(a)
-        if not len(cl):
-            break
-        step = get_most_sym_qubits(a, cl)
+        step = search.next_step(n)
         if len(step.syms) < 3:
             break
-        for (r, s), value in _step_cells(mirror.item, step.i, step.j, n, step.syms, z):
-            mirror[r, s] = mirror[s, r] = value
+        search.take(step, z)
         report.steps.append(step)
     return report
 

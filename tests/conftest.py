@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -15,7 +16,19 @@ from quboreduce.circuits import (
     schedule_metrics,
 )
 from quboreduce.experiments import DEFAULT_P_VALUES, SweepRecord, build_problem_qubo
-from quboreduce.factoring import VerificationVerdict, _check_z, _step_cells, factoring_trajectory
+from quboreduce.factoring import (
+    FactoringReport,
+    VerificationVerdict,
+    _check_z,
+    _factoring_loop,
+    _step_cells,
+    _step_possible,
+    default_z,
+    dense_mirror,
+    factoring_trajectory,
+    get_conflict_list,
+    get_most_sym_qubits,
+)
 from quboreduce.qubo import (
     ENUMERATION_GUARD,
     FLOAT_TOL,
@@ -402,3 +415,63 @@ def reference_dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
         a[rows, cols] = values
         a[cols, rows] = values
     return a
+
+
+def reference_factoring_loop(q: QuboMatrix, num_ancillas: int, z, read=None) -> FactoringReport:
+    """``factoring._factoring_loop`` as it was before it carried its search:
+    a full ``get_conflict_list``, then ``get_most_sym_qubits``, then the
+    ``_step_cells`` writes into both triangles, at every step."""
+    if num_ancillas < 0:
+        raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
+    if z is None:
+        z = default_z(q)
+        if not z:
+            raise ParameterError("the default z of a QUBO with no coefficients is 0, so a z must be given")
+    _check_z(z)
+    report = FactoringReport(q.n, z)
+    if not num_ancillas or not _step_possible(q):
+        return report  # no step to take: skip the mirror
+    mirror = dense_mirror(q, num_ancillas, z)
+    for n in range(q.n, q.n + num_ancillas + 1):
+        a = mirror[:n, :n]
+        if read is not None:
+            read(a)
+        if n == q.n + num_ancillas:
+            break  # budget spent
+        cl = get_conflict_list(a)
+        if not len(cl):
+            break
+        step = get_most_sym_qubits(a, cl)
+        if len(step.syms) < 3:
+            break
+        for (r, s), value in _step_cells(mirror.item, step.i, step.j, n, step.syms, z):
+            mirror[r, s] = mirror[s, r] = value
+        report.steps.append(step)
+    return report
+
+
+def loop_outcome(loop, q: QuboMatrix, num_ancillas: int, z):
+    """``(report JSON or (error type, message), blocks)`` of one run of a
+    factoring loop.  Each block it reads is kept as its dtype, shape and
+    digest: the sha256 of its bytes, or of the reprs of its Python numbers
+    when its dtype is object."""
+    blocks = []
+
+    def read(block):
+        data = repr(block.tolist()).encode() if block.dtype == object else block.tobytes()
+        blocks.append((block.dtype, block.shape, hashlib.sha256(data).hexdigest()))
+
+    try:
+        outcome = loop(q, num_ancillas, z, read).dumps()
+    except (ParameterError, CapacityError) as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return outcome, blocks
+
+
+def assert_loop_matches_reference(q: QuboMatrix, num_ancillas: int, z):
+    """``_factoring_loop`` against ``reference_factoring_loop``: the same
+    report or error and, step by step, the same blocks, bit for bit.
+    Returns the shared outcome."""
+    outcome = loop_outcome(_factoring_loop, q, num_ancillas, z)
+    assert outcome == loop_outcome(reference_factoring_loop, q, num_ancillas, z)
+    return outcome

@@ -249,6 +249,13 @@ class TestSweepCircuit:
         with pytest.raises(ParameterError):
             sweep_circuit(demo_setting(), -1, QaoaParams.constant(1))
 
+    @pytest.mark.parametrize("budget", [2.0, True])
+    def test_rejects_a_budget_that_is_not_an_int(self, budget):
+        with pytest.raises(ParameterError, match=f"ancilla budget must be an integer, got {budget}"):
+            sweep_circuit(demo_setting(), budget, QaoaParams.constant(1))
+        with pytest.raises(ParameterError, match=f"ancilla budget must be an integer, got {budget}"):
+            run_sweep(demo_setting(), budget)
+
 
 def row(seed, budget, p, couplings, depth, problem="max_clique", setting=0):
     return SweepRecord(problem, setting, seed, budget, p, 6 + budget, couplings, 2 * couplings * p, depth)

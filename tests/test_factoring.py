@@ -34,7 +34,7 @@ from quboreduce import (
     verify_equivalence,
 )
 from quboreduce import factoring, qubo
-from quboreduce.experiments import build_problem_qubo, builtin_settings, run_sweep
+from quboreduce.experiments import ProblemSetting, build_problem_qubo, builtin_settings, run_sweep
 from quboreduce.factoring import (
     FactoringStep,
     VerificationVerdict,
@@ -46,11 +46,13 @@ from quboreduce.graphs import permute_vertices, sample_permutation
 from quboreduce.qubo import CapacityError, all_energies
 
 from conftest import (
+    assert_loop_matches_reference,
     bits_from_index,
     min_energy_over_ancillas,
     random_qubo,
     reference_dense_mirror,
     reference_enhance,
+    reference_factoring_loop,
     reference_verify,
 )
 
@@ -393,6 +395,23 @@ class TestFactorOut:
         assert q_mod == demo_qubo
         assert report.steps == []
 
+    @pytest.mark.parametrize("budget, message", [
+        (2.0, "ancilla budget must be an integer, got 2.0"),
+        (True, "ancilla budget must be an integer, got True"),
+        ("2", "ancilla budget must be an integer, got '2'"),
+        (-2, "ancilla budget must be non-negative, got -2"),
+    ])
+    def test_refuses_a_budget_that_is_not_a_count(self, demo_qubo, budget, message):
+        # Before any search, and for the mirror alone too.
+        for call in (
+            lambda: factor_out(demo_qubo, budget, 3),
+            lambda: factoring_trajectory(demo_qubo, budget),
+            lambda: run_sweep(builtin_settings(seeds=[0])[0], budget, [1]),
+            lambda: dense_mirror(demo_qubo, budget, 3),
+        ):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                call()
+
     def test_stops_below_three_shared(self):
         # conflicting pair with only two shared neighbors: nothing to factor
         q = QuboMatrix(4, {(0, 0): -1, (1, 1): -1, (0, 1): 5, (0, 2): 2, (1, 2): 2, (0, 3): 2, (1, 3): 2})
@@ -570,6 +589,80 @@ class TestFactorOut:
             factoring_trajectory(q, 5, z)
         with pytest.raises(ParameterError):
             factor_out(q, 5, z)
+
+
+def reference_run(q, budget, z):
+    """The reference loop's report and a copy of every block it read."""
+    blocks = []
+    report = reference_factoring_loop(q, budget, z, lambda a: blocks.append(a.copy()))
+    return report, blocks
+
+
+class TestCarriedSearch:
+    """The loop's carried search against the reference loop, which searches
+    the whole block at every step, on each path of its update: the same
+    report, and bit for bit the same block at every step."""
+
+    def test_syms_with_equal_values(self):
+        # On an edgeless graph every coupling is the penalty 3 and every pair
+        # conflicts, so two syms of a step conflict before and after it and
+        # their count falls by [c_k = c_k'] = 1.
+        q = max_clique_qubo(Graph(8, frozenset()), 3)
+        report, blocks = reference_run(q, 6, None)
+        step = report.steps[0]
+        k, k2 = step.syms[:2]
+        assert blocks[0][step.i, k] == blocks[0][step.i, k2]
+        assert all((k, k2) in pairs(get_conflict_list(a)) for a in blocks[:2])
+        assert len(report.steps) == 4
+        assert_loop_matches_reference(q, 6, None)
+
+    def test_diagonal_above_its_threshold_is_no_pair(self):
+        # Qubit 0's diagonal 50 exceeds -2 Z[0] = 0; a cell on the diagonal
+        # of a touched row is never counted as a pair.
+        q = max_clique_qubo(Graph(8, frozenset()), 3)
+        q[0, 0] = 50
+        report, _ = reference_run(q, 6, None)
+        assert 0 in report.steps[0].syms and len(report.steps) == 4
+        assert_loop_matches_reference(q, 6, None)
+
+    def test_sym_equal_to_minus_2z(self):
+        # The syms couple -2 = -2z to both pairs, so the ancilla of the first
+        # step couples -2 to i, j and every sym alike.
+        q = QuboMatrix(8, {(i, i): -1 for i in range(8)})
+        q[0, 1] = q[2, 3] = 30
+        for i in range(4):
+            for k in (4, 5, 6, 7):
+                q[i, k] = -2
+        report, blocks = reference_run(q, 5, 1)
+        assert [(s.i, s.j, s.syms) for s in report.steps] == [(2, 3, (4, 5, 6, 7)), (0, 1, (4, 5, 6, 7))]
+        assert blocks[1][8].tolist() == [0, 0, -2, -2, -2, -2, -2, -2, 1]
+        assert_loop_matches_reference(q, 5, 1)
+
+    def test_pair_that_starts_to_conflict_is_counted_afresh(self):
+        # Moving the -1 syms 2, 3, 4 of (0, 1) onto one ancilla raises Z[2]
+        # from -3 to -2, so (2, 5) at 4 starts to conflict; it shares 6, 7
+        # and 8 and is the next step.
+        q = QuboMatrix(9, {(i, i): -1 for i in range(9)})
+        q[0, 1], q[2, 5] = 20, 4
+        for k in (2, 3, 4):
+            q[0, k] = q[1, k] = -1
+        for k in (6, 7, 8):
+            q[2, k] = q[5, k] = 1
+        report, blocks = reference_run(q, 5, 1)
+        assert [pairs(get_conflict_list(a)) for a in blocks[:2]] == [[(0, 1)], [(0, 1), (2, 5)]]
+        assert [(s.i, s.j, s.syms) for s in report.steps] == [(0, 1, (2, 3, 4)), (2, 5, (6, 7, 8))]
+        assert_loop_matches_reference(q, 5, 1)
+
+    def test_builtin_instances(self):
+        for setting in builtin_settings():
+            assert_loop_matches_reference(build_problem_qubo(setting), 29, None)
+
+    def test_mirror_whose_first_search_runs_in_blocks(self):
+        # 400 qubits: each search block holds fewer rows than the mirror.
+        q = build_problem_qubo(ProblemSetting("hamilton_cycles", 20, 120))
+        assert q.n == 400 and len(list(factoring._blocks(q.n, q.n))) == 2
+        report, _ = assert_loop_matches_reference(q, 4, None)
+        assert len(FactoringReport.loads(report).steps) == 4
 
 
 class TestDefaultZ:

@@ -2,11 +2,12 @@
 
 Every function the benchmark's tracer wraps still exists: ``perfbench/spans.py``
 is imported read-only, so a deletion under ``src/`` that would break its
-``Tracer.install`` fails here first.  The factoring loop calls the wrapped
-searches through the module, once per search, and ``factor_out`` replays the
-report through the module's ``enhance``, once per step, so the benchmark's
-factoring counts measure the loop.  The ``sweep`` pass runs the loop alone,
-so it calls no ``enhance``.  The benchmark's own self-tests pass too.
+``Tracer.install`` fails here first.  The factoring loop's first search goes
+through the wrapped module functions, once per trajectory; later steps read
+the search it carries.  ``factor_out`` replays the report through the
+module's ``enhance``, once per step, so the benchmark's step count measures
+the loop.  The ``sweep`` pass runs the loop alone, so it calls no
+``enhance``.  The benchmark's own self-tests pass too.
 """
 
 import importlib
@@ -38,28 +39,26 @@ def test_target_resolves(module, attr):
     assert callable(getattr(owner, name))
 
 
-@pytest.mark.parametrize("setting, budget, steps, empty_at_stop", [
-    (ProblemSetting("graph_coloring", 10, 31, k=3), 29, 9, False),
-    (ProblemSetting("max_clique", 30, 87), 29, 15, True),
-    (ProblemSetting("max_clique", 30, 87), 5, 5, None),
+@pytest.mark.parametrize("setting, budget, steps", [
+    (ProblemSetting("graph_coloring", 10, 31, k=3), 29, 9),
+    (ProblemSetting("max_clique", 30, 87), 29, 15),
+    (ProblemSetting("max_clique", 30, 87), 5, 5),
 ], ids=["stops-on-too-few-syms", "stops-on-empty-conflict-list", "budget-spent"])
-def test_factoring_loop_calls_the_traced_functions(monkeypatch, setting, budget, steps, empty_at_stop):
+def test_factoring_loop_calls_the_traced_functions(monkeypatch, setting, budget, steps):
     # factoring.conflict_pairs, .steps and .eligible_ratio (steps over pair
-    # searches) come from spans around these three module attributes.
+    # searches) come from spans around these three module attributes.  The
+    # searches run once per trajectory, on the base matrix's block.
     calls = Counter()
     for name in ("get_conflict_list", "get_most_sym_qubits", "enhance"):
         def shim(*args, _name=name, _fn=getattr(factoring, name)):
-            calls[_name] += 1
+            calls[_name, len(args[0]) if _name != "enhance" else None] += 1
             return _fn(*args)
 
         monkeypatch.setattr(factoring, name, shim)
     q = build_problem_qubo(setting)
     _, report = factoring.factor_out(q, budget, factoring.default_z(q))
     assert len(report.steps) == steps
-    assert calls["enhance"] == steps
-    stopped_early = empty_at_stop is not None
-    assert calls["get_conflict_list"] == steps + stopped_early
-    assert calls["get_most_sym_qubits"] == steps + (stopped_early and not empty_at_stop)
+    assert calls == {("get_conflict_list", q.n): 1, ("get_most_sym_qubits", q.n): 1, ("enhance", None): steps}
 
 
 def test_benchmark_self_tests_pass():

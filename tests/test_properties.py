@@ -1,11 +1,12 @@
 """Property tests: file-format round trips, the QAOA circuit against its
-gate-by-gate reference, the enumerated energies, the conflict list, and the
-coupling count and landscape of each factoring step, on small generated
-inputs."""
+gate-by-gate reference, the enumerated energies, the conflict list, the
+factoring loop against its per-step reference, and the coupling count and
+landscape of each factoring step, on small generated inputs."""
 
 import dataclasses
 import json
 import math
+import time
 from unittest.mock import patch
 
 import numpy as np
@@ -28,6 +29,7 @@ from quboreduce import (
     spectrum,
 )
 from quboreduce.circuits import _GATE_FIELDS, COUPLING_ORDERS, _block_schedule, cost_schedule
+from quboreduce.experiments import ProblemSetting, build_problem_qubo
 from quboreduce.factoring import (
     FactoringReport,
     FactoringStep,
@@ -46,12 +48,14 @@ from quboreduce.qubo import all_energies
 from conftest import (
     assert_bitwise_reference,
     assert_circuit_matches_reference,
+    assert_loop_matches_reference,
     bits_from_index,
     format_edge_list,
     min_energy_over_ancillas,
     read_gate_list,
     reference_circuit,
     reference_enhance,
+    reference_factoring_loop,
     reference_format_gate_list,
     reference_all_energies,
     reference_loads,
@@ -256,6 +260,53 @@ def test_each_step_removes_all_but_two_of_its_shared_couplings(q, z):
     for before, after, step in zip(trajectory, trajectory[1:], report.steps):
         assert len(step.syms) >= 3
         assert coupling_count(before) - coupling_count(after) == len(step.syms) - 2
+
+
+@st.composite
+def mixed_penalty_qubos(draw, scales):
+    # penalty_qubos on up to 12 qubits, with a few couplings made -1 or -2:
+    # a step that moves a negative sym raises its Z and can start a pair
+    # conflicting, and a sym may equal -2z at z = 1.
+    n = draw(st.integers(6, 12))
+    scale = draw(scales)
+    q = QuboMatrix(n, {(i, i): -scale for i in range(n)})
+    for i, j in all_pairs(n):
+        q[i, j] = scale * draw(st.sampled_from((0, 3, 3, 3, 2)))
+    for cell in draw(st.lists(st.sampled_from(all_pairs(n)), max_size=6)):
+        q[cell] = scale * draw(st.sampled_from((-1, -2)))
+    return q
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # ints, dyadic floats, floats that round, and ints past 2**53 (an object
+    # mirror)
+    penalty_qubos(st.sampled_from((1, 0.25, 0.1, 2**60)))
+    | mixed_penalty_qubos(st.sampled_from((1, 0.5, 0.1, 2**60)))
+    | qubos(_INTS | _QUARTERS | _FLOATS | _HUGE_INTS, max_n=8),
+    st.sampled_from((None, 1, 5e307)),
+    st.integers(0, 15),
+)
+def test_factoring_loop_matches_the_per_step_reference(q, z, budget):
+    # The carried search against a full search at every step: the same
+    # report or refusal, and bit for bit the same block at every step.
+    outcome, blocks = assert_loop_matches_reference(q, budget, z)
+    event("refused" if isinstance(outcome, tuple) else f"{len(blocks) - 1 if blocks else 0} steps")
+    event(f"mirror dtype {blocks[0][0] if blocks else None}")
+
+
+def test_factoring_loop_matches_the_reference_on_a_large_max_clique():
+    # 200 qubits factored to saturation, 98 steps: each step changes a few
+    # rows of a 298-qubit mirror, so the carried search is the faster.
+    q = build_problem_qubo(ProblemSetting("max_clique", 200, 10000))
+    outcome, blocks = assert_loop_matches_reference(q, 400, None)
+    assert len(blocks) == 99 and len(factoring.FactoringReport.loads(outcome).steps) == 98
+    seconds = {}
+    for loop in (_factoring_loop, reference_factoring_loop, _factoring_loop):
+        start = time.perf_counter()
+        loop(q, 400, None)
+        seconds[loop] = min(seconds.get(loop, math.inf), time.perf_counter() - start)
+    assert seconds[_factoring_loop] < seconds[reference_factoring_loop]
 
 
 @SMALL
