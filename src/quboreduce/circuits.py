@@ -102,7 +102,10 @@ class QaoaParams:
         _check_json("layer count", p, int)
         if p > sys.maxsize:
             raise ParameterError(f"layer count must be at most {sys.maxsize}, got {p}")
-        return cls(p, (gamma,) * p, (beta,) * p)
+        try:
+            return cls(p, (gamma,) * p, (beta,) * p)
+        except MemoryError:
+            raise ParameterError(f"layer count {p} is too large: its angles cannot be allocated") from None
 
 
 class IsingForm(NamedTuple):

@@ -164,24 +164,28 @@ def dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
 def _column_sums(m: np.ndarray) -> np.ndarray:
     """Z of each column of ``m``: the sum of its negative coefficients, added
     from row 0 down, the order the sparse entries run."""
-    z = np.zeros((1, m.shape[1]), dtype=m.dtype)
     # accumulate adds row by row, whatever the shape; sum may add pairwise.
+    if 0 < m.size <= _BLOCK_BYTES // 8:
+        return np.add.accumulate(np.minimum(m, 0), axis=0)[-1]
+    z = np.zeros((1, m.shape[1]), dtype=m.dtype)
     for rows in _blocks(len(m), m.shape[1]):
         z = np.add.accumulate(np.concatenate((z[-1:], np.minimum(m[rows], 0))), axis=0)
     return z[-1]
 
 
 def _conflicts(block: np.ndarray, z_rows: np.ndarray, z_cols: np.ndarray) -> np.ndarray:
-    """Whether each cell of ``block`` is a conflicting coupling: nonzero, and
-    above the negative energy available to its row and column,
-    a[r,c] > -Z[r] - Z[c]."""
-    return (block != 0) & (block > -z_rows[:, None] - z_cols)
+    """Whether each cell of ``block`` is a conflicting coupling: above the
+    negative energy available to its row and column, a[r,c] > -Z[r] - Z[c].
+    No Z is positive, so such a cell is positive, never 0."""
+    return block > -z_rows[:, None] - z_cols
 
 
 def _shared_counts(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """For each pair (i[p], j[p]), the number of other qubits to which both
     couple with one identical nonzero value."""
     counts = np.empty(len(i), dtype=np.intp)
+    if not len(i):
+        return counts
     for block in _blocks(len(i), a.shape[1]):
         bi, bj = i[block], j[block]
         row_i = a[bi]
@@ -250,18 +254,16 @@ def _pair(r: int, s: int) -> tuple[int, int]:
     return (r, s) if r <= s else (s, r)
 
 
-def _step_cells(read, i: int, j: int, a: int, syms, z) -> list:
-    """The ``((r, s), value)`` writes of the step factoring ``(i, j)`` onto
-    ancilla ``a``, old cells read as ``read((r, s))``.  A cell that ``z``
-    makes non-finite raises ParameterError, as writing it to a QuboMatrix
-    would."""
+def _penalty_cells(read, i: int, j: int, a: int, z) -> list:
+    """The six ``((r, s), value)`` penalty writes of the step factoring
+    ``(i, j)`` onto ancilla ``a``, old cells read as ``read((r, s))``.  A
+    cell that ``z`` makes non-finite raises ParameterError, as writing it
+    to a QuboMatrix would."""
     cells = [((i, i), read((i, i)) + z), ((j, j), read((j, j)) + z), ((a, a), z)]
     cells += [((i, a), -2 * z), ((j, a), -2 * z), ((i, j), read((i, j)) + 2 * z)]
     for (r, s), value in cells:
         if not _finite(value):
             raise ParameterError(f"non-finite coefficient at {_pair(r, s)}")
-    for k in syms:
-        cells += [((k, a), read((i, k))), ((i, k), 0), ((j, k), 0)]
     return cells
 
 
@@ -271,8 +273,9 @@ def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
 
     Each index is range-checked once; the first pair read out of range is
     named as ``q[r, s]`` names it: ``(i, k)`` then ``(j, k)`` for each sym in
-    turn, then ``(i, i)`` and ``(j, j)``.  The cells are read from the entry
-    dict and written through the matrix's one write rule."""
+    turn, then ``(i, i)`` and ``(j, j)``.  Cells are read from the entry
+    dict; the penalty cells go through the matrix's one write rule, and a
+    moved coupling, a stored value, moves as it is."""
     i, j = pair
     _check_z(z)
     if i == j:
@@ -286,18 +289,20 @@ def enhance(q: QuboMatrix, pair: tuple[int, int], syms, z) -> QuboMatrix:
         if not (i_in and 0 <= k < n):
             raise _out_of_range(*_pair(i, k), n)
         v = entries.get(_pair(i, k), 0)
-        if v == 0:
+        if v == 0 or j_in and v != entries.get(_pair(j, k), 0):
             raise ParameterError(f"qubit {k} does not share identical nonzero couplings")
         if not j_in:
             raise _out_of_range(*_pair(j, k), n)
-        if v != entries.get(_pair(j, k), 0):
-            raise ParameterError(f"qubit {k} does not share identical nonzero couplings")
     for r in (i, j):
         if not 0 <= r < n:
             raise _out_of_range(r, r, n)
     out = q.copy(n + 1)
-    for (r, s), value in _step_cells(lambda rs: entries.get(_pair(*rs), 0), i, j, n, syms, z):
+    for (r, s), value in _penalty_cells(lambda rs: entries.get(_pair(*rs), 0), i, j, n, z):
         out._write(_pair(r, s), value)
+    moved = out._entries
+    for k in syms:
+        moved[k, n] = moved.pop(_pair(i, k))
+        del moved[_pair(j, k)]
     return out
 
 
@@ -312,13 +317,14 @@ class _CarriedSearch:
     """The loop's two searches on the mirror's leading ``(n, n)`` block,
     carried from step to step.
 
-    The first search goes through :func:`get_conflict_list` and
-    :func:`get_most_sym_qubits`.  When it finds a step, the search keeps,
-    beside the mirror, each column's Z (see :func:`_column_sums`) and, in
-    the upper triangle of an array of the narrowest unsigned dtype that
-    holds the mirror's size, the shared count of every conflicting pair (0
-    for any other pair).  :meth:`take` writes a step and updates both from
-    the rows it wrote; see :func:`_factoring_loop`."""
+    The first search counts the :func:`get_conflict_list` pairs once and
+    hands its pick to :func:`get_most_sym_qubits`.  When it finds a step,
+    the search keeps, beside the mirror, each column's Z (see
+    :func:`_column_sums`) and, in both triangles of an array of the
+    narrowest unsigned dtype that holds the mirror's size, the shared count
+    of every conflicting pair (0 for any other pair).  :meth:`take` writes
+    a step and updates both from the rows it wrote; see
+    :func:`_factoring_loop`."""
 
     def __init__(self, mirror: np.ndarray):
         self.mirror = mirror
@@ -335,28 +341,28 @@ class _CarriedSearch:
         cl = get_conflict_list(a)
         if not len(cl):
             return FactoringStep(n, 0, 1, ())
-        step = get_most_sym_qubits(a, cl)
+        # Counted once: only the pick, the last top count, goes on.
+        counts = _shared_counts(a, cl[:, 0], cl[:, 1])
+        step = get_most_sym_qubits(a, cl[counts == counts.max()][-1:])
         if len(step.syms) >= 3:
             size = len(self.mirror)
             self.z = np.zeros(size, dtype=self.mirror.dtype)
             with np.errstate(over="ignore"):
                 self.z[:n] = _column_sums(a)
             self.counts = np.zeros((size, size), dtype=np.min_scalar_type(size))
-            self.counts[cl[:, 0], cl[:, 1]] = _shared_counts(a, cl[:, 0], cl[:, 1])
+            self.counts[cl[:, 0], cl[:, 1]] = self.counts[cl[:, 1], cl[:, 0]] = counts
         return step
 
     def _pick(self, n: int) -> FactoringStep:
-        # The largest count, ties to the last pair in row-major order, as
-        # get_most_sym_qubits scans the conflict list.  A pair that does not
-        # conflict counts 0, so it is never the pick of a step.
+        # The top count, ties to the last pair (i < j) in row-major order,
+        # as get_most_sym_qubits scans the list; a non-conflicting pair is 0.
         counts = self.counts[:n, :n]
-        row_best = counts.max(axis=1)
-        top = row_best.max()
+        top = counts.max()
         if top < 3:
             return FactoringStep(n, 0, 1, ())
-        i = n - 1 - int(np.argmax(row_best[::-1] == top))
-        j = n - 1 - int(np.argmax(counts[i, ::-1] == top))
-        return _step_at(self.mirror[:n, :n], i, j)
+        rows, cols = np.divmod(np.flatnonzero(counts == top), n)
+        last = np.flatnonzero(rows < cols)[-1]
+        return _step_at(self.mirror[:n, :n], int(rows[last]), int(cols[last]))
 
     def take(self, step: FactoringStep, z) -> None:
         """Write ``step``'s cells into both triangles of the mirror and bring
@@ -366,11 +372,10 @@ class _CarriedSearch:
         n = anc + 1
         touched = np.array([i, j, anc, *step.syms], dtype=np.intp)
         syms = touched[3:]
-        penalty = _step_cells(m.item, i, j, anc, (), z)
-        # Before the writes: each sym's coupling c_k to the pair and the
-        # counts on its row, read from both sides of the upper triangle.
+        penalty = _penalty_cells(m.item, i, j, anc, z)
+        # Before the writes: each sym's coupling c_k and its row's counts.
         c = m[i, syms]
-        held = counts[syms, :anc] + counts[:anc, syms].T
+        held = counts[syms, :anc]
         for (r, s), value in penalty:
             m[r, s] = m[s, r] = value
         m[syms, anc] = m[anc, syms] = c
@@ -387,19 +392,14 @@ class _CarriedSearch:
         # only where a pair is not kept).  Every other conflicting pair on a
         # touched row is counted afresh.
         kept = after[3:, :anc] & (held > 0)
-        lost = (c[:, None] == rows[0, :anc]).view(np.uint8)
-        lost += c[:, None] == rows[1, :anc]
-        lost += c[:, None] == rows[2, :anc]
+        lost = (rows[:3, None, :anc] == c[:, None]).sum(axis=0, dtype=counts.dtype)
         value = np.zeros(after.shape, dtype=counts.dtype)
         value[3:, :anc] = (held - lost) * kept
-        after[3:, :anc] &= ~kept
+        after[3:, :anc] ^= kept  # kept lies within after: clears it
         ps, vs = np.nonzero(after)
         value[ps, vs] = _shared_counts(m[:n, :n], touched[ps], vs)
-        # Each pair into the upper triangle: a touched row right of its
-        # diagonal, a touched column above it.
-        upper = np.arange(n) > touched[:, None]
-        counts[touched, :n] = value * upper
-        counts[:n, touched] = (value * ~upper).T
+        counts[touched, :n] = value
+        counts[:n, touched] = value.T
 
 
 def _factoring_loop(q: QuboMatrix, num_ancillas: int, z, read=None) -> FactoringReport:
@@ -432,6 +432,7 @@ def _factoring_loop(q: QuboMatrix, num_ancillas: int, z, read=None) -> Factoring
       on rows i, j and a, and those whose count before the step was 0.  A
       pair that does not conflict counts 0, so a count tells that the pair
       conflicted, and a pair that starts to conflict is counted afresh.
+      Both rows of a pair in T x T find its count: the counts stay symmetric.
     """
     _check_budget(num_ancillas)
     if z is None:

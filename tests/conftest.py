@@ -21,7 +21,7 @@ from quboreduce.factoring import (
     VerificationVerdict,
     _check_z,
     _factoring_loop,
-    _step_cells,
+    _penalty_cells,
     _step_possible,
     default_z,
     dense_mirror,
@@ -46,6 +46,24 @@ from quboreduce.qubo import (
 # shared neighbors {0, 2, 5} onto ancilla 6 drops the coupling count 9 -> 8.
 DEMO_NON_EDGES = [(0, 1), (0, 4), (1, 2), (1, 4), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)]
 DEMO_EDGES = [(0, 2), (0, 3), (0, 5), (1, 3), (2, 5), (3, 4)]
+
+
+def _overcommits() -> bool:
+    """Whether Linux grants every allocation up front (vm.overcommit_memory
+    1), so that a tuple of 2**40 items would be filled, not refused."""
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as f:
+            return f.read().strip() == "1"
+    except OSError:
+        return False
+
+
+# Layer counts whose angle tuples cannot be allocated: 2**40 pointers take
+# 8 TiB, 10**18 more than a 64-bit address space holds.
+UNALLOCATABLE_P = [
+    pytest.param(2**40, marks=pytest.mark.skipif(_overcommits(), reason="the tuple would be filled")),
+    10**18,
+]
 
 DEMO_FACTORED_ENTRIES = {
     (0, 0): -1, (1, 1): 2, (2, 2): -1, (3, 3): -1, (4, 4): 2, (5, 5): -1, (6, 6): 3,
@@ -379,6 +397,17 @@ def reference_loads(text: str) -> QuboMatrix:
     return q
 
 
+def reference_step_cells(read, i: int, j: int, a: int, syms, z) -> list:
+    """The ``((r, s), value)`` writes of a whole step, as ``factoring``
+    listed them before ``enhance`` moved the shared couplings itself: the
+    six penalty cells, then per sym its coupling onto the ancilla and two
+    zeros."""
+    cells = _penalty_cells(read, i, j, a, z)
+    for k in syms:
+        cells += [((k, a), read((i, k))), ((i, k), 0), ((j, k), 0)]
+    return cells
+
+
 def reference_enhance(q: QuboMatrix, pair, syms, z) -> QuboMatrix:
     """``factoring.enhance`` as it was before it worked on the entry dict:
     every read through ``q[i, k]`` and every write through ``out[cell]``."""
@@ -393,7 +422,7 @@ def reference_enhance(q: QuboMatrix, pair, syms, z) -> QuboMatrix:
         if q[i, k] == 0 or q[i, k] != q[j, k]:
             raise ParameterError(f"qubit {k} does not share identical nonzero couplings")
     out = q.copy(q.n + 1)
-    for cell, value in _step_cells(q.__getitem__, i, j, q.n, syms, z):
+    for cell, value in reference_step_cells(q.__getitem__, i, j, q.n, syms, z):
         out[cell] = value
     return out
 
@@ -420,7 +449,7 @@ def reference_dense_mirror(q: QuboMatrix, num_ancillas: int, z) -> np.ndarray:
 def reference_factoring_loop(q: QuboMatrix, num_ancillas: int, z, read=None) -> FactoringReport:
     """``factoring._factoring_loop`` as it was before it carried its search:
     a full ``get_conflict_list``, then ``get_most_sym_qubits``, then the
-    ``_step_cells`` writes into both triangles, at every step."""
+    ``reference_step_cells`` writes into both triangles, at every step."""
     if num_ancillas < 0:
         raise ParameterError(f"ancilla budget must be non-negative, got {num_ancillas}")
     if z is None:
@@ -444,7 +473,7 @@ def reference_factoring_loop(q: QuboMatrix, num_ancillas: int, z, read=None) -> 
         step = get_most_sym_qubits(a, cl)
         if len(step.syms) < 3:
             break
-        for (r, s), value in _step_cells(mirror.item, step.i, step.j, n, step.syms, z):
+        for (r, s), value in reference_step_cells(mirror.item, step.i, step.j, n, step.syms, z):
             mirror[r, s] = mirror[s, r] = value
         report.steps.append(step)
     return report

@@ -29,6 +29,7 @@ from quboreduce.experiments import build_problem_qubo, builtin_settings
 from quboreduce.factoring import _factoring_loop, default_z, dense_mirror, factor_out, factoring_trajectory
 
 from conftest import (
+    UNALLOCATABLE_P,
     assert_circuit_matches_reference,
     bits_from_index,
     evolve,
@@ -155,6 +156,12 @@ class TestBuildCircuit:
         # (gamma,) * p overflows before allocating anything.
         with pytest.raises(ParameterError, match="layer count"):
             QaoaParams.constant(sys.maxsize + 1)
+
+    @pytest.mark.parametrize("p", UNALLOCATABLE_P)
+    def test_constant_rejects_a_layer_count_whose_angles_cannot_be_allocated(self, p):
+        # Within sys.maxsize, but (gamma,) * p fails with MemoryError.
+        with pytest.raises(ParameterError, match=f"^layer count {p} is too large: its angles cannot be allocated$"):
+            QaoaParams.constant(p)
 
     @pytest.mark.parametrize("gammas, betas", [
         ((float("nan"),), (0.5,)),

@@ -31,7 +31,7 @@ from quboreduce.experiments import (
 from quboreduce.graphs import permute_vertices
 from quboreduce.qubo import ENUMERATION_GUARD
 
-from conftest import DEMO_EDGES, format_edge_list, random_float_qubo, random_qubo, reference_spectrum
+from conftest import DEMO_EDGES, UNALLOCATABLE_P, format_edge_list, random_float_qubo, random_qubo, reference_spectrum
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
@@ -418,6 +418,15 @@ def test_circuit_rejects_p_past_maxsize(tmp_path, demo_qubo, capsys, p):
     q_path.write_text(demo_qubo.dumps())
     assert main(["circuit", "--qubo", str(q_path), "--p", p, "--out", str(out)]) == 2
     assert f"error: layer count must be at most {sys.maxsize}, got {p}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", UNALLOCATABLE_P)
+def test_circuit_rejects_p_whose_angles_cannot_be_allocated(tmp_path, demo_qubo, capsys, p):
+    q_path, out = tmp_path / "q.json", tmp_path / "circuit.txt"
+    q_path.write_text(demo_qubo.dumps())
+    assert main(["circuit", "--qubo", str(q_path), "--p", str(p), "--out", str(out)]) == 2
+    assert f"error: layer count {p} is too large: its angles cannot be allocated" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import random
 import re
 import sys
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -652,6 +652,61 @@ class TestCarriedSearch:
         assert [pairs(get_conflict_list(a)) for a in blocks[:2]] == [[(0, 1)], [(0, 1), (2, 5)]]
         assert [(s.i, s.j, s.syms) for s in report.steps] == [(0, 1, (2, 3, 4)), (2, 5, (6, 7, 8))]
         assert_loop_matches_reference(q, 5, 1)
+
+    def test_pick_ties_go_to_the_last_pair_in_row_major_order(self):
+        # After (10, 11) and its five syms, (1, 8), (2, 5) and (2, 6) each
+        # share 17, 18 and 19: a tie on two rows, the later row's pairs in
+        # lower columns, and a tie within row 2.  The pick is (2, 6), not
+        # the first pair nor the pair in the highest column.
+        q = QuboMatrix(20, {(i, i): -1 for i in range(20)})
+        q[10, 11] = q[1, 8] = q[2, 5] = q[2, 6] = 50
+        for k in range(12, 17):
+            q[10, k] = q[11, k] = 1
+        for k in (17, 18, 19):
+            q[1, k] = q[8, k] = 2
+            q[2, k] = q[5, k] = q[6, k] = 3
+        report, blocks = reference_run(q, 5, None)
+        tied = [(1, 8), (2, 5), (2, 6)]
+        assert set(tied) <= set(pairs(get_conflict_list(blocks[1])))
+        assert {get_most_sym_qubits(blocks[1], [p]).syms for p in tied} == {(17, 18, 19)}
+        assert [(s.i, s.j) for s in report.steps] == [(10, 11), (2, 6), (1, 8)]
+        assert_loop_matches_reference(q, 5, None)
+
+    def test_first_search_counts_each_pair_once(self, monkeypatch):
+        # The first search counts its conflict list once and hands on only
+        # pairs with the top count; take's own counts come after it.
+        count, listed, counted = factoring._shared_counts, [], []
+
+        def shim_count(a, i, j):
+            counted[-1].append(np.stack((i, j), axis=1))
+            return count(a, i, j)
+
+        def shim_list(a):
+            listed.append((a.copy(), get_conflict_list(a)))
+            counted.append([])
+            return listed[-1][1]
+
+        def shim_take(search, step, z):
+            counted.append([])
+            return take(search, step, z)
+
+        take = factoring._CarriedSearch.take
+        monkeypatch.setattr(factoring, "_shared_counts", shim_count)
+        monkeypatch.setattr(factoring, "get_conflict_list", shim_list)
+        monkeypatch.setattr(factoring._CarriedSearch, "take", shim_take)
+        for setting in builtin_settings():
+            listed.clear()
+            counted.clear()
+            factoring._factoring_loop(build_problem_qubo(setting), 29, None)
+            if not listed:
+                continue
+            [(a, cl)] = listed
+            counts = count(a, cl[:, 0], cl[:, 1])
+            ties = set(pairs(cl[counts == counts.max()])) if len(cl) else set()
+            handed = Counter(pairs(np.concatenate([cl[:0], *counted[0]])))
+            assert not Counter(pairs(cl)) - handed
+            extra = handed - Counter(pairs(cl))
+            assert set(extra) <= ties and set(extra.values()) <= {1}
 
     def test_builtin_instances(self):
         for setting in builtin_settings():

@@ -577,10 +577,18 @@ def test_verify_matches_the_reference_on_ancilla_chains():
     st.lists(st.integers(-1, 9), max_size=4),
     st.sampled_from((1, 3, 0.5, 0, True, float("inf"))),
 )
+# Steps that move int and float couplings; drawn syms seldom share them.
+@example(QuboMatrix(6, {(0, 1): 3, (0, 2): 3, (1, 2): 3, (0, 3): -1, (1, 3): -1, (0, 4): 2.0, (1, 4): 2.0}), (1, 0), [4, 2, 3], 1)
+@example(QuboMatrix(5, {(1, 2): 1.5, (0, 1): 2, (0, 2): 2, (1, 3): 1.5, (2, 3): 1.5, (4, 4): -1}), (1, 2), [3, 0], 0.5)
 def test_enhance_matches_the_reference_enhance(q, pair, syms, z):
-    # Drawn pairs and syms, in range or not; most refuse, some step.
+    # Drawn pairs and syms, in range or not; most refuse, some step.  A step
+    # leaves the same dict: its items in storage order, each value's type.
     before = q.dumps()
     outcome = _loaded(lambda m: factoring.enhance(m, pair, syms, z), q)
     event("refused" if len(outcome) == 2 else "stepped")
     assert outcome == _loaded(lambda m: reference_enhance(m, pair, syms, z), q)
+    if len(outcome) != 2:
+        stored = [list(f(q, pair, syms, z)._entries.items()) for f in (factoring.enhance, reference_enhance)]
+        assert stored[0] == stored[1]
+        assert [type(v) for _, v in stored[0]] == [type(v) for _, v in stored[1]]
     assert q.dumps() == before
