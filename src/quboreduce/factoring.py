@@ -26,14 +26,12 @@ import numpy as np
 
 from .qubo import (
     CapacityError,
-    FLOAT_TOL,
     ParameterError,
     QuboMatrix,
-    _FLOAT_EXACT_BOUND,
     _check_json,
     _check_number,
-    _dyadic,
     _energy_blocks,
+    _energy_error_bound,
     _finite,
     _grid_index,
     _out_of_range,
@@ -569,15 +567,17 @@ def _some_bit_set(bits) -> list[list[tuple[int, int]]]:
 
 
 def _integral_multiples(q: QuboMatrix, q_mod: QuboMatrix) -> list[QuboMatrix] | None:
-    """``D * q`` and ``D * q_mod`` as integral matrices, D the largest of
-    both matrices' :func:`_dyadic` denominators, when FLOAT_TOL * D < 1 and
-    each has sum |m|*(D/d) < 2**53; otherwise None."""
-    (q_ratios, q_scale), (mod_ratios, mod_scale) = _dyadic(q), _dyadic(q_mod)
-    scale = max(q_scale, mod_scale)
+    """``D * q`` and ``D * q_mod`` as integral matrices, or None where a float
+    sum of either's values may round.  Each value is m/d, an int v/1, and D
+    the largest d: a float64 holds k/D exactly for every |k| < 2**53, so a
+    matrix with sum |m|*(D/d) < 2**53 sums exactly in any order."""
+    ratios = [[(v, 1) if isinstance(v, int) else float(v).as_integer_ratio() for v in (m.offset, *m._entries.values())]
+              for m in (q, q_mod)]
+    scale = max(d for r in ratios for _, d in r)
     multiples = []
-    for m, ratios in ((q, q_ratios), (q_mod, mod_ratios)):
-        offset, *values = (k * (scale // d) for k, d in ratios)
-        if FLOAT_TOL * scale >= 1 or abs(offset) + sum(map(abs, values)) >= _FLOAT_EXACT_BOUND:
+    for m, r in zip((q, q_mod), ratios):
+        offset, *values = (k * (scale // d) for k, d in r)
+        if abs(offset) + sum(map(abs, values)) >= 2**53:
             return None
         multiple = QuboMatrix(m.n, offset=offset)
         multiple._entries = dict(zip(m._entries, values))
@@ -598,17 +598,19 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
     2^final_n array is held.  The blocks are walked and folded in the
     narrowest dtype that holds them exactly.
 
-    A float pair is compared as its integral multiple by D, the common
-    power-of-two denominator of its values m/d, when FLOAT_TOL * D < 1 and
-    each matrix has sum |m|*(D/d) < 2**53.  Its float energies are then
-    exactly E_int / D, so two that differ do so by at least 1/D >
-    FLOAT_TOL, and the verdict is the float compare's.  An integral pair's
+    A float pair that sums exactly is compared as its integral multiple
+    (see :func:`_integral_multiples`), at any D: its float energies are
+    E_int / D, so the verdict is the float compare's.  An integral pair's
     base energies are walked narrow too, and the two are compared in their
     own dtypes with ``!=``, ``<`` and ``==``: no difference is taken, so
     none can overflow.  Every other pair subtracts the float64 (or int64)
-    base energies from the folded minima, and holds the differences to
-    ``FLOAT_TOL``.  Validity masks the compares; see
-    :func:`_valid_assignments`.
+    base energies from the folded minima and holds the differences to tol,
+    the sum of both matrices' :func:`_energy_error_bound` and of
+    u * (|offset| + sum |Q[i,j]|) of q_mod, u = 2**-53: a step rounds each
+    cell it writes, ``Q[i,i] + z`` and the like, so a valid row's exact
+    energies may differ by that much.  tol scales with the values, so the
+    verdict does not depend on their units.  Validity masks the compares;
+    see :func:`_valid_assignments`.
     """
     if q.n != report.base_n or q_mod.n != report.final_n:
         raise ParameterError("report does not match the supplied matrices")
@@ -621,7 +623,8 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
     # q_mod is the larger, so its blocks refuse first, before any grid.  The
     # base is drawn after the fold, so the walk and the base are never held
     # together.
-    blocks = _energy_blocks(q_mod, min(q_mod.n, max(q.n, _VERIFY_BLOCK_BITS)), narrow=True)
+    w = min(q_mod.n, max(q.n, _VERIFY_BLOCK_BITS))
+    blocks = _energy_blocks(q_mod, w, narrow=True)
     base_blocks = _energy_blocks(q, q.n, narrow=exact)
     best_mod = _best_over_ancillas(blocks, q.n)
     [(_, base_energies)] = base_blocks
@@ -632,11 +635,12 @@ def verify_equivalence(q: QuboMatrix, q_mod: QuboMatrix, report: FactoringReport
         invalid_ok = not np.any(~valid & (best_mod < base_energies))
         return VerificationVerdict(valid_ok, invalid_ok, bool(best_mod.min() == base_energies.min()))
 
+    tol = _energy_error_bound(q, q.n) + _energy_error_bound(q_mod, w, roundings=1)  # + u * S(q_mod)
     # Two finite float energies may differ by more than float64 holds; the
     # difference is then +-inf, which gives the right verdict.
     with np.errstate(over="ignore"):
         diff = best_mod - base_energies
         lowest_gap = best_mod.min() - base_energies.min()
-    invalid_ok = not np.any(~valid & (diff < -FLOAT_TOL))
-    valid_ok = not np.any(valid & (np.abs(diff, out=diff) > FLOAT_TOL))
-    return VerificationVerdict(valid_ok, invalid_ok, bool(abs(lowest_gap) <= FLOAT_TOL))
+    invalid_ok = not np.any(~valid & (diff < -tol))
+    valid_ok = not np.any(valid & (np.abs(diff, out=diff) > tol))
+    return VerificationVerdict(valid_ok, invalid_ok, bool(abs(lowest_gap) <= tol))

@@ -16,6 +16,7 @@ import math
 import numbers
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,8 @@ ENUMERATION_GUARD = 24
 # 2**62 bounds every energy, and every difference of two, inside int64.
 _INT_ENERGY_BOUND = 2**62
 
-# A float64 holds k * 2**-e exactly for every integer |k| < 2**53, so sums of
-# dyadic numbers whose numerators over one 2**e stay below this never round.
-_FLOAT_EXACT_BOUND = 2**53
-
-# Comparison tolerance for QUBOs with non-integer coefficients.
-FLOAT_TOL = 1e-9
+# Unit roundoff of float64: a rounded sum is the exact one times 1 + d, |d| <= u.
+_UNIT_ROUNDOFF = 2.0**-53
 
 # Spectrum entries are unpacked this many at a time, so reading them holds a
 # few hundred kB of scratch arrays at any n.
@@ -264,26 +261,20 @@ def _grid_index(n: int, fixed: Iterable[tuple[int, int]]) -> tuple:
 def all_energies(q: QuboMatrix) -> np.ndarray:
     """Energies of all 2^n assignments, indexed so bit i of the index is x_i.
 
-    Integer-valued QUBOs produce an int64 array (exact arithmetic), others a
-    float64 array.  Both fill the flat result in place by bit doubling: for
-    k = 0..n-1, slice ``[2^k, 2^(k+1))`` first receives bit k's linear term
-    under every assignment of the lower bits -- ``Q[k,k]``, doubled once per
-    lower bit b by adding ``Q[b,k]``, or copied when that pair is not
-    stored -- and then adds the energies ``[0, 2^k)`` of those lower bits.
-    That is O(2^n) work in about n^2/2 array operations.
-
-    Doubling adds each energy's coefficients in another order than (i, j).
-    It is used only where that cannot change a bit: for integral matrices,
-    and for float matrices whose offset and coefficients are m/d with d a
-    power of two and sum |m|*(D/d) < 2**53, D the largest d, so that every
-    partial sum is exact.  Every other float matrix adds each coefficient,
-    in (i, j) order, to the assignments with both of its bits set.  Either
-    way each energy is bitwise the offset plus its active coefficients in
-    (i, j) order, as :func:`energy` adds them.
-
-    A float sum that overflows raises ``CapacityError``; the int64 bound and
-    the exact float sums keep the doubling fill's sums finite.  The array is
-    the single block of :func:`_energy_blocks` with ``w = n``.
+    Integral QUBOs give an int64 array, others float64.  Both fill the flat
+    result in place by bit doubling: for k = 0..n-1, slice ``[2^k, 2^(k+1))``
+    first receives bit k's linear term under every assignment of the lower
+    bits -- ``Q[k,k]``, doubled once per lower bit b by adding ``Q[b,k]``,
+    or copied when that pair is not stored -- and then adds the energies
+    ``[0, 2^k)`` of those lower bits: O(2^n) work in about n^2/2 array
+    operations.  This order differs from :func:`energy`'s.  Where no
+    partial sum can round -- integral matrices, and float values m/d, d a
+    power of two, with sum |m|*(D/d) < 2**53 for D the largest d -- that
+    changes no bit.  Every other float energy lies within
+    :func:`_energy_error_bound` of the exact sum of its stored values, and
+    may differ from :func:`energy` in the last bits.  A float sum that
+    overflows raises ``CapacityError``.  The array is the single block of
+    :func:`_energy_blocks` with ``w = n``.
     """
     [(_, energies)] = _energy_blocks(q, q.n)
     return energies
@@ -292,54 +283,69 @@ def all_energies(q: QuboMatrix) -> np.ndarray:
 def _energy_blocks(q: QuboMatrix, w: int, narrow: bool = False) -> Iterator[tuple[int, np.ndarray]]:
     """The energies of :func:`all_energies` as 2^(n-w) blocks of 2^w, each
     yielded as ``(h, block)``: block h holds the assignments whose bits
-    w..n-1 read h, and is bitwise the slice ``[h * 2^w, (h + 1) * 2^w)`` of
-    that array.  The guard and the int64 bound are checked at the call,
+    w..n-1 read h.  The guard and the int64 bound are checked at the call,
     before any array exists.  A block is overwritten once the next one is
     drawn.
 
-    Where doubling fills the array, it fills block 0, and the walk visits
-    the other high assignments in Gray-code order: setting or clearing high
-    bit k adds or subtracts k's linear term over the low bits and k's
-    couplings to the other high bits that are set.  Each partial result is
-    a signed sum of stored values, exact in any order.  The walk holds the
-    block and the n - w linear terms, (n - w + 1) * 2^w entries.  Every
-    other float matrix fills each block in (i, j) order as
-    :func:`all_energies` does, adding a coefficient whose high bits are all
-    set to its view of the low bits.
+    Doubling fills block 0, and the walk visits the other high assignments
+    in Gray-code order: setting or clearing high bit k adds or subtracts
+    k's linear term over the low bits and k's couplings to the other high
+    bits that are set.  The walk holds the block and the n - w linear
+    terms, (n - w + 1) * 2^w entries.  Where no sum rounds (see
+    :func:`all_energies`), block h is bitwise the slice ``[h * 2^w,
+    (h + 1) * 2^w)`` of that array; otherwise it lies within
+    :func:`_energy_error_bound` of the exact energies.
 
     With ``narrow`` an integral matrix walks in the smallest of int8 to
     int64 that holds +-(|offset| + sum |Q[i,j]|), so it moves fewer bytes;
-    a narrow block, widened, is the same slice of :func:`all_energies`.
-    Float matrices walk in float64 either way: verify_equivalence hands an
-    exactly-summing float pair over as its integral multiple.
+    a narrow block, widened, is the same slice.  Float matrices walk in
+    float64 either way: verify_equivalence hands an exactly-summing float
+    pair over as its integral multiple.
     """
     if q.n > ENUMERATION_GUARD:
         raise CapacityError(f"n={q.n} exceeds enumeration guard {ENUMERATION_GUARD}")
-    if q.is_integral:
-        total = abs(q.offset) + sum(abs(v) for v in q._entries.values())
-        if total >= _INT_ENERGY_BOUND:
-            raise CapacityError(f"|offset| + sum |Q[i,j]| = {total} reaches the int64 enumeration bound 2**62")
-        # A signed type holds one more negative value than positive ones, so
-        # the type of -1 - total is the narrowest that holds +total too.
-        return _walked_blocks(q, w, np.min_scalar_type(-1 - total) if narrow else np.int64)
-    return _walked_blocks(q, w, np.float64) if _sums_exact(q) else _in_order_blocks(q, w)
+    if not q.is_integral:
+        return _walked_blocks(q, w, np.float64)
+    total = abs(q.offset) + sum(abs(v) for v in q._entries.values())
+    if total >= _INT_ENERGY_BOUND:
+        raise CapacityError(f"|offset| + sum |Q[i,j]| = {total} reaches the int64 enumeration bound 2**62")
+    # A signed type holds one more negative value than positive ones, so
+    # the type of -1 - total is the narrowest that holds +total too.
+    return _walked_blocks(q, w, np.min_scalar_type(-1 - total) if narrow else np.int64)
 
 
-def _dyadic(q: QuboMatrix) -> tuple[list[tuple[int, int]], int]:
-    """The offset and the coefficients, in storage order, as ratios m/d of
-    the float64 numbers the energy array adds, each d a power of two, and D
-    the largest d.  An int is taken as (v, 1): float(v) rounds only past
-    2**53, where no sum test of these ratios passes either way."""
-    ratios = [(v, 1) if isinstance(v, int) else float(v).as_integer_ratio() for v in (q.offset, *q._entries.values())]
-    return ratios, max(d for _, d in ratios)
+def _energy_error_bound(q: QuboMatrix, w: int, roundings: int = 0) -> float:
+    """A bound on |E - E*| for each float energy E of :func:`_energy_blocks`
+    at block width ``w``, E* the exact sum of the offset and the stored
+    values of its active coefficients: gamma_k * S, S = |offset| +
+    sum |Q[i,j]|, gamma_k = k*u / (1 - k*u), u = 2**-53, k the roundings
+    on any energy's path plus ``roundings``.  An addition errs by at most
+    u*|a + b| (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., 4.2).  k counts one rounding of each value into float64 (an
+    int past 2**53); at most w additions per value in doubling, whose
+    block 0 and linear terms sum disjoint values, a term's error taken
+    back whole when its bit is cleared; at most n - w per Gray-code step,
+    for a term and the sum of at most n - w - 1 couplings to other high
+    bits, each rounding a signed sum of distinct values, at most S plus the
+    error so far, which gamma_k's denominator covers; and one for the
+    rounding of this bound.  So k = w + (n - w)(2^(n-w) - 1) + 2, n + 2 at
+    w = n.  The gamma_k * |v| are summed by ``math.fsum``: the bound is
+    finite whenever the values are.
+    """
+    high = q.n - w
+    k = w + high * ((1 << high) - 1) + 2 + roundings
+    gamma = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+    return math.fsum(gamma * abs(v) for v in (q.offset, *q._entries.values()))
 
 
-def _sums_exact(q: QuboMatrix) -> bool:
-    """True when every sum of the offset and any coefficients is exact in
-    float64, whatever the order of the additions: with :func:`_dyadic`'s
-    ratios m/d and D, sum |m|*(D/d) < 2**53."""
-    ratios, scale = _dyadic(q)
-    return sum(abs(m) * (scale // d) for m, d in ratios) < _FLOAT_EXACT_BOUND
+@contextmanager
+def _overflow_refused():
+    """A numpy float overflow inside raises ``CapacityError``; no changed error state outlives it."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise CapacityError("an energy of this QUBO overflows float64") from exc
 
 
 def _walked_blocks(q: QuboMatrix, w: int, dtype) -> Iterator[tuple[int, np.ndarray]]:
@@ -347,25 +353,29 @@ def _walked_blocks(q: QuboMatrix, w: int, dtype) -> Iterator[tuple[int, np.ndarr
     # One allocation for the block and the terms: numpy asks for huge pages
     # from 4 MB up, which spares most page faults of the fresh memory.
     block, *terms = np.empty((q.n - w + 1, 1 << w), dtype=dtype)
-    _fill_by_doubling(q, block)
+    refused = _overflow_refused if block.dtype == np.float64 else nullcontext  # int sums stay in bounds
+    with refused():
+        _fill_by_doubling(q, block)
+        for k, term in enumerate(terms):
+            _linear_term(entries, w + k, term)
     yield 0, block
-    for k, term in enumerate(terms):
-        _linear_term(entries, w + k, term)
-    # Each high bit's couplings to the other high bits, as (bit, value).
+    # Each high bit's couplings to the other high bits, as (bit, numpy scalar): their sum's overflow raises too.
+    scalar = block.dtype.type
     links = [[] for _ in terms]
     for (i, j), v in entries.items():
         if w <= i < j:
-            links[i - w].append((j - w, v))
-            links[j - w].append((i - w, v))
+            links[i - w].append((j - w, scalar(v)))
+            links[j - w].append((i - w, scalar(v)))
     h = 0
     for g in range(1, 1 << len(terms)):
         k = (g & -g).bit_length() - 1
         h ^= 1 << k
         step = np.add if h >> k & 1 else np.subtract
-        step(block, terms[k], out=block)
-        shared = [v for b, v in links[k] if h >> b & 1]
-        if shared:
-            step(block, sum(shared), out=block)
+        with refused():
+            step(block, terms[k], out=block)
+            shared = [v for b, v in links[k] if h >> b & 1]
+            if shared:
+                step(block, sum(shared), out=block)
         yield h, block
 
 
@@ -391,26 +401,6 @@ def _linear_term(entries: dict, k: int, term: np.ndarray) -> None:
             term[1 << b : 2 << b] = low
         else:
             np.add(low, v, out=term[1 << b : 2 << b])
-
-
-def _in_order_blocks(q: QuboMatrix, w: int) -> Iterator[tuple[int, np.ndarray]]:
-    # Per coefficient: the high bits it needs set, and its view of the block.
-    steps = []
-    for (i, j), v in q.entries():
-        high = sum(1 << (k - w) for k in {i, j} if k >= w)
-        steps.append((high, _grid_index(w, ((k, 1) for k in (i, j) if k < w)), v))
-    energies = np.empty(1 << w, dtype=np.float64)
-    grid = energies.reshape((2,) * w)
-    for h in range(1 << (q.n - w)):
-        grid[...] = q.offset
-        try:
-            with np.errstate(over="raise"):
-                for high, index, v in steps:
-                    if h & high == high:
-                        grid[index] += v
-        except FloatingPointError as exc:
-            raise CapacityError("an energy of this QUBO overflows float64") from exc
-        yield h, energies
 
 
 class Spectrum(Sequence):

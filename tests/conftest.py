@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from quboreduce.circuits import (
     schedule_metrics,
 )
 from quboreduce.experiments import DEFAULT_P_VALUES, SweepRecord, build_problem_qubo
+from quboreduce import factoring, qubo
 from quboreduce.factoring import (
     FactoringReport,
     VerificationVerdict,
     _check_z,
     _factoring_loop,
+    _integral_multiples,
     _penalty_cells,
     _step_possible,
     default_z,
@@ -31,7 +34,6 @@ from quboreduce.factoring import (
 )
 from quboreduce.qubo import (
     ENUMERATION_GUARD,
-    FLOAT_TOL,
     CapacityError,
     DimensionError,
     ParameterError,
@@ -145,7 +147,7 @@ def random_float_qubo(rng: random.Random, n: int) -> QuboMatrix:
 
 def reference_all_energies(q: QuboMatrix) -> np.ndarray:
     """all_energies with one 2^n mask per stored coefficient, each added in
-    (i, j) order: the bitwise reference for both of its fill paths."""
+    (i, j) order: bitwise what all_energies gives where no sum rounds."""
     idx = np.arange(1 << q.n, dtype=np.int64)
     dtype = np.int64 if q.is_integral else np.float64
     energies = np.full(1 << q.n, q.offset, dtype=dtype)
@@ -155,13 +157,45 @@ def reference_all_energies(q: QuboMatrix) -> np.ndarray:
     return energies
 
 
-def assert_bitwise_reference(q: QuboMatrix) -> None:
-    """all_energies equals the reference in dtype, value and sign of zero."""
-    expected = reference_all_energies(q)
-    energies = all_energies(q)
-    assert energies.dtype == expected.dtype
-    assert np.array_equal(energies, expected)
-    assert np.array_equal(np.signbit(energies), np.signbit(expected))
+def sums_exact(q: QuboMatrix) -> bool:
+    """Whether no sum of q's values rounds in float64: q is integral, or its
+    own integral multiple."""
+    return q.is_integral or _integral_multiples(q, q) is not None
+
+
+def exact_energies(q: QuboMatrix) -> list[Fraction]:
+    """Every energy, by assignment index, as the exact sum of the offset and
+    the stored values of its active coefficients."""
+    values = [Fraction(q.offset), *(Fraction(v) for _, v in q.entries())]
+    scale = max(f.denominator for f in values)  # each a power of two
+    offset, *numerators = (int(f * scale) for f in values)
+    idx = np.arange(1 << q.n, dtype=np.int64)
+    sums = np.full(1 << q.n, offset, dtype=object)
+    for ((i, j), _), m in zip(q.entries(), numerators):
+        sums[((idx >> i) & (idx >> j) & 1).astype(bool)] += m
+    return [Fraction(int(s), scale) for s in sums]
+
+
+def assert_energies_match_reference(q: QuboMatrix, widths=None) -> None:
+    """all_energies and the blocks of _energy_blocks at each width w (all
+    of 1..n by default) against the references.  Where no sum rounds, each
+    is bitwise the (i, j)-order reference's slice, in dtype, value and sign
+    of zero; otherwise each is float64 and within _energy_error_bound(q, w)
+    of the exact energies."""
+    exact = sums_exact(q)
+    expected = reference_all_energies(q) if exact else exact_energies(q)
+    widths = range(1, q.n + 1) if widths is None else widths
+    for w, blocks in [(q.n, [(0, all_energies(q))])] + [(w, qubo._energy_blocks(q, w)) for w in widths]:
+        bound = Fraction(qubo._energy_error_bound(q, w))
+        for h, block in blocks:
+            piece = expected[h << w : (h + 1) << w]
+            if exact:
+                assert block.dtype == piece.dtype
+                assert np.array_equal(block, piece)
+                assert np.array_equal(np.signbit(block), np.signbit(piece))
+            else:
+                assert block.dtype == np.float64
+                assert all(abs(Fraction(b) - e) <= bound for b, e in zip(block.tolist(), piece)), (w, h)
 
 
 def reference_spectrum(q: QuboMatrix) -> list[SpectrumEntry]:
@@ -173,32 +207,64 @@ def reference_spectrum(q: QuboMatrix) -> list[SpectrumEntry]:
     return [SpectrumEntry(bits_from_index(int(m), q.n), cast(energies[m])) for m in order]
 
 
+def verify_tolerance(q: QuboMatrix, q_mod: QuboMatrix) -> float:
+    """The tol verify_equivalence holds a pair's differences to: 0 for an
+    integral pair or one that is its own integral multiple; else the sum of
+    both matrices' error bounds at the widths verify walks them and
+    2**-53 * (|offset| + sum |Q[i,j]|) of q_mod."""
+    if q.is_integral and q_mod.is_integral or _integral_multiples(q, q_mod) is not None:
+        return 0
+    w = min(q_mod.n, max(q.n, factoring._VERIFY_BLOCK_BITS))
+    rounded = 2.0**-53 * sum(abs(v) for v in (q_mod.offset, *dict(q_mod.entries()).values()))
+    return qubo._energy_error_bound(q, q.n) + qubo._energy_error_bound(q_mod, w) + rounded
+
+
+def replay_valid(bits, steps) -> bool:
+    """Whether base assignment ``bits`` is valid: replaying the steps, each
+    ancilla the OR of its pair, no factored pair is fully set."""
+    extended = list(bits)
+    for step in steps:
+        bi, bj = extended[step.i], extended[step.j]
+        if bi and bj:
+            return False
+        extended.append(bi | bj)
+    return True
+
+
 def reference_verify(q, q_mod, report):
-    """verify_equivalence with one Python replay of the steps per assignment."""
+    """verify_equivalence with one Python replay of the steps per assignment,
+    holding the differences to :func:`verify_tolerance`."""
     base_energies = all_energies(q)
     mod_energies = all_energies(q_mod)
     best_mod = mod_energies.reshape(1 << (q_mod.n - q.n), 1 << q.n).min(axis=0)
-    tol = 0 if q.is_integral and q_mod.is_integral else FLOAT_TOL
-
-    def classify_valid(bits):
-        extended = list(bits)
-        for step in report.steps:
-            bi, bj = extended[step.i], extended[step.j]
-            if bi and bj:
-                return False
-            extended.append(bi | bj)
-        return True
-
+    tol = verify_tolerance(q, q_mod)
     valid_ok = invalid_ok = True
     for m in range(base_energies.size):
         diff = best_mod[m] - base_energies[m]
-        if classify_valid(bits_from_index(m, q.n)):
+        if replay_valid(bits_from_index(m, q.n), report.steps):
             if abs(diff) > tol:
                 valid_ok = False
         elif diff < -tol:
             invalid_ok = False
     minimum_ok = bool(abs(mod_energies.min() - base_energies.min()) <= tol)
     return VerificationVerdict(valid_ok, invalid_ok, minimum_ok)
+
+
+def exact_verdict(q, q_mod, report, margin) -> tuple:
+    """verify_equivalence's three fields in exact arithmetic on the stored
+    values.  A field is False where one of its margins -- a valid row's
+    difference, an invalid row's drop, the gap of the two minima -- exceeds
+    ``margin``, True where all of them are 0, and None otherwise, as
+    rounding may then decide it."""
+    base, mod = exact_energies(q), exact_energies(q_mod)
+    rows = 1 << q.n
+    best = [min(mod[m::rows]) for m in range(rows)]
+    valid = [replay_valid(bits_from_index(m, q.n), report.steps) for m in range(rows)]
+    differences = [abs(best[m] - base[m]) for m in range(rows) if valid[m]]
+    drops = [base[m] - best[m] for m in range(rows) if not valid[m] and best[m] < base[m]]
+    gap = [abs(min(mod) - min(base))]
+    return tuple(False if max(v, default=0) > margin else True if not any(v) else None
+                 for v in (differences, drops, gap))
 
 
 def reference_circuit(q: QuboMatrix, params, order) -> GateList:

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quboreduce import (
     Graph,
@@ -16,6 +21,7 @@ from quboreduce import (
     depth,
     factor_out,
     graph_isomorphism_qubo,
+    max_clique_qubo,
     vertex_cover_qubo,
 )
 from quboreduce.circuits import format_gate_list
@@ -31,7 +37,14 @@ from quboreduce.experiments import (
 from quboreduce.graphs import permute_vertices
 from quboreduce.qubo import ENUMERATION_GUARD
 
-from conftest import DEMO_EDGES, UNALLOCATABLE_P, format_edge_list, random_float_qubo, random_qubo, reference_spectrum
+from conftest import (
+    DEMO_EDGES,
+    UNALLOCATABLE_P,
+    format_edge_list,
+    random_float_qubo,
+    random_qubo,
+    reference_spectrum,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
@@ -309,6 +322,24 @@ def test_verify_of_energies_whose_difference_overflows(tmp_path):
     assert done.stdout == ('{"valid_energies_preserved": false, "invalid_energies_nondecreasing": true, '
                            '"minimum_preserved": false}\n')
     assert done.stderr == ""
+
+
+def test_verify_of_a_factored_tiny_coupling_prints_a_verdict(tmp_path, demo_qubo, capsys):
+    # 1e-300 is m / 2**1049: the pair's common denominator is past the
+    # largest float, and verify still compares, within its tolerance.
+    doc = json.loads(demo_qubo.dumps())
+    i, j, _ = next(entry for entry in doc["entries"] if entry[0] != entry[1])
+    text = demo_qubo.dumps().replace(f"[{i}, {j}, 3]", f"[{i}, {j}, 1e-300]")
+    assert text.count("1e-300") == 1
+    paths = tmp_path / "q.json", tmp_path / "mod.json", tmp_path / "report.json"
+    paths[0].write_text(text)
+    assert main(["factor", "--qubo", str(paths[0]), "--max-ancillas", "2",
+                 "--out", str(paths[1]), "--report", str(paths[2])]) == 0
+    capsys.readouterr()
+    assert _verify(paths) in (0, 1)
+    out, err = capsys.readouterr()
+    assert set(json.loads(out)) == {"valid_energies_preserved", "invalid_energies_nondecreasing", "minimum_preserved"}
+    assert err == ""
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, demo_qubo):
@@ -792,3 +823,88 @@ def test_verify_above_guard_exits_2(tmp_path, capsys):
     rc = main(["verify", "--qubo", str(q_path), "--modified", str(q_path), "--report", str(report_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _demo_documents() -> list:
+    """The demo QUBO, factored by two ancillas at the default z, and its
+    report, as loaded JSON documents."""
+    q = max_clique_qubo(Graph(6, frozenset(DEMO_EDGES)), 3)
+    q_mod, report = factor_out(q, 2)
+    return [json.loads(m.dumps()) for m in (q, q_mod, report)]
+
+
+def _leaf_paths(doc, path=()):
+    """Every key path in ``doc``, containers included, the root excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _leaf_paths(value, path + (key,))
+
+
+_DEMO_DOCUMENTS = _demo_documents()
+_ATOMS = (True, False, None, "3", [], [0, 1, 2], 0, 1, -1, 2**53, 2**63, 1e308, 1e-300, -0.0)
+
+
+def _holds(container, key) -> bool:
+    if isinstance(container, dict):
+        return key in container
+    return isinstance(container, list) and isinstance(key, int) and key < len(container)
+
+
+def _mutated(*mutations) -> list:
+    """The demo documents with each (document index, key path, atom) of
+    ``mutations`` written in turn; a path that an earlier mutation took
+    away is skipped."""
+    docs = json.loads(json.dumps(_DEMO_DOCUMENTS))
+    for k, path, atom in mutations:
+        target = docs[k]
+        for key in path[:-1]:
+            if not _holds(target, key):
+                break
+            target = target[key]
+        else:
+            if _holds(target, path[-1]):
+                target[path[-1]] = atom
+    return docs
+
+
+@st.composite
+def mutated_demo_documents(draw):
+    # One to three fields of the three documents, the sizes n, base_n and
+    # final_n among them, each replaced by an atom.  Half of the fields
+    # drawn are the coefficients and offsets of the two matrices.
+    mutations = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 2))
+        paths = list(_leaf_paths(_DEMO_DOCUMENTS[k]))
+        values = [path for path in paths if path[0] == "offset" or len(path) == 3]
+        path = draw(st.sampled_from(values) | st.sampled_from(paths) if values else st.sampled_from(paths))
+        mutations.append((k, path, draw(st.sampled_from(_ATOMS))))
+    return _mutated(*mutations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_demo_documents(), st.sampled_from(("verify", "spectrum-q", "spectrum-mod")))
+# A coupling of 1e-300 in the base matrix: the pair's common denominator
+# is 2**1049, past the largest float.
+@example(_mutated((0, ("entries", 1, 2), 1e-300)), "verify")
+def test_verify_and_spectrum_end_in_a_verdict_or_an_error(docs, command):
+    # Whatever the files hold, the command returns 0, 1 or 2, or argparse
+    # exits 2; no other exception escapes main().  The sizes stay at most
+    # 2**63 and the guard refuses past 24 qubits before any enumeration.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in ("q.json", "mod.json", "report.json")]
+        for path, doc in zip(paths, docs):
+            path.write_text(json.dumps(doc))
+        argv = {
+            "verify": ["verify", "--qubo", str(paths[0]), "--modified", str(paths[1]), "--report", str(paths[2])],
+            "spectrum-q": ["spectrum", "--qubo", str(paths[0]), "--out", str(Path(tmp, "out"))],
+            "spectrum-mod": ["spectrum", "--qubo", str(paths[1]), "--out", str(Path(tmp, "out"))],
+        }[command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 1, 2)
+        assert rc != 2 or err.getvalue().startswith(("error: ", "usage: "))

@@ -46,14 +46,17 @@ from quboreduce.graphs import permute_vertices, sample_permutation
 from quboreduce.qubo import CapacityError, all_energies
 
 from conftest import (
+    assert_energies_match_reference,
     assert_loop_matches_reference,
     bits_from_index,
+    exact_verdict,
     min_energy_over_ancillas,
     random_qubo,
     reference_dense_mirror,
     reference_enhance,
     reference_factoring_loop,
     reference_verify,
+    verify_tolerance,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -286,7 +289,7 @@ class TestEnhance:
         energies = [all_energies(out) for out in outs]
         assert all(out == outs[0] for out in outs)
         assert all(np.array_equal(e, energies[0]) for e in energies)
-        assert energies[0].tolist() == [energy(outs[0], bits_from_index(m, 7)) for m in range(1 << 7)]
+        assert_energies_match_reference(outs[0], widths=())
 
     def test_refuses_a_cell_that_z_makes_non_finite(self):
         # Only (0, 1) overflows, written through the pair given as (1, 0).
@@ -851,19 +854,24 @@ class TestVerifyEquivalence:
         assert verify_equivalence(q, q_mod, report) == reference_verify(q, q_mod, report) == VerificationVerdict(
             False, True, False)
 
-    @pytest.mark.parametrize("e, multiple", [(29, True), (30, False)], ids=["D-2**29", "D-2**30"])
-    def test_a_unit_of_2_to_the_minus_e_shows_while_tol_times_d_is_below_1(self, demo_qubo, e, multiple):
+    @pytest.mark.parametrize("e", [29, 30, 60, 1030])
+    def test_a_unit_of_2_to_the_minus_e_shows_at_any_e(self, demo_qubo, e):
         # Scaled by 2**-e, raising a diagonal by one unit costs valid rows
-        # 2**-e more.  At D = 2**29 the pair compares as its integral
-        # multiple and the change shows; at D = 2**30 it compares in float64,
-        # where 2**-30 < FLOAT_TOL hides it, as that compare always has.
+        # 2**-e more.  At every D = 2**e, subnormal steps included, the pair
+        # compares as its integral multiple and the change shows.
         q_mod, report = factor_out(demo_qubo, 1, 9)
         q_mod[3, 3] += 1
         q, q_mod = (QuboMatrix(m.n, {k: math.ldexp(v, -e) for k, v in m.entries()}, 0.0) for m in (demo_qubo, q_mod))
-        assert (factoring._integral_multiples(q, q_mod) is not None) == multiple
+        assert factoring._integral_multiples(q, q_mod) is not None
         verdict = verify_equivalence(q, q_mod, report)
         assert verdict == reference_verify(q, q_mod, report)
-        assert verdict == VerificationVerdict(not multiple, True, True)
+        assert verdict == VerificationVerdict(False, True, True)
+
+    def test_a_tiny_dyadic_value_verifies(self):
+        # 2**-1030 has D = 2**1030, past the largest float: the pair compares
+        # as its integral multiple, 1, and no product of D is taken in float.
+        q = QuboMatrix(2, {(0, 0): 2.0**-1030})
+        assert verify_equivalence(q, q, FactoringReport(2, 1.0)).all_ok
 
     def test_integral_base_with_a_float_factored_matrix(self, demo_qubo):
         # z = 16.5 writes halves into the step's cells, so the pair compares
@@ -889,7 +897,7 @@ class TestVerifyEquivalence:
         assert verdict == reference_verify(q, q_mod, report) == VerificationVerdict(True, True, True)
 
     @pytest.mark.parametrize("value", [lambda k: k % 7 - 3, lambda k: (k % 7 - 3) / 4, lambda k: 1 / (k + 3)],
-                             ids=["int", "dyadic", "in-order"])
+                             ids=["int", "dyadic", "rounding"])
     def test_holds_no_array_of_all_factored_energies(self, value):
         # 16 base qubits and 5 ancillas: blocks of 2^16 energies, so the walk
         # holds the block and five linear terms, not all 2^21 energies.
@@ -969,6 +977,37 @@ class TestVerifyEquivalence:
         q_mod = QuboMatrix(1, {(0, 0): -1.5e308})
         verdict = verify_equivalence(q, q_mod, FactoringReport(1, 1, []))
         assert verdict == VerificationVerdict(False, True, False)
+
+    @pytest.mark.parametrize("e", [-40, 0, 10, 20, 30, 40])
+    def test_the_verdict_does_not_depend_on_the_units(self, e):
+        # max_clique (10, 20) at seed 0 with coefficients 1.1 * v * 2**e,
+        # factored by one step at the default z.  Scaling by 2**e is exact,
+        # so only the units move; an absolute tolerance failed from e = 20.
+        q = _scaled_max_clique(2.0**e)
+        q_mod, report = factor_out(q, 4)
+        assert len(report.steps) == 1
+        assert verify_equivalence(q, q_mod, report).all_ok
+
+    @pytest.mark.parametrize("scale, z_share, verdict", [
+        (1e6, 1, VerificationVerdict(True, True, True)),
+        (1e-12, 1 / 1000, VerificationVerdict(False, False, False)),
+    ], ids=["1e6-default-z", "1e-12-weak-z"])
+    def test_the_verdict_is_the_exact_one(self, scale, z_share, verdict):
+        # At 1.1e6 the rounding of the energy sums reaches 7e-9 on valid rows,
+        # which keep their exact energies.  At 1.1e-12 and a thousandth of the
+        # default z, valid rows move by up to 1.6e-11 and invalid rows drop
+        # by up to 4.9e-11 in exact arithmetic, far above the rounding.
+        q = _scaled_max_clique(scale)
+        q_mod, report = factor_out(q, 4, default_z(q) * z_share)
+        assert verify_equivalence(q, q_mod, report) == verdict
+        margin = 2 * verify_tolerance(q, q_mod)
+        assert exact_verdict(q, q_mod, report, margin) == dataclasses.astuple(verdict)
+
+
+def _scaled_max_clique(scale: float) -> QuboMatrix:
+    """max_clique (10, 20) at seed 0 with each coefficient v * 1.1 * scale."""
+    q = max_clique_qubo(sample_graph(10, 20, 0), 3)
+    return QuboMatrix(q.n, {k: v * 1.1 * scale for k, v in q.entries()}, 0.0)
 
 
 def _reference_cases():

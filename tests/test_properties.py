@@ -6,6 +6,7 @@ landscape of each factoring step, on small generated inputs."""
 import dataclasses
 import json
 import math
+import random
 import time
 from unittest.mock import patch
 
@@ -25,7 +26,9 @@ from quboreduce import (
     coupling_count,
     energy,
     factoring,
+    max_clique_qubo,
     qubo,
+    sample_graph,
     spectrum,
 )
 from quboreduce.circuits import _GATE_FIELDS, COUPLING_ORDERS, _block_schedule, cost_schedule
@@ -46,12 +49,14 @@ from quboreduce.graphs import all_pairs, parse_edge_list
 from quboreduce.qubo import all_energies
 
 from conftest import (
-    assert_bitwise_reference,
     assert_circuit_matches_reference,
+    assert_energies_match_reference,
     assert_loop_matches_reference,
     bits_from_index,
+    exact_verdict,
     format_edge_list,
     min_energy_over_ancillas,
+    random_float_qubo,
     read_gate_list,
     reference_circuit,
     reference_enhance,
@@ -61,6 +66,8 @@ from conftest import (
     reference_loads,
     reference_spectrum,
     reference_verify,
+    sums_exact,
+    verify_tolerance,
 )
 
 SMALL = settings(max_examples=60, deadline=None)
@@ -181,11 +188,17 @@ def test_qubo_json_round_trip(q):
     assert typed(QuboMatrix.loads(q.dumps())) == typed(q)
 
 
+def _kind(q: QuboMatrix) -> str:
+    return "integral" if q.is_integral else "exact floats" if sums_exact(q) else "rounding floats"
+
+
 @SMALL
 @given(dyadic_qubos())
 def test_all_energies_matches_the_in_order_reference_bitwise(q):
-    event("integral" if q.is_integral else "exact floats" if qubo._sums_exact(q) else "in-order floats")
-    assert_bitwise_reference(q)
+    # Bitwise where no sum rounds; a draw whose sums round is within the
+    # bound of the exact energies.
+    event(_kind(q))
+    assert_energies_match_reference(q)
 
 
 @st.composite
@@ -205,7 +218,7 @@ def _has_negative_zero(values) -> bool:
 def test_no_energy_is_a_negative_zero(q):
     # The offset is stored as +0, and a sum of nonzero values that cancels
     # is +0.0, so no energy the library computes has its sign bit set.
-    event("integral" if q.is_integral else "exact floats" if qubo._sums_exact(q) else "in-order floats")
+    event(_kind(q))
     assert not _has_negative_zero(all_energies(q))
     for w in range(1, q.n + 1):
         assert not any(_has_negative_zero(block) for _, block in qubo._energy_blocks(q, w))
@@ -221,16 +234,23 @@ def test_no_energy_is_a_negative_zero(q):
 # reaches it, by adding or by subtracting 0.5.
 @example(QuboMatrix(3, {(0, 0): 0.5}, offset=-0.0))
 def test_energy_blocks_are_slices_of_the_reference(q):
-    event("integral" if q.is_integral else "exact floats" if qubo._sums_exact(q) else "in-order floats")
-    expected = reference_all_energies(q)
+    # At every width: bitwise slices of the (i, j)-order reference where no
+    # sum rounds, and within the bound of the exact energies where sums round.
+    event(_kind(q))
+    assert_energies_match_reference(q)
     for w in range(1, q.n + 1):
-        blocks = {h: block.copy() for h, block in qubo._energy_blocks(q, w)}
-        assert sorted(blocks) == list(range(1 << (q.n - w)))
-        for h, block in blocks.items():
-            piece = expected[h << w : (h + 1) << w]
-            assert block.dtype == piece.dtype
-            assert np.array_equal(block, piece)
-            assert np.array_equal(np.signbit(block), np.signbit(piece))
+        assert sorted(h for h, _ in qubo._energy_blocks(q, w)) == list(range(1 << (q.n - w)))
+
+
+@SMALL
+@given(qubos(_FLOATS, 11) | penalty_qubos(st.just(1.1)))
+@example(random_float_qubo(random.Random(0), 11))
+def test_the_walk_stays_within_its_bound_up_to_11_qubits(q):
+    # Floats that round, on up to 11 qubits at every width: at w = 1 the
+    # walk takes 2**10 - 1 Gray-code steps, each adding to the last one's
+    # roundings.
+    event(_kind(q))
+    assert_energies_match_reference(q)
 
 
 @SMALL
@@ -239,15 +259,18 @@ def test_energy_blocks_are_slices_of_the_reference(q):
 def test_narrow_blocks_widen_to_slices_of_the_reference(q):
     # The narrow walk of verify_equivalence: small ints walk in int8 or
     # int16, and floats in float64 at every scale, 2**-130 included.
-    # Widening is exact, so each block must read as the slice.
-    expected = reference_all_energies(q)
+    # Widening is exact, so each block must read as the slice where no sum
+    # rounds, and as the float64 block otherwise.
+    exact = sums_exact(q)
+    expected = reference_all_energies(q) if exact else all_energies(q)
     for w in range(1, q.n + 1):
+        wide = {h: block.copy() for h, block in qubo._energy_blocks(q, w)}
         for h, block in qubo._energy_blocks(q, w, narrow=True):
             event(str(block.dtype))
-            piece = expected[h << w : (h + 1) << w]
-            wide = block.astype(piece.dtype)
-            assert np.array_equal(wide, piece)
-            assert np.array_equal(np.signbit(wide), np.signbit(piece))
+            piece = expected[h << w : (h + 1) << w] if exact else wide[h]
+            widened = block.astype(piece.dtype)
+            assert np.array_equal(widened, piece)
+            assert np.array_equal(np.signbit(widened), np.signbit(piece))
 
 
 @SMALL
@@ -347,21 +370,77 @@ def _scaled(m: QuboMatrix, e: int) -> QuboMatrix:
 @SMALL
 @given(scaled_factored_pairs())
 def test_verify_of_a_scaled_pair_is_the_float_compare(case):
-    # Scaled by 2**-e, the values are m/D with D at most 2**e.  Up to
-    # e = 29, FLOAT_TOL * D < 1 and the pair compares as its integral
-    # multiple, so its verdict is the unscaled pair's, a unit change
-    # included.  Past that it may compare in float64, where a unit of 2**-e
-    # can hide under FLOAT_TOL; the reference reads it the same way.
+    # Scaled by 2**-e, the values are m/D with D at most 2**e.  The pair
+    # compares as its integral multiple at every e, so its verdict is the
+    # unscaled pair's, a unit change included.
     q, q_mod, report, e = case
     scaled_q, scaled_mod = _scaled(q, e), _scaled(q_mod, e)
-    multiples = factoring._integral_multiples(scaled_q, scaled_mod)
-    event("integral multiple" if multiples else "float compare")
+    assert factoring._integral_multiples(scaled_q, scaled_mod) is not None
     verdict = verify_equivalence(scaled_q, scaled_mod, report)
     assert verdict == reference_verify(scaled_q, scaled_mod, report)
     event(f"verdict {dataclasses.astuple(verdict)}")
-    if e <= 29:
-        assert multiples is not None
-        assert verdict == verify_equivalence(q, q_mod, report)
+    assert verdict == verify_equivalence(q, q_mod, report)
+
+
+@st.composite
+def float_factored_pairs(draw, max_n=9, max_steps=4):
+    # A penalty-shaped or random QUBO whose values are v * 1.1, dyadic v / 4,
+    # or a mix, equal values alike so that shared couplings stay shared,
+    # factored at the default z or a weak one, sometimes with one cell of
+    # q_mod moved by a drawn amount.
+    base = draw(penalty_qubos() | mixed_penalty_qubos(st.just(1)) | qubos(st.integers(-5, 5), max_n=6))
+    assume(len(base) and base.n <= max_n)
+    kind = draw(st.sampled_from(("1.1", "dyadic", "mixed")))
+    factors = {"1.1": (1.1,), "dyadic": (0.25,), "mixed": (1.1, 0.25)}[kind]
+    factor = {v: draw(st.sampled_from(factors)) for v in sorted(set(dict(base.entries()).values()))}
+    q = QuboMatrix(base.n, {k: v * factor[v] for k, v in base.entries()}, 0.0)
+    z = draw(st.sampled_from((None, 1 / 1000, 1.1)))
+    if z is not None:
+        z *= default_z(q)
+    q_mod, report = factor_out(q, draw(st.integers(1, max_steps)), z)
+    # Most pairs without a step are drawn again.
+    assume(report.steps or draw(st.integers(0, 3)) == 0)
+    cells = [(i, j) for i in range(q_mod.n) for j in range(i, q_mod.n)]
+    for cell, share in draw(st.lists(st.tuples(st.sampled_from(cells), st.sampled_from((1.1, -0.5, 1e-9))),
+                                     max_size=1)):
+        q_mod[cell] += share
+    event(f"{kind}, {len(report.steps)} steps")
+    return q, q_mod, report
+
+
+def _float_max_clique_pair():
+    q = max_clique_qubo(sample_graph(10, 20, 0), 3)
+    q = QuboMatrix(q.n, {k: v * 1.1 for k, v in q.entries()}, 0.0)
+    return q, *factor_out(q, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(float_factored_pairs())
+# max_clique (10, 20) at seed 0 in units of 1.1, one step at budget 4: an
+# absolute tolerance read it as broken from 2**20 up.
+@example(_float_max_clique_pair())
+def test_the_verdict_does_not_depend_on_the_units(case):
+    # Scaling every value by 2**e is exact in float64 for these magnitudes,
+    # so only the units move, and the verdict must not.
+    q, q_mod, report = case
+    verdict = verify_equivalence(q, q_mod, report)
+    event(f"verdict {dataclasses.astuple(verdict)}")
+    for e in range(-60, 61):
+        assert verify_equivalence(_scaled(q, -e), _scaled(q_mod, -e), report) == verdict, e
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_factored_pairs(max_n=10, max_steps=3))
+def test_the_verdict_is_the_exact_one_where_rounding_cannot_decide(case):
+    # Every energy of base <= 10 and at most 3 steps summed exactly.  A
+    # field whose exact margins are 0, or one of them beyond twice tol, is
+    # decided: rounding moves each compared difference by less than tol.
+    q, q_mod, report = case
+    verdict = dataclasses.astuple(verify_equivalence(q, q_mod, report))
+    exact = exact_verdict(q, q_mod, report, 2 * verify_tolerance(q, q_mod))
+    event(f"exact {exact}")
+    for field, exact_field in zip(verdict, exact):
+        assert exact_field is None or field == exact_field
 
 
 @SMALL

@@ -28,13 +28,14 @@ from quboreduce.factoring import FactoringReport, FactoringStep, is_conflicting,
 from quboreduce.qubo import ENUMERATION_GUARD, all_energies
 
 from conftest import (
-    assert_bitwise_reference,
+    assert_energies_match_reference,
     bits_from_index,
     min_energy_over_ancillas,
     random_float_qubo,
     random_qubo,
     reference_all_energies,
     reference_spectrum,
+    sums_exact,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -131,8 +132,8 @@ class TestQuboMatrix:
         assert repr(q.copy(3).offset) == "0.0"
 
     def test_offset_assignment_keeps_the_constructor_rules(self):
-        # A -0.0 offset would give -0.0 energies, a NaN would reach
-        # _sums_exact, and True would dump as true, which loads refuses.
+        # A -0.0 offset would give -0.0 energies, a NaN would reach the
+        # energy walk, and True would dump as true, which loads refuses.
         q = QuboMatrix(2, {(0, 0): 1.5})
         q.offset = -0.0
         assert repr(q.offset) == "0.0"
@@ -463,9 +464,10 @@ class TestAllEnergies:
     def test_integer_dtype_for_integral_matrices(self, demo_qubo):
         assert all_energies(demo_qubo).dtype == np.int64
 
-    def test_matches_reference_bitwise(self):
-        # Entries go in in random order, so float sums differ unless each
-        # element adds the coefficients in the same (storage) order.
+    def test_matches_reference(self):
+        # Entries go in in random order.  Integral energies are bitwise the
+        # reference's; float ones are within the bound of the exact sums, as
+        # the order of the additions does not depend on the order of writes.
         rng = random.Random(17)
         for t in range(240):
             n = rng.randint(1, 12)
@@ -475,12 +477,10 @@ class TestAllEnergies:
                 i, j = rng.randrange(n), rng.randrange(n)
                 q[i, j] = rng.uniform(-5, 5) if floats else rng.randint(-5, 5)
             assert q.is_integral != floats
-            expected = reference_all_energies(q)
-            energies = all_energies(q)
-            assert energies.dtype == expected.dtype
-            assert np.array_equal(energies, expected), t
+            assert_energies_match_reference(q, widths=())
             if n <= 10:
-                order = np.lexsort((np.arange(expected.size), expected))
+                energies = all_energies(q)
+                order = np.lexsort((np.arange(energies.size), energies))
                 assert [sum(b << i for i, b in enumerate(e.bits)) for e in spectrum(q)] == order.tolist()
 
     @pytest.mark.parametrize("value", [
@@ -493,52 +493,37 @@ class TestAllEnergies:
     @pytest.mark.parametrize("offset", [-0.0, 0.0, 0, 1.5])
     def test_exact_floats_match_reference_bitwise(self, value, offset):
         # These sums are exact, so all_energies may add them in any order; the
-        # result must still be the in-order reference, bit for bit.
+        # result must still be the in-order reference, bit for bit.  Only
+        # 5e-324 steps beside the offset 1.5 round, and lie within the bound.
         rng = random.Random(11)
         for _ in range(40):
             n = rng.randint(1, 9)
             q = QuboMatrix(n, offset=offset)
             for _ in range(rng.randint(0, n * (n + 1))):
                 q[rng.randrange(n), rng.randrange(n)] = value(rng)
-            assert_bitwise_reference(q)
+            assert sums_exact(q) or offset == 1.5 and len(q)
+            assert_energies_match_reference(q)
 
     def test_float_max_clique_matches_reference_bitwise(self):
         q = as_float(max_clique_qubo(sample_graph(17, 60, 23), 3))
-        assert qubo._sums_exact(q)
-        assert_bitwise_reference(q)
+        assert sums_exact(q)
+        assert_energies_match_reference(q, widths=(15, 16))
 
-    @pytest.mark.parametrize("entries, doubled", [
+    @pytest.mark.parametrize("entries, exact", [
         ({(0, 0): 2.0**52, (1, 1): 2.0**52 - 3, (1, 2): 2.0, (2, 2): 1.0}, False),
         ({(0, 0): 2.0**51, (1, 1): 2.0**51 - 1.5, (1, 2): 0.5, (2, 2): 1.0}, False),
         ({(0, 0): 2.0**52, (1, 1): 2.0**52 - 4, (1, 2): 2.0, (2, 2): 1.0}, True),
     ], ids=["at-2**53", "halves-at-2**53", "below"])
-    def test_float_sums_reaching_2_53_add_in_order(self, entries, doubled, monkeypatch):
+    def test_float_sums_reaching_2_53_are_not_exact(self, entries, exact):
         # The bound counts numerators over the largest denominator: 2**52 in
-        # halves is 2**53 of them.
-        calls = []
-        fill = qubo._fill_by_doubling
-        monkeypatch.setattr(qubo, "_fill_by_doubling", lambda *args: calls.append(fill(*args)))
+        # halves is 2**53 of them.  Below it the energies are bitwise the
+        # in-order reference's; at it, within the bound of the exact sums.
         q = QuboMatrix(3, entries, offset=0.0)
-        assert_bitwise_reference(q)
-        assert bool(calls) == doubled
-
-    def test_exact_floats_with_a_negative_zero_offset_walk(self, monkeypatch):
-        # The offset is stored as 0.0, so the walk's subtractions cannot
-        # turn a -0.0 energy into +0.0, and every w < n walks.
-        calls = []
-        in_order = qubo._in_order_blocks
-        monkeypatch.setattr(qubo, "_in_order_blocks", lambda *args: calls.append(args) or in_order(*args))
-        q = QuboMatrix(4, {(0, 0): 0.5, (1, 2): -0.25, (2, 3): 0.75, (3, 3): -1.5}, offset=-0.0)
-        assert qubo._sums_exact(q)
-        expected = reference_all_energies(q)
-        for w in range(1, q.n):
-            for h, block in qubo._energy_blocks(q, w):
-                assert np.array_equal(block, expected[h << w : (h + 1) << w])
-                assert not np.signbit(block[block == 0]).any()
-        assert calls == []
+        assert sums_exact(q) == exact
+        assert_energies_match_reference(q)
 
     @pytest.mark.parametrize("value", [lambda k: k % 7 - 3, lambda k: (k % 7 - 3) / 4, lambda k: 1 / (k + 3)],
-                             ids=["int", "dyadic", "in-order"])
+                             ids=["int", "dyadic", "rounding"])
     def test_fills_no_second_array(self, value):
         n = 20
         q = QuboMatrix(n, {(k % n, (3 * k) % n): value(k) for k in range(40)})
@@ -574,18 +559,34 @@ class TestAllEnergies:
         ({(0, 0): 1e308, (0, 1): 1e308, (1, 1): 1e308}, 0),
         ({(0, 0): -1e308, (1, 1): -1e308}, 0),
         ({(1, 1): 1.7e308}, 1.7e308),
-        # The last coefficient brings the sum back below 1.8e308, but the
-        # (i, j)-order partial sum has overflowed already.
-        ({(0, 0): 1e308, (0, 1): 1e308, (1, 1): -1e308}, 0.5),
+        # Every energy is finite, but bit 1's linear term under x0 = 1,
+        # Q[1,1] + Q[0,1], overflows before x0's own -1e308 is added.
+        ({(0, 0): -1e308, (0, 1): 1e308, (1, 1): 1e308}, 0.5),
     ], ids=["positive", "negative", "offset", "partial-sum"])
     def test_rejects_float_energy_that_overflows(self, entries, offset):
         q = QuboMatrix(2, entries, offset)
-        assert not qubo._sums_exact(q)
         for enumerate_all in (all_energies, spectrum, lambda q: is_conflicting(q, 0, 1)):
             with pytest.raises(CapacityError, match="^an energy of this QUBO overflows float64$"):
                 enumerate_all(q)
         with pytest.raises(CapacityError, match="overflows float64"):
             verify_equivalence(q, q, FactoringReport(2, 1, []))
+
+    def test_a_walk_that_overflows_raises_and_yields_no_inf(self):
+        # Every energy is finite.  At w = 1 the Gray-code step that sets bit
+        # 1 beside bits 2 and 3 sums its couplings to them, 1e308 each,
+        # before adding them: that sum overflows and raises.
+        q = QuboMatrix(4, {(1, 1): -1.5e308, (1, 2): 1e308, (1, 3): 1e308}, 0.0)
+        assert np.isfinite(all_energies(q)).all()
+        with pytest.raises(CapacityError, match="^an energy of this QUBO overflows float64$"):
+            for _, block in qubo._energy_blocks(q, 1):
+                assert np.isfinite(block).all()
+
+    def test_a_walk_leaves_the_numpy_error_state_alone_between_blocks(self):
+        state = np.geterr()
+        q = QuboMatrix(4, {(0, 0): 0.1, (1, 2): 0.3, (2, 3): -0.7, (3, 3): 1.1}, 0.0)
+        for w in range(1, 5):
+            for _ in qubo._energy_blocks(q, w):
+                assert np.geterr() == state
 
     def test_float_energy_at_the_float64_maximum_is_kept(self):
         top = np.finfo(np.float64).max
@@ -623,30 +624,6 @@ class TestNarrowWalk:
                 assert block.dtype == dtype
                 assert np.array_equal(block.astype(np.int64), expected[h << w : (h + 1) << w])
         assert all_energies(q).dtype == np.int64
-
-    @pytest.mark.parametrize("q, walked", [
-        # Numerators over the largest denominator, 4: 1 + (2**24 - 2), then 1 + (2**24 - 1).
-        (QuboMatrix(2, {(0, 0): 0.25, (1, 1): (2**24 - 2) / 4}, 0.0), True),
-        (QuboMatrix(2, {(0, 0): 0.25, (1, 1): (2**24 - 1) / 4}, 0.0), True),
-        # Scales of 2**-126 and 2**-127, the edge of float32's normal range.
-        (QuboMatrix(2, {(0, 0): 3 * 2.0**-126, (1, 1): -(2.0**-126)}, 0.0), True),
-        (QuboMatrix(2, {(0, 0): 3 * 2.0**-127, (1, 1): -(2.0**-127)}, 0.0), True),
-        (QuboMatrix(2, {(0, 0): 0.1, (1, 1): 0.25}, 0.0), False),
-    ], ids=["units-2**24-1", "units-2**24", "scale-2**126", "scale-2**127", "in-order"])
-    def test_float_bounds(self, q, walked, monkeypatch):
-        # A narrow float walk is float64 at every unit count and scale, and a
-        # matrix whose sums can round is filled in (i, j) order instead.
-        calls = []
-        in_order = qubo._in_order_blocks
-        monkeypatch.setattr(qubo, "_in_order_blocks", lambda *args: calls.append(args) or in_order(*args))
-        expected = reference_all_energies(q)
-        for w in (1, 2):
-            for h, block in _narrow_blocks(q, w):
-                assert block.dtype == np.float64
-                piece = expected[h << w : (h + 1) << w]
-                assert np.array_equal(block, piece)
-                assert np.array_equal(np.signbit(block), np.signbit(piece))
-        assert bool(calls) != walked
 
     def test_exhaustive_workload_instances(self):
         # The benchmark's 21-qubit factored max_clique at seed 23 walks in
